@@ -40,8 +40,8 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _LN2 = math.log(2.0)
-# Absolute error model for one J0 evaluation (measured ~8e-17 worst on
-# [0, 200]; claimed with margin).
+# Absolute error model for one J0 evaluation (measured 9.4e-17 worst against
+# 40-digit mpmath on [0, 200]; claimed with margin).
 _J0_MODEL_ERR = 1e-15
 
 
@@ -174,8 +174,8 @@ def hankel_s_star(lam: float, tol: ToleranceSpec | None = None,
     wrong by the model amount.  Near lambda ~ 27 that floor crosses the
     amplitude of S* itself, which is this route's precision wall.
     """
-    if not lam >= 0 or math.isnan(lam):
-        raise DomainError(f"need lambda >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise DomainError(f"need finite lambda >= 0, got {lam}")
     tol = tol or ToleranceSpec()
     cfg = cfg or _DEFAULT_CFG
 

@@ -145,8 +145,8 @@ def saddle_lhs_numeric(lam: float, strip: StripParams | None = None,
     by e^(-lambda sqrt(pi/2)) can underflow (at lambda beyond ~560), every
     intermediate stays comfortably normal.
     """
-    if not lam > 0:
-        raise DomainError(f"need lambda > 0, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"need finite lambda > 0, got {lam}")
     strip = strip or default_strip()
     tol = tol or ToleranceSpec()
     a_plus, _, refine, _, _ = _scaled_saddle(lam, strip)
@@ -165,8 +165,8 @@ def residue_integral_i2(lam: float, strip: StripParams | None = None,
     makes their sum real up to quadrature roundoff, which is checked here
     rather than assumed.
     """
-    if not lam > 0:
-        raise DomainError(f"need lambda > 0, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"need finite lambda > 0, got {lam}")
     strip = strip or default_strip()
     tol = tol or ToleranceSpec()
     a_plus, a_minus, refine, _, _ = _scaled_saddle(lam, strip)
@@ -221,8 +221,8 @@ def s_star_via_residue(lam: float, strip: StripParams | None = None,
     Intended for lambda >= 8; it still runs below that, but the
     neglected-term bound grows to the size of the answer and says so.
     """
-    if not lam > 0:
-        raise DomainError(f"need lambda > 0, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"need finite lambda > 0, got {lam}")
     strip = strip or default_strip()
     a_plus, a_minus, refine, min_mag, work = _scaled_saddle(lam, strip)
     if lam <= 60.0 and 0.0 < min_mag < 2.3e-308:

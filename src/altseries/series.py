@@ -270,8 +270,8 @@ def sum_alternating_s(t: float, tol: ToleranceSpec | None = None,
     The reported cancellation ratio is unchanged by the flag: it describes
     the conditioning of the sum, not of one particular summation scheme.
     """
-    if not t >= 0 or math.isnan(t):
-        raise DomainError(f"need t >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"need finite t >= 0, got {t}")
     tol = tol or ToleranceSpec()
     value, err, work, absum = _sum_general(-1.0 + 0.0j, 1.0, t, tol,
                                            dd_terms=dd_terms)

@@ -1,17 +1,23 @@
 """Bessel J0 / J_nu and log-gamma building blocks.
 
 scipy.special is used as a second, fully independent reference next to the
-frozen mpmath constants.
+frozen mpmath constants; J0 is also audited point by point against mpmath
+at 40 digits, and its Chebyshev table against the double-double series and
+the generator that wrote it.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special as sps
 
+from altseries import _j0_table
 from altseries.bessel import (
     BesselEvalConfig,
+    _j0_series_dd,
     bessel_j0,
     bessel_j_series,
     j0_zeros,
@@ -32,6 +38,51 @@ def test_j0_against_scipy_dense():
     mine = bessel_j0(u)
     ref = sps.j0(u)
     assert np.max(np.abs(mine - ref)) <= 1e-12
+
+
+J0_AUDIT_BOUND = 3e-16
+
+
+@pytest.mark.parametrize("side", ["table", "hankel"])
+def test_j0_against_mpmath_dense(side):
+    """Absolute error against 40-digit mpmath, below and above the cutoff.
+
+    Each grid is evaluated in one call and again in 24-point chunks, the
+    size of one quadrature panel, since the Hankel side fixes its number of
+    terms per call.
+    """
+    mp = pytest.importorskip("mpmath")
+    cut = BesselEvalConfig().series_cutoff
+    if side == "table":
+        u = np.linspace(0.0, cut, 1601)
+    else:
+        u = np.linspace(np.nextafter(cut, np.inf), 200.0, 4601)
+    whole = bessel_j0(u)
+    chunked = np.concatenate([bessel_j0(u[i:i + 24])
+                              for i in range(0, len(u), 24)])
+    with mp.workdps(40):
+        ref = [mp.besselj(0, mp.mpf(x)) for x in u]
+        for vals in (whole, chunked):
+            err = max(abs(mp.mpf(v) - r) for v, r in zip(vals, ref))
+            assert err <= J0_AUDIT_BOUND, (side, float(err))
+
+
+def test_j0_table_against_dd_series():
+    """The whole table, [0, 30], against the double-double power series."""
+    u = np.linspace(0.0, 30.0, 3001)
+    mine = bessel_j0(u, BesselEvalConfig(series_cutoff=30.0))
+    assert np.max(np.abs(mine - _j0_series_dd(u))) <= J0_AUDIT_BOUND
+
+
+def test_j0_table_regenerates_bit_for_bit():
+    pytest.importorskip("mpmath")
+    path = Path(__file__).resolve().parent.parent / "tools" / "gen_j0_table.py"
+    spec = importlib.util.spec_from_file_location("gen_j0_table", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    table = gen.chebyshev_table()
+    assert table == _j0_table.J0_CHEB
+    assert gen.render(table) == Path(_j0_table.__file__).read_text()
 
 
 def test_j0_bounded_by_one():
@@ -67,6 +118,12 @@ def test_j0_switch_point_continuity():
 def test_j0_rejects_nan():
     with pytest.raises(DomainError):
         bessel_j0(math.nan)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, np.array([1.0, math.inf])])
+def test_j0_rejects_infinite(bad):
+    with pytest.raises(DomainError):
+        bessel_j0(bad)
 
 
 def test_j0_zeros_frozen():

@@ -86,6 +86,17 @@ class TestEval:
         assert out == ""
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--lambda", "inf"),
+        ("--t", "inf"),
+        ("--lambda", "inf", "--method", "hankel"),
+    ])
+    def test_infinite_input_is_a_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, "eval", *argv)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
     def test_fourier_past_its_wall(self, capsys):
         code, _, err = run(capsys, "eval", "--lambda", "13",
                            "--method", "fourier2d")

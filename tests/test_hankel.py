@@ -144,6 +144,12 @@ def test_truncation_extension_within_estimate():
     assert abs(base.value - wide.value) <= base.error_estimate + wide.error_estimate
 
 
+@pytest.mark.parametrize("lam", [math.inf, -math.inf])
+def test_s_star_rejects_infinite_lambda(lam):
+    with pytest.raises(DomainError):
+        hankel_s_star(lam)
+
+
 def test_s_star_domain_and_budget():
     with pytest.raises(DomainError):
         hankel_s_star(-1.0)

@@ -123,6 +123,13 @@ class TestScaledEvaluation:
         r = s_star_via_residue(60.0)
         assert math.isfinite(r.scaled_value) and r.scaled_value != 0.0
 
+    @pytest.mark.parametrize("fn", [saddle_lhs_numeric, residue_integral_i2,
+                                    s_star_via_residue])
+    def test_infinite_lambda_refused(self, fn):
+        # sigma = 0 at lambda = inf would stall the saddle panel edges
+        with pytest.raises(DomainError):
+            fn(math.inf)
+
     def test_extreme_lambda_keeps_scaled_form(self):
         r = s_star_via_residue(400.0)
         assert math.isfinite(r.scaled_value)

@@ -48,6 +48,12 @@ def test_cancellation_diagnostic_grows():
     assert isinstance(sum_alternating_s(0.0), AlternatingOutcome)
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf])
+def test_alternating_s_rejects_infinite_t(t):
+    with pytest.raises(DomainError):
+        sum_alternating_s(t)
+
+
 def test_alternating_s_rejects_negative_t():
     with pytest.raises(DomainError):
         sum_alternating_s(-0.5)
