@@ -15,6 +15,7 @@ import math
 
 from altseries.core import RangeError
 from altseries.hankel import hankel_s_star
+from altseries.harness import RESIDUE_MIN_LAMBDA
 from altseries.residue import s_star_via_residue
 from altseries.series import sum_alternating_s
 
@@ -33,10 +34,10 @@ def main():
         except RangeError:
             h_cell = f"{'out of range':>14}"
 
-        if lam >= 8.0:
+        if lam >= RESIDUE_MIN_LAMBDA:
             r_cell = f"{s_star_via_residue(lam).scaled_value:15.8f}"
         else:
-            r_cell = f"{'(needs lam>=8)':>15}"
+            r_cell = f"{f'(needs lam>={RESIDUE_MIN_LAMBDA:g})':>15}"
 
         print(f"{t:6.1f} {lam:7.2f}  {s_ratio:14.2e}  {h_cell}  {r_cell}")
 

@@ -67,10 +67,6 @@ def dd_add_d(xh, xl, d):
     return quick_two_sum(s1, s2)
 
 
-def dd_neg(xh, xl):
-    return -xh, -xl
-
-
 def dd_mul(xh, xl, yh, yl):
     p1, p2 = two_prod(xh, yh)
     p2 = p2 + xh * yl + xl * yh

@@ -72,8 +72,8 @@ class AsymptoticTerm:
 
 def asym_s_star(lam: float) -> AsymptoticTerm:
     """Leading asymptotic term of S*(lambda), lambda > 0."""
-    if not lam > 0 or math.isnan(lam):
-        raise DomainError(f"need lambda > 0, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"need finite lambda > 0, got {lam}")
     decay = lam * SQRT_HALF_PI
     amplitude = FRONT_CONSTANT * math.exp(-decay) / math.sqrt(lam)
     phase = decay + math.pi / 8.0
@@ -89,8 +89,8 @@ def asym_s_t(t: float) -> AsymptoticTerm:
     sqrt(2 pi t) = lambda sqrt(pi/2)), and deliberately evaluated through
     the same code path so the two parameterizations agree to the last bit.
     """
-    if not t > 0 or math.isnan(t):
-        raise DomainError(f"need t > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"need finite t > 0, got {t}")
     return asym_s_star(2.0 * math.sqrt(t))
 
 
@@ -102,8 +102,8 @@ def saddle_rhs_closed(lam: float, scaled: bool = False) -> complex:
     factor e^(-lambda sqrt(pi/2)) is left out entirely, which keeps the
     result representable at any lambda.
     """
-    if not lam > 0 or math.isnan(lam):
-        raise DomainError(f"need lambda > 0, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"need finite lambda > 0, got {lam}")
     theta = lam * SQRT_HALF_PI + math.pi / 8.0
     mag = math.sqrt(2.0) * math.pi ** 0.25 / math.sqrt(lam)
     if not scaled:
@@ -117,8 +117,8 @@ def error_envelope(lam: float) -> float:
     Unit constant by convention; callers multiply by the empirically
     calibrated prefactor recorded in verification reports.
     """
-    if not lam > 0 or math.isnan(lam):
-        raise DomainError(f"need lambda > 0, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"need finite lambda > 0, got {lam}")
     return math.exp(-lam * SQRT_HALF_PI) * lam ** -1.5
 
 
@@ -128,22 +128,22 @@ def rough_bound_trace(a: float, lambda_grid) -> list[float]:
     Since |S*| decays like e^(-lambda sqrt(pi/2)) (times algebraic factors),
     any a below sqrt(pi/2) must send the trace to zero; tests assert the
     downward trend.  a = 0 degenerates to |S*| itself.  The numeric value
-    comes from the Hankel route up to lambda = 25 and the residue route
-    beyond, where plain doubles would otherwise underflow.
+    comes from ``evaluate('auto')``: the Hankel route up to its switch and
+    the residue route beyond, read at the scale where plain doubles would
+    otherwise underflow.
     """
     if not 0.0 <= a < SQRT_HALF_PI:
         raise DomainError(f"need 0 <= a < sqrt(pi/2) ~ 1.2533, got {a}")
-    from .hankel import hankel_s_star
-    from .residue import s_star_via_residue
+    from .harness import evaluate
 
     out = []
     for lam in lambda_grid:
         if not lam > 0:
             raise DomainError("lambda grid entries must be positive")
-        if lam <= 25.0:
-            val = abs(hankel_s_star(lam).value) * math.exp(a * lam)
-        else:
-            res = s_star_via_residue(lam)
+        res = evaluate("auto", lam)
+        if res.method == "residue":
             val = abs(res.scaled_value) * math.exp((a - SQRT_HALF_PI) * lam)
+        else:
+            val = abs(res.value) * math.exp(a * lam)
         out.append(float(val))
     return out

@@ -10,11 +10,11 @@ key=value file; no environment variables are consulted.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import harness
-from .core import DomainError, RangeError, ToleranceSpec, WorkLimitError
+from .core import (DomainError, RangeError, ToleranceSpec, WorkLimitError,
+                   lambda_of_t)
 from .hankel import QuadConfig
 from .poles import StripParams, default_strip, pole_location, q_eval, strip_width_b
 
@@ -119,31 +119,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args, quad_cfg, strip, file_tol) -> int:
-    if args.lam is not None:
-        lam = args.lam
-    else:
-        if args.t < 0:
-            raise DomainError(f"need t >= 0, got {args.t}")
-        lam = 2.0 * math.sqrt(args.t)
+    lam = args.lam if args.lam is not None else lambda_of_t(args.t)
     tol = file_tol
     if args.tol is not None:
         tol = ToleranceSpec(abs_tol=args.tol, rel_tol=args.tol)
     out = harness.evaluate(args.method, lam, tol, quad_cfg, strip)
-
-    if out.method == "residue":
-        from .residue import s_star_via_residue
-        scaled_numeric = -s_star_via_residue(lam, strip).scaled_value
-    elif lam * harness.SQRT_HALF_PI < 709.0:
-        scaled_numeric = harness._scaled_of(lam, out.value)
-    else:
-        scaled_numeric = math.inf
-    scaled_asym = (harness.asym_s_star(lam).scaled_value if lam > 0 else 0.0)
-    row = harness.SweepRow(
-        lam=lam,
-        methods={out.method: (out.value, out.error_estimate)},
-        scaled_numeric=scaled_numeric,
-        scaled_asym=scaled_asym,
-    )
+    row = harness.sweep_row(lam, {out.method: out}, out)
     if args.json:
         print(harness.sweep_row_json(row))
     else:
@@ -153,12 +134,12 @@ def _cmd_eval(args, quad_cfg, strip, file_tol) -> int:
         print(f"value           {out.value!r}")
         print(f"error_estimate  {out.error_estimate!r}")
         print(f"work            {out.work}")
-        print(f"scaled_numeric  {scaled_numeric!r}")
-        print(f"scaled_asym     {scaled_asym!r}")
+        print(f"scaled_numeric  {row.scaled_numeric!r}")
+        print(f"scaled_asym     {row.scaled_asym!r}")
     return 0
 
 
-def _cmd_sweep(args, quad_cfg, strip) -> int:
+def _cmd_sweep(args) -> int:
     table = harness.sweep_data(args.lambda_min, args.lambda_max, args.points)
     harness.write_csv(table, args.out)
     print(f"wrote {len(table.rows)} rows to {args.out}")
@@ -214,11 +195,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config is not None and args.command in ("sweep", "verify"):
+            raise DomainError(
+                f"{args.command} runs at the default settings and does not "
+                "take --config")
         quad_cfg, strip, tol = _load_config(args.config)
         if args.command == "eval":
             return _cmd_eval(args, quad_cfg, strip, tol)
         if args.command == "sweep":
-            return _cmd_sweep(args, quad_cfg, strip)
+            return _cmd_sweep(args)
         if args.command == "figure":
             return _cmd_figure(args, quad_cfg, strip)
         if args.command == "poles":

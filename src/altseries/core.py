@@ -7,7 +7,7 @@ callers can compare values *and* error estimates across methods uniformly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "DomainError",
@@ -83,7 +83,6 @@ class EvalOutcome:
     error_estimate: float
     work: int
     method: str
-    flags: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         if self.error_estimate < 0:

@@ -22,6 +22,7 @@ from .core import DomainError, EvalOutcome, RangeError, ToleranceSpec, WorkLimit
 from .hankel import oscillatory_edges, panel_quadrature
 
 __all__ = [
+    "LAMBDA_WALL",
     "Fourier2dConfig",
     "inner_t",
     "fourier2d_s_star",
@@ -30,7 +31,8 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
-_LAMBDA_WALL = 12.0
+# the largest lambda the nested quadrature resolves; see fourier2d_s_star
+LAMBDA_WALL = 12.0
 
 
 @dataclass(frozen=True)
@@ -99,26 +101,6 @@ def inner_t(y: float, lam: float, tol: ToleranceSpec | None = None,
     return value
 
 
-def _inner_t_unreduced(y: float, lam: float,
-                       cfg: Fourier2dConfig | None = None) -> complex:
-    """T(y, lambda) over the full line without the cosine reduction.
-
-    Exists so the imaginary-part-vanishing property can be tested against
-    an implementation that had a chance to get it wrong.
-    """
-    cfg = cfg or _DEFAULT_CFG
-    upper = cfg.x_truncation
-    y2 = y * y
-    pos = _cos_edges(abs(lam), upper)
-    edges = [-e for e in reversed(pos)] + pos[1:]
-
-    def f(x):
-        return np.exp(1j * lam * x) * _fermi(x * x + y2)
-
-    value, _, _, _, _ = panel_quadrature(f, edges, 24)
-    return complex(value)
-
-
 def fourier2d_s_star(lam: float, tol: ToleranceSpec | None = None,
                      cfg: Fourier2dConfig | None = None) -> EvalOutcome:
     """S*(lambda) through the 2D Fourier representation, 0 <= lambda <= 12.
@@ -128,10 +110,10 @@ def fourier2d_s_star(lam: float, tol: ToleranceSpec | None = None,
     """
     if not lam >= 0 or math.isnan(lam):
         raise DomainError(f"need lambda >= 0, got {lam}")
-    if lam > _LAMBDA_WALL:
+    if lam > LAMBDA_WALL:
         raise RangeError(
             f"the nested 2D route resolves S* only for lambda <= "
-            f"{_LAMBDA_WALL:g}; use hankel or residue beyond that")
+            f"{LAMBDA_WALL:g}; use hankel or residue beyond that")
     cfg = cfg or _DEFAULT_CFG
     tol = tol or ToleranceSpec(abs_tol=cfg.outer_tol, rel_tol=cfg.outer_tol)
 

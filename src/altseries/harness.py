@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass, field
 
 from .asymptotic import (
-    FRONT_CONSTANT,
     SQRT_HALF_PI,
     asym_s_star,
     asym_s_t,
@@ -33,18 +32,22 @@ from .core import (
     WorkLimitError,
     lambda_of_t,
 )
-from .fourier2d import fourier2d_s_star, gaussian_term_identity, radial_transform
+from .fourier2d import (LAMBDA_WALL, fourier2d_s_star, gaussian_term_identity,
+                        radial_transform)
 from .hankel import hankel_s_star
 from .poles import default_strip, pole_location, q_eval, u_star
-from .residue import calibrated_kappa, s_star_via_residue, saddle_lhs_numeric
+from .residue import (ResidueResult, calibrated_kappa, s_star_via_residue,
+                      saddle_lhs_numeric)
 from .series import SeriesParams, derivative_residuals, sum_alternating_s
 
 __all__ = [
+    "ROUTES",
     "SweepRow",
     "SweepTable",
     "VerifyCheck",
     "VerifyReport",
     "evaluate",
+    "sweep_row",
     "cross_validate",
     "figure_data",
     "sweep_data",
@@ -62,8 +65,39 @@ HANKEL_RESIDUE_SWITCH = 25.0
 # beyond this lambda the hankel value is mostly floor noise in relative
 # terms, so cross-validation refuses to treat it as a comparison partner
 HANKEL_COMPARE_WALL = 24.0
-FOURIER_WALL = 12.0
+# sweeps tabulate hankel a little past that wall, where its error estimate
+# is seen to swallow the value
+HANKEL_SWEEP_WALL = 28.0
+FOURIER_WALL = LAMBDA_WALL
+# below this the residue route's neglected-term bound grows to the size of
+# the answer
+RESIDUE_MIN_LAMBDA = 8.0
 CANCELLATION_FLAG = 1e12
+
+# route -> (evaluation(lam, tol, quad_cfg, strip), closed lambda window a
+# sweep tabulates it on).  Each evaluation looks its route function up in
+# this module when it runs, so rebinding e.g. harness.hankel_s_star is seen.
+ROUTES = {
+    "series": (lambda lam, tol, cfg, strip:
+               sum_alternating_s(lam * lam / 4.0, tol), (0.0, math.inf)),
+    "hankel": (lambda lam, tol, cfg, strip: hankel_s_star(lam, tol, cfg),
+               (0.0, HANKEL_SWEEP_WALL)),
+    "fourier2d": (lambda lam, tol, cfg, strip: fourier2d_s_star(lam, tol),
+                  (0.0, FOURIER_WALL)),
+    "residue": (lambda lam, tol, cfg, strip: s_star_via_residue(lam, strip),
+                (RESIDUE_MIN_LAMBDA, math.inf)),
+    "asymptotic": (lambda lam, tol, cfg, strip: EvalOutcome(
+        asym_s_star(lam).value, error_envelope(lam), 1, "asymptotic"),
+        (math.nextafter(0.0, 1.0), math.inf)),  # lambda > 0
+}
+# cross_validate compares on narrower windows: hankel stops where it is too
+# noisy to judge the others by, and the law joins where the residue route does
+_COMPARE_WINDOWS = {
+    "hankel": (0.0, HANKEL_COMPARE_WALL),
+    "fourier2d": ROUTES["fourier2d"][1],
+    "residue": ROUTES["residue"][1],
+    "asymptotic": ROUTES["residue"][1],
+}
 
 
 @dataclass(frozen=True)
@@ -107,40 +141,49 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
-def _scaled_of(lam: float, value: float) -> float:
-    """Figure sign convention: -e^(lambda sqrt(pi/2)) * value."""
-    return -math.exp(lam * SQRT_HALF_PI) * value
-
-
-def _asym_outcome(lam: float) -> EvalOutcome:
-    term = asym_s_star(lam)
-    return EvalOutcome(term.value, error_envelope(lam), 1, "asymptotic")
-
-
-def _residue_outcome(lam: float, strip=None) -> EvalOutcome:
-    r = s_star_via_residue(lam, strip)
-    err = r.neglected_bound * math.exp(-lam * SQRT_HALF_PI)
-    return EvalOutcome(r.unscaled_value, err, r.work, "residue")
+def _auto_route(lam: float) -> str:
+    return "hankel" if lam <= HANKEL_RESIDUE_SWITCH else "residue"
 
 
 def evaluate(method: str, lam: float, tol: ToleranceSpec | None = None,
              quad_cfg=None, strip=None) -> EvalOutcome:
-    """One S*(lambda) evaluation by the named route ('auto' picks the
-    figure convention: hankel up to lambda = 25, residue beyond)."""
+    """One S*(lambda) evaluation by the named route of ``ROUTES`` ('auto'
+    picks the figure convention: hankel up to lambda = 25, residue beyond;
+    'asym' is the asymptotic route).  A ``tol`` is met or refused with
+    WorkLimitError, whichever route runs."""
     if method == "auto":
-        method = "hankel" if lam <= HANKEL_RESIDUE_SWITCH else "residue"
-    if method == "series":
-        out = sum_alternating_s(lam * lam / 4.0, tol)
-        return EvalOutcome(out.value, out.error_estimate, out.work, "series")
-    if method == "hankel":
-        return hankel_s_star(lam, tol, quad_cfg)
-    if method == "fourier2d":
-        return fourier2d_s_star(lam, tol)
-    if method == "residue":
-        return _residue_outcome(lam, strip)
-    if method == "asym":
-        return _asym_outcome(lam)
-    raise DomainError(f"unknown method {method!r}")
+        method = _auto_route(lam)
+    elif method == "asym":
+        method = "asymptotic"
+    if method not in ROUTES:
+        raise DomainError(f"unknown method {method!r}")
+    out = ROUTES[method][0](lam, tol, quad_cfg, strip)
+    if tol is not None and not tol.met_by(out.error_estimate, out.value):
+        raise WorkLimitError(
+            f"error estimate {out.error_estimate:.3e} misses the requested "
+            "tolerance", partial=out)
+    return out
+
+
+def sweep_row(lam: float, outs: dict, numeric: EvalOutcome) -> SweepRow:
+    """A table row: every outcome in ``outs`` plus the scaled pair.
+
+    The numeric curve is the figure's -e^(lambda sqrt(pi/2)) * value of
+    ``numeric``, read off its ``scaled_value`` when it carries one and inf
+    where the factor overflows a double.
+    """
+    if isinstance(numeric, ResidueResult):
+        scaled = -numeric.scaled_value
+    elif lam * SQRT_HALF_PI < 709.0:
+        scaled = -math.exp(lam * SQRT_HALF_PI) * numeric.value
+    else:
+        scaled = math.inf
+    return SweepRow(
+        lam=lam,
+        methods={k: (v.value, v.error_estimate) for k, v in outs.items()},
+        scaled_numeric=scaled,
+        scaled_asym=asym_s_star(lam).scaled_value if lam > 0 else 0.0,
+    )
 
 
 def _pair_check(t: float, name_a: str, out_a: EvalOutcome,
@@ -169,12 +212,9 @@ def cross_validate(points, tol: ToleranceSpec | None = None) -> VerifyReport:
     checks = []
     for t in points:
         lam = lambda_of_t(t)
-        outs: dict[str, EvalOutcome] = {}
-
+        # t itself: lambda^2/4 does not always give t back
         series_out = sum_alternating_s(t)
-        outs["series"] = EvalOutcome(
-            series_out.value, series_out.error_estimate, series_out.work,
-            "series")
+        outs: dict[str, EvalOutcome] = {"series": series_out}
         if series_out.cancellation >= CANCELLATION_FLAG:
             checks.append(VerifyCheck(
                 name=f"t={t:g}:series-precision-limited",
@@ -182,21 +222,16 @@ def cross_validate(points, tol: ToleranceSpec | None = None) -> VerifyReport:
                 measured=series_out.cancellation,
                 threshold=CANCELLATION_FLAG,
                 note="series runs but its cancellation diagnostic dominates"))
-
-        if lam <= HANKEL_COMPARE_WALL:
-            outs["hankel"] = hankel_s_star(lam)
-        else:
+        if lam > HANKEL_COMPARE_WALL:
             checks.append(VerifyCheck(
                 name=f"t={t:g}:hankel-out-of-range",
                 passed=True,
                 measured=lam,
                 threshold=HANKEL_COMPARE_WALL,
                 note="hankel floor exceeds |S*| here; method skipped"))
-        if lam <= FOURIER_WALL:
-            outs["fourier2d"] = fourier2d_s_star(lam)
-        if lam >= 8.0:
-            outs["residue"] = _residue_outcome(lam)
-            outs["asymptotic"] = _asym_outcome(lam)
+        for name, (lo, hi) in _COMPARE_WINDOWS.items():
+            if lo <= lam <= hi:
+                outs[name] = evaluate(name, lam)
 
         names = sorted(outs)
         for i, na in enumerate(names):
@@ -205,7 +240,7 @@ def cross_validate(points, tol: ToleranceSpec | None = None) -> VerifyReport:
                     continue  # compared in scaled mode below
                 checks.append(_pair_check(t, na, outs[na], nb, outs[nb], tol))
         if "residue" in outs and "asymptotic" in outs:
-            r = s_star_via_residue(lam)
+            r = outs["residue"]
             scaled_asym = -asym_s_star(lam).scaled_value
             diff = abs(r.scaled_value - scaled_asym)
             threshold = 10.0 * lam ** -1.5 + r.neglected_bound
@@ -235,52 +270,19 @@ def figure_data(lambda_min: float, lambda_max: float, n: int,
     closed-form asymptotics, on a uniform lambda grid."""
     rows = []
     for lam in _lambda_grid(lambda_min, lambda_max, n):
-        if lam <= HANKEL_RESIDUE_SWITCH:
-            out = hankel_s_star(lam, None, quad_cfg)
-            scaled_numeric = _scaled_of(lam, out.value)
-        else:
-            r = s_star_via_residue(lam, strip)
-            out = EvalOutcome(
-                r.unscaled_value,
-                r.neglected_bound * math.exp(-lam * SQRT_HALF_PI),
-                r.work, "residue")
-            scaled_numeric = -r.scaled_value
-        term = asym_s_star(lam)
-        rows.append(SweepRow(
-            lam=lam,
-            methods={out.method: (out.value, out.error_estimate)},
-            scaled_numeric=scaled_numeric,
-            scaled_asym=term.scaled_value,
-        ))
+        out = evaluate("auto", lam, None, quad_cfg, strip)
+        rows.append(sweep_row(lam, {out.method: out}, out))
     return SweepTable(rows=rows)
 
 
 def sweep_data(lambda_min: float, lambda_max: float, n: int) -> SweepTable:
-    """Every in-range method at every grid point, plus the scaled pair."""
+    """Every route at every grid point inside its window, plus the scaled
+    pair."""
     rows = []
     for lam in _lambda_grid(lambda_min, lambda_max, n):
-        methods = {}
-        methods["series"] = evaluate("series", lam)
-        if lam <= HANKEL_COMPARE_WALL + 4.0:
-            methods["hankel"] = evaluate("hankel", lam)
-        if lam <= FOURIER_WALL:
-            methods["fourier2d"] = evaluate("fourier2d", lam)
-        if lam >= 8.0:
-            methods["residue"] = evaluate("residue", lam)
-        if lam > 0:
-            methods["asymptotic"] = evaluate("asym", lam)
-        auto = methods["hankel"] if lam <= HANKEL_RESIDUE_SWITCH else methods["residue"]
-        if lam <= HANKEL_RESIDUE_SWITCH:
-            scaled_numeric = _scaled_of(lam, auto.value)
-        else:
-            scaled_numeric = -s_star_via_residue(lam).scaled_value
-        term = asym_s_star(lam) if lam > 0 else None
-        rows.append(SweepRow(
-            lam=lam,
-            methods={k: (v.value, v.error_estimate) for k, v in methods.items()},
-            scaled_numeric=scaled_numeric,
-            scaled_asym=term.scaled_value if term else 0.0,
-        ))
+        outs = {name: evaluate(name, lam)
+                for name, (_, (lo, hi)) in ROUTES.items() if lo <= lam <= hi}
+        rows.append(sweep_row(lam, outs, outs[_auto_route(lam)]))
     return SweepTable(rows=rows)
 
 
@@ -289,10 +291,10 @@ def error_scaling_study(lambda_grid) -> list:
     route, with the lambda^(3/2) envelope ratio per point."""
     rows = []
     for lam in lambda_grid:
-        if not lam >= 8.0:
+        if not lam >= RESIDUE_MIN_LAMBDA:
             raise DomainError(
                 f"lambda = {lam} below the residue-route window")
-        r = s_star_via_residue(lam)
+        r = evaluate("residue", lam)
         # e^(lambda c) * asym value without forming the overflow-prone factor
         scaled_asym_signed = -asym_s_star(lam).scaled_value
         scaled_error = abs(r.scaled_value - scaled_asym_signed)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, ToleranceSpec, WorkLimitError
+from .core import DomainError, EvalOutcome, ToleranceSpec, WorkLimitError
 from .poles import StripParams, default_strip, z_minus, z_plus
 
 __all__ = [
@@ -43,18 +43,24 @@ _KAPPA_CACHE: dict[tuple, float] = {}
 
 
 @dataclass(frozen=True)
-class ResidueResult:
-    """Residue-route estimate of S*, carried at the e^(lambda sqrt(pi/2))
-    scale next to its true-size counterpart."""
+class ResidueResult(EvalOutcome):
+    """Residue-route estimate of S*; ``scaled_value`` and ``neglected_bound``
+    are ``value`` and ``error_estimate`` at the e^(lambda sqrt(pi/2)) scale,
+    where they stay representable at any lambda."""
 
-    scaled_value: float
-    unscaled_value: float
-    neglected_bound: float
-    work: int
+    method: str = "residue"
+    scaled_value: float = math.nan
+    neglected_bound: float = 0.0
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.neglected_bound >= 0.0:
             raise DomainError("neglected_bound must be >= 0")
+
+    @property
+    def unscaled_value(self) -> float:
+        """Alias of ``value``."""
+        return self.value
 
 
 def residue_at_pole(y: float, lam: float, branch: int = 1,
@@ -93,8 +99,19 @@ def _saddle_edges(lam: float, b: float):
     Full-rule nodes come to 16 per panel, so the total is >= 8*16 = 128
     for small lambda and grows like 16 sqrt(lambda) once 2 sigma steps
     dominate, matching the intended node budget max(64, 16 sqrt(lambda)).
+    A panel count past the default ``QuadConfig.max_panels`` (600, near
+    lambda = 2.5e5) is refused before any edge is placed; beyond lambda ~
+    1e33 the steps would fall below half an ulp of b and never arrive.
     """
+    from .hankel import QuadConfig
+
     sigma = (2.0 * math.pi) ** 0.25 / math.sqrt(lam)
+    panels = 2.0 * (6.0 + 0.5 * b / sigma)
+    budget = QuadConfig().max_panels
+    if panels > budget:
+        raise WorkLimitError(
+            f"lambda = {lam:g} needs about {panels:.3g} saddle panels, "
+            f"over the budget of {budget}")
     half = [0.0]
     yv = 0.0
     while yv < 6.0 * sigma and yv < b:
@@ -179,14 +196,6 @@ def residue_integral_i2(lam: float, strip: StripParams | None = None,
     return math.pi * both.real * scale
 
 
-def _i2_imag_defect(lam: float, strip: StripParams | None = None) -> float:
-    """|Im| left in the +- branch sum, relative to its real part."""
-    strip = strip or default_strip()
-    a_plus, a_minus, _, _, _ = _scaled_saddle(lam, strip)
-    both = a_plus + a_minus
-    return abs(both.imag) / abs(both.real)
-
-
 def calibrated_kappa(strip: StripParams | None = None) -> float:
     """Constant kappa of the neglected-term model, fitted once per strip.
 
@@ -218,8 +227,9 @@ def s_star_via_residue(lam: float, strip: StripParams | None = None,
                        tol: ToleranceSpec | None = None) -> ResidueResult:
     """S*(lambda) ~ -(1/pi) I2, with the neglected terms bounded not summed.
 
-    Intended for lambda >= 8; it still runs below that, but the
-    neglected-term bound grows to the size of the answer and says so.
+    Intended for 8 <= lambda <= ~2.5e5; it still runs below that, but the
+    neglected-term bound grows to the size of the answer and says so, and
+    above it the saddle panels exceed their budget (WorkLimitError).
     """
     if not 0.0 < lam < math.inf:
         raise DomainError(f"need finite lambda > 0, got {lam}")
@@ -233,9 +243,6 @@ def s_star_via_residue(lam: float, strip: StripParams | None = None,
     shape = (math.exp(-lam * (strip.a1 - _SQRT_HALF_PI))
              + math.exp(-lam * (strip.a2 - _SQRT_HALF_PI)))
     bound = kappa * shape + refine
-    return ResidueResult(
-        scaled_value=scaled,
-        unscaled_value=scaled * math.exp(-lam * _SQRT_HALF_PI),
-        neglected_bound=bound,
-        work=work,
-    )
+    scale = math.exp(-lam * _SQRT_HALF_PI)
+    return ResidueResult(scaled * scale, bound * scale, work,
+                         scaled_value=scaled, neglected_bound=bound)

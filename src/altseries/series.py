@@ -22,7 +22,6 @@ truncation, is the honest accuracy limit.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -236,9 +235,8 @@ def _sum_general(z: complex, nu: float, t: float, tol: ToleranceSpec,
     on_boundary = abs(az - 1.0) <= 4.0 * _EPS
     if on_boundary and abs(z / (1.0 - z)) < 0.8:
         return _sum_boundary_euler(z, nu, t, tol, weight, dd_terms)
-    if not on_boundary:
-        return _sum_interior(z, nu, t, tol, weight)
-    # Boundary too close to z = 1 for the transform: best effort, then give up.
+    # Interior, or a boundary point too close to z = 1 for the transform:
+    # there, best effort until the budget runs out.
     return _sum_interior(z, nu, t, tol, weight)
 
 

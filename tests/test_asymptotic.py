@@ -88,6 +88,13 @@ def test_lambda_domain_guards(func):
             func(bad)
 
 
+@pytest.mark.parametrize("func", [asym_s_star, asym_s_t, saddle_rhs_closed,
+                                  error_envelope])
+def test_infinite_argument_refused(func):
+    with pytest.raises(DomainError):
+        func(math.inf)
+
+
 def test_t_domain_guard():
     with pytest.raises(DomainError):
         asym_s_t(0.0)

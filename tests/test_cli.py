@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line interface, in process."""
 
 import json
+import time
 
 import pytest
 
@@ -110,6 +111,30 @@ class TestEval:
                            "--method", "hankel", "--tol", "1e-30")
         assert code == 2
         assert "partial value:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--lambda", "30", "--method", "residue", "--tol", "1e-30"),
+        ("--lambda", "30", "--method", "asym", "--tol", "1e-30"),
+    ])
+    def test_every_route_meets_or_refuses_tol(self, capsys, argv):
+        code, out, err = run(capsys, "eval", *argv)
+        assert code == 2
+        assert out == ""
+        assert "misses the requested tolerance" in err
+        assert "partial value:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--t", "1e308"),
+        ("--lambda", "1e40", "--method", "residue"),
+        ("--lambda", "inf", "--method", "asym"),
+    ])
+    def test_huge_input_refused_in_bounded_time(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", *argv)
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
 
 
 class TestSweepAndFigure:
@@ -237,6 +262,24 @@ class TestConfigFile:
                            "eval", "--lambda", "1")
         assert code == 2
         assert "expected key=value" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--lambda-min", "1", "--lambda-max", "2", "--points", "2"),
+        ("verify", "--quick"),
+    ])
+    def test_rejected_where_not_honoured(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("max_panels = 4\n")
+        out_path = tmp_path / "sweep.csv"
+        if argv[0] == "sweep":
+            argv += ("--out", str(out_path))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert out == ""
+        assert f"{argv[0]} runs at the default settings" in err
+        assert not out_path.exists()
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "--config", str(tmp_path / "absent.cfg"),

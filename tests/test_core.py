@@ -80,7 +80,6 @@ class TestEvalOutcome:
     def test_fields(self):
         out = EvalOutcome(value=1.5, error_estimate=1e-14, work=10, method="series")
         assert out.value == 1.5
-        assert out.flags == ()
 
     def test_all_method_names_accepted(self):
         for name in METHOD_NAMES:

@@ -13,10 +13,30 @@ from altseries.fourier2d import (
     inner_t,
     radial_transform,
 )
-from altseries.fourier2d import _inner_t_unreduced
-from altseries.hankel import hankel_s_star
+from altseries.fourier2d import _DEFAULT_CFG, _cos_edges, _fermi
+from altseries.hankel import hankel_s_star, panel_quadrature
 
 import oracle_values as ov
+
+
+def _inner_t_unreduced(y: float, lam: float,
+                       cfg: Fourier2dConfig | None = None) -> complex:
+    """T(y, lambda) over the full line without the cosine reduction.
+
+    Exists so the imaginary-part-vanishing property can be tested against
+    an implementation that had a chance to get it wrong.
+    """
+    cfg = cfg or _DEFAULT_CFG
+    upper = cfg.x_truncation
+    y2 = y * y
+    pos = _cos_edges(abs(lam), upper)
+    edges = [-e for e in reversed(pos)] + pos[1:]
+
+    def f(x):
+        return np.exp(1j * lam * x) * _fermi(x * x + y2)
+
+    value, _, _, _, _ = panel_quadrature(f, edges, 24)
+    return complex(value)
 
 
 def test_config_validation():

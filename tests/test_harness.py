@@ -6,12 +6,15 @@ import math
 import pytest
 
 from altseries.asymptotic import SQRT_HALF_PI, asym_s_star
-from altseries.core import DomainError, RangeError
+from altseries import harness
+from altseries.core import DomainError, RangeError, ToleranceSpec, WorkLimitError
 from altseries.harness import (
     CANCELLATION_FLAG,
     FOURIER_WALL,
     HANKEL_COMPARE_WALL,
     HANKEL_RESIDUE_SWITCH,
+    HANKEL_SWEEP_WALL,
+    RESIDUE_MIN_LAMBDA,
     SweepRow,
     SweepTable,
     VerifyCheck,
@@ -278,3 +281,82 @@ def test_walls_are_consistent_with_module_behavior():
     hankel_s_star(HANKEL_COMPARE_WALL)  # inside the window: must not raise
     with pytest.raises(RangeError):
         evaluate("fourier2d", FOURIER_WALL + 0.01)
+
+
+def _compared_routes(report):
+    """Routes named in the pairwise checks of a one-point report."""
+    routes = set()
+    for c in report.checks:
+        pair = c.name.split(":", 1)[1]
+        if "-vs-" in pair and not pair.endswith("-scaled"):
+            routes.update(pair.split("-vs-"))
+    return routes
+
+
+@pytest.mark.parametrize("lam,expected", [
+    (HANKEL_COMPARE_WALL, {"series", "hankel", "residue", "asymptotic"}),
+    (HANKEL_COMPARE_WALL + 0.01, {"series", "residue", "asymptotic"}),
+    (FOURIER_WALL, {"series", "hankel", "fourier2d", "residue", "asymptotic"}),
+    (FOURIER_WALL + 0.01, {"series", "hankel", "residue", "asymptotic"}),
+    (RESIDUE_MIN_LAMBDA - 0.01, {"series", "hankel", "fourier2d"}),
+    (RESIDUE_MIN_LAMBDA, {"series", "hankel", "fourier2d", "residue",
+                          "asymptotic"}),
+])
+def test_cross_validate_window_edges(lam, expected):
+    assert _compared_routes(cross_validate([lam * lam / 4.0])) == expected
+
+
+@pytest.mark.parametrize("lam,route", [
+    (HANKEL_RESIDUE_SWITCH, "hankel"),
+    (HANKEL_RESIDUE_SWITCH + 0.01, "residue"),
+])
+def test_auto_and_figure_window_edges(lam, route):
+    assert evaluate("auto", lam).method == route
+    assert list(figure_data(lam - 1.0, lam, 2).rows[-1].methods) == [route]
+
+
+def test_sweep_window_edges():
+    below, above = sweep_data(HANKEL_SWEEP_WALL, HANKEL_SWEEP_WALL + 0.01,
+                              2).rows
+    assert set(below.methods) == {"series", "hankel", "residue", "asymptotic"}
+    assert set(above.methods) == {"series", "residue", "asymptotic"}
+
+
+def test_residue_route_runs_once_per_point(monkeypatch):
+    calls = []
+    original = harness.s_star_via_residue
+
+    def counted(lam, *args, **kwargs):
+        calls.append(lam)
+        return original(lam, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "s_star_via_residue", counted)
+    cross_validate([16.0, 25.0])
+    assert calls == [8.0, 10.0]
+    calls.clear()
+    sweep_data(26.0, 30.0, 3)
+    assert calls == [26.0, 28.0, 30.0]
+
+
+def test_cross_validate_passes_t_to_the_series(monkeypatch):
+    seen = []
+    original = harness.sum_alternating_s
+
+    def recorded(t, *args, **kwargs):
+        seen.append(t)
+        return original(t, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "sum_alternating_s", recorded)
+    cross_validate([60.0])
+    assert seen == [60.0]  # (2 sqrt(60))^2 / 4 != 60 in doubles
+
+
+@pytest.mark.parametrize("method", ["residue", "asym"])
+def test_evaluate_refuses_unmet_tolerance(method):
+    with pytest.raises(WorkLimitError) as ei:
+        evaluate(method, 30.0, ToleranceSpec(abs_tol=1e-30, rel_tol=1e-30))
+    assert ei.value.partial.value == evaluate(method, 30.0).value
+
+
+def test_asymptotic_route_answers_to_both_names():
+    assert evaluate("asym", 9.0) == evaluate("asymptotic", 9.0)

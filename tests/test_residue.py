@@ -1,12 +1,13 @@
 """Residue route: pole residues, the saddle integral, scaled evaluation."""
 
 import cmath
+import dataclasses
 import math
 
 import pytest
 
 from altseries.asymptotic import FRONT_CONSTANT, SQRT_HALF_PI, saddle_rhs_closed
-from altseries.core import DomainError, ToleranceSpec, WorkLimitError
+from altseries.core import DomainError, EvalOutcome, ToleranceSpec, WorkLimitError
 from altseries.hankel import hankel_s_star
 from altseries.poles import StripParams, default_strip, strip_width_b, u_star, x_star, z_plus
 from altseries.residue import (
@@ -17,9 +18,17 @@ from altseries.residue import (
     s_star_via_residue,
     saddle_lhs_numeric,
 )
-from altseries.residue import _i2_imag_defect
+from altseries.residue import _scaled_saddle
 
 import oracle_values as ov
+
+
+def _i2_imag_defect(lam: float, strip: StripParams | None = None) -> float:
+    """|Im| left in the +- branch sum, relative to its real part."""
+    strip = strip or default_strip()
+    a_plus, a_minus, _, _, _ = _scaled_saddle(lam, strip)
+    both = a_plus + a_minus
+    return abs(both.imag) / abs(both.real)
 
 
 class TestResidueAtPole:
@@ -137,7 +146,7 @@ class TestScaledEvaluation:
 
     def test_result_validation(self):
         with pytest.raises(DomainError):
-            ResidueResult(1.0, 1.0, -1e-3, 1)
+            ResidueResult(1.0, 1.0, 1, neglected_bound=-1e-3)
         with pytest.raises(DomainError):
             s_star_via_residue(0.0)
 
@@ -147,6 +156,39 @@ class TestScaledEvaluation:
         other = s_star_via_residue(14.0, strip=other_strip)
         tol = base.neglected_bound + other.neglected_bound
         assert abs(base.scaled_value - other.scaled_value) <= tol
+
+
+class TestResidueResult:
+    def test_is_an_eval_outcome_at_true_size(self):
+        lam = 30.0
+        r = s_star_via_residue(lam)
+        scale = math.exp(-lam * SQRT_HALF_PI)
+        assert isinstance(r, EvalOutcome)
+        assert r.method == "residue"
+        assert r.value == r.scaled_value * scale
+        assert r.error_estimate == r.neglected_bound * scale
+        assert r.unscaled_value == r.value
+
+    def test_rebuilt_like_any_outcome(self):
+        r = s_star_via_residue(12.0)
+        again = type(r)(r.value, r.error_estimate, r.work, r.method)
+        assert (again.value, again.method) == (r.value, "residue")
+        moved = dataclasses.replace(r, value=2.0 * r.value)
+        assert moved.value == 2.0 * r.value
+        assert moved.scaled_value == r.scaled_value
+
+    @pytest.mark.parametrize("fn", [saddle_lhs_numeric, residue_integral_i2,
+                                    s_star_via_residue])
+    @pytest.mark.parametrize("lam", [3e5, 1e40, 2e154])
+    def test_huge_lambda_refused_before_placing_panels(self, fn, lam):
+        # the saddle panels narrow like lambda^(-1/2); past the panel
+        # budget the route refuses instead of stepping for ever
+        with pytest.raises(WorkLimitError):
+            fn(lam)
+
+    def test_largest_admitted_lambda(self):
+        r = s_star_via_residue(2.5e5)
+        assert math.isfinite(r.scaled_value)
 
 
 class TestKappaCalibration:
