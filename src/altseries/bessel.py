@@ -25,6 +25,7 @@ when the result is large.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,6 +294,8 @@ def _mcmahon_j0_zero(k: np.ndarray) -> np.ndarray:
 
 
 _zero_cache: list[float] = []
+# serializes fills, so two threads cannot both append the same zeros
+_zero_lock = threading.Lock()
 
 
 def j0_zeros(k_max: int, cfg: BesselEvalConfig | None = None) -> list[float]:
@@ -300,16 +303,25 @@ def j0_zeros(k_max: int, cfg: BesselEvalConfig | None = None) -> list[float]:
 
     McMahon seeds bracket each zero (they are good to ~1e-3 already and the
     zeros are ~pi apart), then a vectorized bisection on :func:`bessel_j0`
-    tightens every bracket to ~1e-15 relative.  Results are cached.
+    tightens every bracket to ~1e-15 relative.  Results are cached; a fill
+    runs under a lock, a call the cache already covers takes none.
     """
     if not isinstance(k_max, int) or k_max < 1:
         raise DomainError("k_max must be a positive integer")
     if k_max > 10_000:
         raise DomainError("k_max capped at 10000")
-    if len(_zero_cache) >= k_max:
-        return _zero_cache[:k_max]
+    if len(_zero_cache) < k_max:
+        with _zero_lock:
+            if len(_zero_cache) < k_max:  # not filled while this thread waited
+                _fill_zeros(k_max, cfg or _DEFAULT_CFG)
+    return _zero_cache[:k_max]
 
-    cfg = cfg or _DEFAULT_CFG
+
+def _fill_zeros(k_max: int, cfg: BesselEvalConfig) -> None:
+    """Extend ``_zero_cache`` to the first ``k_max`` zeros.
+
+    The caller holds ``_zero_lock``.
+    """
     ks = np.arange(len(_zero_cache) + 1, k_max + 1, dtype=float)
     guess = _mcmahon_j0_zero(ks)
     lo = guess - 0.6
@@ -327,5 +339,5 @@ def j0_zeros(k_max: int, cfg: BesselEvalConfig | None = None) -> list[float]:
         flo = np.where(left, flo, fmid)
 
     roots = 0.5 * (lo + hi)
-    _zero_cache.extend(float(r) for r in roots)
-    return _zero_cache[:k_max]
+    # one list.extend call, so a reader never sees half of a fill
+    _zero_cache.extend(roots.tolist())

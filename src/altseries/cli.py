@@ -24,11 +24,22 @@ _CONFIG_KEYS = {
     "acceleration_depth": int,
     "abs_tol": float, "rel_tol": float, "max_work": int,
 }
+_STRIP_KEYS = ("a1", "a", "a2")
+_QUAD_KEYS = ("truncation_x", "panel_rule_order", "max_panels",
+              "acceleration_depth")
+_TOL_KEYS = ("abs_tol", "rel_tol", "max_work")
+# the --config keys each subcommand honours; sweep and verify take none
+_HONOURED_KEYS = {
+    "eval": _STRIP_KEYS + _QUAD_KEYS + _TOL_KEYS,
+    "figure": _STRIP_KEYS + _QUAD_KEYS,
+    "poles": _STRIP_KEYS,
+}
 
 
-def _load_config(path: str | None):
+def _load_config(path: str | None, command: str):
     """key=value file -> (QuadConfig | None, StripParams | None,
-    ToleranceSpec | None).  Unknown keys are an error, not a warning."""
+    ToleranceSpec | None).  Unknown keys, and keys ``command`` does not
+    honour, are an error, not a warning."""
     if path is None:
         return None, None, None
     raw = {}
@@ -44,16 +55,19 @@ def _load_config(path: str | None):
             if key not in _CONFIG_KEYS:
                 raise DomainError(f"{path}:{ln}: unknown key {key!r}")
             raw[key] = _CONFIG_KEYS[key](val.strip())
+    ignored = [k for k in raw if k not in _HONOURED_KEYS[command]]
+    if ignored:
+        raise DomainError(
+            f"{command} does not honour the --config keys "
+            f"{', '.join(ignored)}")
 
     quad_cfg = None
-    quad_keys = {k: raw[k] for k in
-                 ("truncation_x", "panel_rule_order", "max_panels",
-                  "acceleration_depth") if k in raw}
+    quad_keys = {k: raw[k] for k in _QUAD_KEYS if k in raw}
     if quad_keys:
         quad_cfg = QuadConfig(**quad_keys)
 
     strip = None
-    if any(k in raw for k in ("a1", "a", "a2")):
+    if any(k in raw for k in _STRIP_KEYS):
         base = default_strip()
         a1 = raw.get("a1", base.a1)
         a = raw.get("a", base.a)
@@ -61,8 +75,7 @@ def _load_config(path: str | None):
         strip = StripParams(a1, a, a2, strip_width_b(a))
 
     tol = None
-    tol_keys = {k: raw[k] for k in ("abs_tol", "rel_tol", "max_work")
-                if k in raw}
+    tol_keys = {k: raw[k] for k in _TOL_KEYS if k in raw}
     if tol_keys:
         base_tol = ToleranceSpec()
         tol = ToleranceSpec(
@@ -195,11 +208,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.config is not None and args.command in ("sweep", "verify"):
+        if args.config is not None and args.command not in _HONOURED_KEYS:
             raise DomainError(
                 f"{args.command} runs at the default settings and does not "
                 "take --config")
-        quad_cfg, strip, tol = _load_config(args.config)
+        quad_cfg, strip, tol = _load_config(args.config, args.command)
         if args.command == "eval":
             return _cmd_eval(args, quad_cfg, strip, tol)
         if args.command == "sweep":

@@ -5,9 +5,11 @@ S*(lambda) = -(1/pi) * double integral of e^(i lambda x) / (1 + e^(x^2+y^2)).
 
 The x-integral is a cosine transform T(y, lambda) handled with the same
 zero-partition panels as the Hankel route; the outer y-integral sees a
-smooth e^(-y^2)-type profile.  Two nested quadratures stack their error
-floors, so this route is a cross-check for lambda <= 12, not a production
-path.
+smooth e^(-y^2)-type profile.  Each call of the outer rule asks for T at
+all the y nodes of one panel, and those transforms run as one stacked
+panel quadrature, one integrand row per y.  Two nested quadratures stack
+their error floors, so this route is a cross-check for lambda <= 12, not
+a production path.
 """
 
 from __future__ import annotations
@@ -70,20 +72,24 @@ def _cos_edges(lam: float, upper: float, base_step: float = 0.75):
     return oscillatory_edges(zeros, upper, base_step)
 
 
-def _inner_t_impl(y: float, lam: float, cfg: Fourier2dConfig):
-    """(value, error, work) for T(y, lambda) = 2 int_0^X cos(lam x) w dx."""
+def _inner_t_impl(ys: np.ndarray, lam: float, cfg: Fourier2dConfig):
+    """(values, errors, work) for T(y, lambda) = 2 int_0^X cos(lam x) w dx
+    at every y of ``ys``, as one stacked panel quadrature."""
     upper = cfg.x_truncation
-    y2 = y * y
+    y2 = ys * ys
     edges = _cos_edges(abs(lam), upper)
+    y2_col = y2[:, None]
 
     def f(x):
-        return np.cos(lam * x) * _fermi(x * x + y2)
+        return np.cos(lam * x) * _fermi(x * x + y2_col)
 
     half, refine, abs_int, _, work = panel_quadrature(f, edges, 24)
-    value = 2.0 * float(half)
-    trunc = math.sqrt(math.pi) * math.exp(-upper * upper - y2)
-    err = 2.0 * (refine + 4.0 * _EPS * abs_int) + trunc
-    return value, err, work
+    values = 2.0 * half
+    # math.exp per y, not np.exp: the two may differ in the last bit
+    trunc = math.sqrt(math.pi) * np.array(
+        [math.exp(-upper * upper - v) for v in y2.tolist()])
+    errs = 2.0 * (refine + 4.0 * _EPS * abs_int) + trunc
+    return values, errs, work
 
 
 def inner_t(y: float, lam: float, tol: ToleranceSpec | None = None,
@@ -92,9 +98,10 @@ def inner_t(y: float, lam: float, tol: ToleranceSpec | None = None,
 
     Real by symmetry, computed as twice the half-line cosine transform.
     """
-    tol = tol or ToleranceSpec(abs_tol=_DEFAULT_CFG.inner_tol, rel_tol=0.0)
     cfg = cfg or _DEFAULT_CFG
-    value, err, _ = _inner_t_impl(float(y), float(lam), cfg)
+    tol = tol or ToleranceSpec(abs_tol=cfg.inner_tol, rel_tol=0.0)
+    values, errs, _ = _inner_t_impl(np.array([float(y)]), float(lam), cfg)
+    value, err = float(values[0]), float(errs[0])
     if not tol.met_by(err, abs(value)):
         raise WorkLimitError(
             f"inner transform error {err:.3e} misses the tolerance")
@@ -122,13 +129,10 @@ def fourier2d_s_star(lam: float, tol: ToleranceSpec | None = None,
     inner_err_box = [0.0]
 
     def t_profile(ys):
-        out = np.empty_like(ys)
-        for i, y in enumerate(ys):
-            v, e, w = _inner_t_impl(float(y), lam, cfg)
-            out[i] = v
-            work_box[0] += w
-            inner_err_box[0] = max(inner_err_box[0], e)
-        return out
+        values, errs, work = _inner_t_impl(ys, lam, cfg)
+        work_box[0] += work
+        inner_err_box[0] = max(inner_err_box[0], float(np.max(errs)))
+        return values
 
     edges = [y_up * (k / 12.0) for k in range(-12, 13)]
     value, refine, abs_int, _, _ = panel_quadrature(t_profile, edges, 16)

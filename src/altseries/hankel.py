@@ -81,31 +81,43 @@ def panel_quadrature(f, edges, order: int):
     summed |difference| is the refinement error estimate (pessimistic, since
     the full-order rule is far more accurate than the half-order one).
 
+    ``f`` maps the nodes x to f(x), or to a stack of integrands shaped
+    (m, len(x)).  Panels reduce along the last axis, so every row of a
+    stack is summed exactly as its own 1-D call would sum it.
+
     Returns (value, refine_diff, abs_integral, panel_sums, work); value is
-    complex when f returns complex values.
+    complex when f returns complex values.  For a stack the first three are
+    arrays of shape (m,), panel_sums is (m, panels), and work counts the
+    nodes of every row.
     """
     xs, ws = _gl_rule(order)
     xh, wh = _gl_rule(order // 2 + 1)
     sums = []
     halves = []
     abs_parts = []
-    work = 0
     for a, b in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (a + b)
         hw = 0.5 * (b - a)
         fx = np.asarray(f(mid + hw * xs))
         fxh = np.asarray(f(mid + hw * xh))
-        sums.append(hw * np.sum(ws * fx))
-        halves.append(hw * np.sum(wh * fxh))
-        abs_parts.append(hw * float(np.sum(ws * np.abs(fx))))
-        work += len(xs) + len(xh)
-    sums = np.array(sums)
-    halves = np.array(halves)
-    value = complex(math.fsum(sums.real), math.fsum(sums.imag))
-    if not np.iscomplexobj(sums):
-        value = value.real
-    refine = float(np.sum(np.abs(sums - halves)))
-    return value, refine, math.fsum(abs_parts), sums, work
+        sums.append(hw * np.sum(ws * fx, axis=-1))
+        halves.append(hw * np.sum(wh * fxh, axis=-1))
+        abs_parts.append(hw * np.sum(ws * np.abs(fx), axis=-1))
+    # panels last and C-ordered: np.sum then runs its pairwise sum per row
+    sums = np.ascontiguousarray(np.array(sums).T)
+    halves = np.ascontiguousarray(np.array(halves).T)
+    refine = np.sum(np.abs(sums - halves), axis=-1)
+    rows = np.atleast_2d(sums)
+    value = [math.fsum(r) for r in rows.real.tolist()]
+    if np.iscomplexobj(sums):
+        value = [complex(re, math.fsum(im))
+                 for re, im in zip(value, rows.imag.tolist())]
+    abs_int = [math.fsum(r)
+               for r in np.atleast_2d(np.array(abs_parts).T).tolist()]
+    work = (len(xs) + len(xh)) * sums.size
+    if sums.ndim == 1:
+        return value[0], float(refine), abs_int[0], sums, work
+    return np.array(value), refine, np.array(abs_int), sums, work
 
 
 def oscillatory_edges(zeros, upper: float, base_step: float = 0.9):

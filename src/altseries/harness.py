@@ -84,7 +84,8 @@ ROUTES = {
                (0.0, HANKEL_SWEEP_WALL)),
     "fourier2d": (lambda lam, tol, cfg, strip: fourier2d_s_star(lam, tol),
                   (0.0, FOURIER_WALL)),
-    "residue": (lambda lam, tol, cfg, strip: s_star_via_residue(lam, strip),
+    "residue": (lambda lam, tol, cfg, strip:
+                s_star_via_residue(lam, strip, tol),
                 (RESIDUE_MIN_LAMBDA, math.inf)),
     "asymptotic": (lambda lam, tol, cfg, strip: EvalOutcome(
         asym_s_star(lam).value, error_envelope(lam), 1, "asymptotic"),

@@ -21,6 +21,7 @@ is calibrated against the Hankel route in the overlap window lambda in
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,8 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 _KAPPA_CACHE: dict[tuple, float] = {}
+# one calibration per strip, however many threads ask for it at once
+_KAPPA_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -211,16 +214,20 @@ def calibrated_kappa(strip: StripParams | None = None) -> float:
     key = (strip.a1, strip.a, strip.a2, strip.b)
     if key in _KAPPA_CACHE:
         return _KAPPA_CACHE[key]
-    worst = 0.0
-    for lam in (10.0, 12.0, 14.0, 16.0):
-        href = hankel_s_star(lam).value
-        a_plus, a_minus, _, _, _ = _scaled_saddle(lam, strip)
-        scaled_res = -(a_plus + a_minus).real
-        scaled_diff = abs(math.exp(lam * _SQRT_HALF_PI) * href - scaled_res)
-        shape = math.exp(-lam * (strip.a1 - _SQRT_HALF_PI))
-        worst = max(worst, scaled_diff / shape)
-    _KAPPA_CACHE[key] = worst
-    return worst
+    with _KAPPA_LOCK:
+        if key in _KAPPA_CACHE:  # filled while this thread waited
+            return _KAPPA_CACHE[key]
+        worst = 0.0
+        for lam in (10.0, 12.0, 14.0, 16.0):
+            href = hankel_s_star(lam).value
+            a_plus, a_minus, _, _, _ = _scaled_saddle(lam, strip)
+            scaled_res = -(a_plus + a_minus).real
+            scaled_diff = abs(math.exp(lam * _SQRT_HALF_PI) * href
+                              - scaled_res)
+            shape = math.exp(-lam * (strip.a1 - _SQRT_HALF_PI))
+            worst = max(worst, scaled_diff / shape)
+        _KAPPA_CACHE[key] = worst
+        return worst
 
 
 def s_star_via_residue(lam: float, strip: StripParams | None = None,
@@ -229,7 +236,9 @@ def s_star_via_residue(lam: float, strip: StripParams | None = None,
 
     Intended for 8 <= lambda <= ~2.5e5; it still runs below that, but the
     neglected-term bound grows to the size of the answer and says so, and
-    above it the saddle panels exceed their budget (WorkLimitError).
+    above it the saddle panels exceed their budget (WorkLimitError).  A
+    ``tol`` the error estimate misses raises WorkLimitError carrying the
+    result as ``partial``.
     """
     if not 0.0 < lam < math.inf:
         raise DomainError(f"need finite lambda > 0, got {lam}")
@@ -244,5 +253,10 @@ def s_star_via_residue(lam: float, strip: StripParams | None = None,
              + math.exp(-lam * (strip.a2 - _SQRT_HALF_PI)))
     bound = kappa * shape + refine
     scale = math.exp(-lam * _SQRT_HALF_PI)
-    return ResidueResult(scaled * scale, bound * scale, work,
-                         scaled_value=scaled, neglected_bound=bound)
+    result = ResidueResult(scaled * scale, bound * scale, work,
+                           scaled_value=scaled, neglected_bound=bound)
+    if tol is not None and not tol.met_by(result.error_estimate, result.value):
+        raise WorkLimitError(
+            f"error estimate {result.error_estimate:.3e} misses the requested "
+            "tolerance", partial=result)
+    return result

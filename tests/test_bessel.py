@@ -8,13 +8,15 @@ the generator that wrote it.
 
 import importlib.util
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special as sps
 
-from altseries import _j0_table
+from altseries import _j0_table, bessel
 from altseries.bessel import (
     BesselEvalConfig,
     _j0_series_dd,
@@ -141,6 +143,36 @@ def test_j0_zeros_increasing_and_small_residual():
 def test_j0_zeros_against_scipy():
     zs = np.array(j0_zeros(50))
     np.testing.assert_allclose(zs, sps.jn_zeros(0, 50), rtol=0, atol=5e-12)
+
+
+def test_j0_zeros_concurrent_fill(monkeypatch):
+    # four threads fill a cleared cache at once; each must get the
+    # single-threaded list, and the cache must hold no zero twice
+    k_max = 3000
+    reference = j0_zeros(k_max)
+    monkeypatch.setattr(bessel, "_zero_cache", [])
+    gate = threading.Barrier(4)
+    got = []
+
+    def fill():
+        gate.wait(timeout=10)
+        got.append(j0_zeros(k_max))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fill) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(got) == 4
+    assert all(zs == reference for zs in got)
+    assert bessel._zero_cache == reference
+    assert j0_zeros(k_max + 5)[:k_max] == reference
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2.5, 10_001])

@@ -281,6 +281,43 @@ class TestConfigFile:
         assert f"{argv[0]} runs at the default settings" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("argv,keys", [
+        (("figure", "--lambda-min", "5", "--lambda-max", "6", "--points", "2"),
+         "abs_tol=1e-300\nmax_work=64\n"),
+        (("figure", "--lambda-min", "5", "--lambda-max", "6", "--points", "2"),
+         "rel_tol=1e-3\n"),
+        (("poles", "--y", "1.0"), "max_panels=4\n"),
+        (("poles", "--grid", "3"), "abs_tol=1e-9\n"),
+    ])
+    def test_keys_refused_where_not_honoured(self, capsys, tmp_path, argv,
+                                             keys):
+        cfg = tmp_path / "partly.cfg"
+        cfg.write_text("a = 2.0\n" + keys)
+        csv_path = tmp_path / "figure.csv"
+        if argv[0] == "figure":
+            argv += ("--csv", str(csv_path))
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert code == 2
+        assert out == ""
+        refused = [ln.split("=")[0] for ln in keys.split()]
+        assert (f"{argv[0]} does not honour the --config keys "
+                f"{', '.join(refused)}") in err
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("figure", "--lambda-min", "5", "--lambda-max", "6", "--points", "2"),
+        ("poles", "--y", "1.0"),
+    ])
+    def test_honoured_keys_accepted(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "ok.cfg"
+        keys = "a1=1.92\na=1.97\na2=2.05\n"
+        if argv[0] == "figure":
+            keys += "truncation_x = 9.0\n"
+            argv += ("--csv", str(tmp_path / "figure.csv"))
+        cfg.write_text(keys)
+        code, _, err = run(capsys, "--config", str(cfg), *argv)
+        assert code == 0, err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "--config", str(tmp_path / "absent.cfg"),
                            "eval", "--lambda", "1")

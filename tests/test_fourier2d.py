@@ -13,7 +13,8 @@ from altseries.fourier2d import (
     inner_t,
     radial_transform,
 )
-from altseries.fourier2d import _DEFAULT_CFG, _cos_edges, _fermi
+from altseries.fourier2d import _DEFAULT_CFG, _EPS, _cos_edges, _fermi
+from altseries.harness import cross_validate
 from altseries.hankel import hankel_s_star, panel_quadrature
 
 import oracle_values as ov
@@ -37,6 +38,46 @@ def _inner_t_unreduced(y: float, lam: float,
 
     value, _, _, _, _ = panel_quadrature(f, edges, 24)
     return complex(value)
+
+
+def _fourier2d_per_y(lam: float, cfg: Fourier2dConfig | None = None):
+    """(value, error_estimate, work) of fourier2d_s_star with one 1-D inner
+    transform per y node, the loop the stacked quadrature replaced.
+
+    Exists so the stacked route can be held to it bit for bit.
+    """
+    cfg = cfg or _DEFAULT_CFG
+    upper = cfg.x_truncation
+    x_edges = _cos_edges(abs(lam), upper)
+    work = 0
+    inner_err = 0.0
+
+    def inner(y):
+        y2 = y * y
+
+        def f(x):
+            return np.cos(lam * x) * _fermi(x * x + y2)
+
+        half, refine, abs_int, _, w = panel_quadrature(f, x_edges, 24)
+        trunc = math.sqrt(math.pi) * math.exp(-upper * upper - y2)
+        err = 2.0 * (refine + 4.0 * _EPS * abs_int) + trunc
+        return 2.0 * float(half), err, w
+
+    def t_profile(ys):
+        nonlocal work, inner_err
+        out = np.empty_like(ys)
+        for i, y in enumerate(ys):
+            out[i], e, w = inner(float(y))
+            work += w
+            inner_err = max(inner_err, e)
+        return out
+
+    y_up = cfg.y_truncation
+    edges = [y_up * (k / 12.0) for k in range(-12, 13)]
+    value, refine, abs_int, _, _ = panel_quadrature(t_profile, edges, 16)
+    err = (refine + inner_err * 2.0 * y_up + 4.0 * _EPS * abs_int
+           + math.exp(-y_up * y_up)) / math.pi
+    return -float(value) / math.pi, err, work
 
 
 def test_config_validation():
@@ -66,6 +107,56 @@ def test_inner_transform_even_in_lambda():
 def test_inner_transform_unreachable_tolerance():
     with pytest.raises(WorkLimitError):
         inner_t(0.0, 1.0, tol=ToleranceSpec(abs_tol=1e-17, rel_tol=0.0))
+
+
+def test_inner_transform_honours_config_tolerance():
+    # the caller's cfg.inner_tol, not the default's, sets the target
+    with pytest.raises(WorkLimitError):
+        inner_t(0.0, 1.0, cfg=Fourier2dConfig(inner_tol=1e-30))
+    loose = Fourier2dConfig(inner_tol=1e-6)
+    assert inner_t(0.0, 1.0, cfg=loose) == inner_t(0.0, 1.0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 3.0, 4.0, 8.0, 10.0, 12.0])
+def test_stacked_inner_quadrature_matches_per_y_loop(lam):
+    out = fourier2d_s_star(lam)
+    assert (out.value, out.error_estimate, out.work) == _fourier2d_per_y(lam)
+    # built-in types, so outcomes and the reports built on them serialize
+    assert type(out.value) is float
+    assert type(out.error_estimate) is float
+    assert type(out.work) is int
+
+
+def test_cross_validate_report_is_plain_python():
+    report = cross_validate([1.0])
+    assert any("fourier2d" in c.name for c in report.checks)
+    for c in report.checks:
+        assert type(c.passed) is bool
+        assert type(c.measured) is float and type(c.threshold) is float
+
+
+@pytest.mark.parametrize("complex_rows", [False, True])
+def test_stacked_panel_quadrature_rows_match_1d_calls(complex_rows):
+    shifts = np.array([0.0, 0.3, 1.7, 2.2, 5.0])
+    lam = 3.0
+    edges = _cos_edges(lam, 6.0)
+
+    def row(s):
+        if complex_rows:
+            return lambda x: np.exp(1j * lam * x) * _fermi(x * x + s)
+        return lambda x: np.cos(lam * x) * _fermi(x * x + s)
+
+    stacked = panel_quadrature(
+        lambda x: np.stack([row(s)(x) for s in shifts]), edges, 24)
+    value, refine, abs_int, sums, work = stacked
+    assert value.shape == refine.shape == abs_int.shape == shifts.shape
+    assert sums.shape == (len(shifts), len(edges) - 1)
+    one_work = None
+    for i, s in enumerate(shifts):
+        v1, r1, a1, sums1, one_work = panel_quadrature(row(s), edges, 24)
+        assert value[i] == v1 and refine[i] == r1 and abs_int[i] == a1
+        assert np.array_equal(sums[i], sums1)
+    assert work == len(shifts) * one_work
 
 
 @pytest.mark.parametrize("y", [0.0, 0.7, 1.5])

@@ -3,10 +3,13 @@
 import cmath
 import dataclasses
 import math
+import sys
+import threading
 
 import pytest
 
 from altseries.asymptotic import FRONT_CONSTANT, SQRT_HALF_PI, saddle_rhs_closed
+from altseries import hankel, harness, residue
 from altseries.core import DomainError, EvalOutcome, ToleranceSpec, WorkLimitError
 from altseries.hankel import hankel_s_star
 from altseries.poles import StripParams, default_strip, strip_width_b, u_star, x_star, z_plus
@@ -191,6 +194,35 @@ class TestResidueResult:
         assert math.isfinite(r.scaled_value)
 
 
+class TestTolerance:
+    def test_unmet_tolerance_refused_with_partial(self):
+        with pytest.raises(WorkLimitError) as ei:
+            s_star_via_residue(30.0, tol=ToleranceSpec(1e-30, 1e-30))
+        partial = ei.value.partial
+        assert isinstance(partial, ResidueResult)
+        assert partial == s_star_via_residue(30.0)
+        assert partial.error_estimate > 1e-30
+
+    def test_met_tolerance_returns_the_same_result(self):
+        loose = ToleranceSpec(abs_tol=1e-20, rel_tol=1e-3)
+        assert s_star_via_residue(30.0, tol=loose) == s_star_via_residue(30.0)
+
+    def test_routes_table_passes_the_tolerance(self, monkeypatch):
+        seen = []
+        original = harness.s_star_via_residue
+
+        def recorded(lam, strip=None, tol=None):
+            seen.append(tol)
+            return original(lam, strip, tol)
+
+        monkeypatch.setattr(harness, "s_star_via_residue", recorded)
+        tight = ToleranceSpec(1e-30, 1e-30)
+        with pytest.raises(WorkLimitError):
+            harness.evaluate("residue", 30.0, tight)
+        harness.evaluate("residue", 30.0)
+        assert seen == [tight, None]
+
+
 class TestKappaCalibration:
     def test_value_in_plausible_band(self):
         kappa = calibrated_kappa()
@@ -202,6 +234,42 @@ class TestKappaCalibration:
     def test_strip_specific(self):
         other = StripParams(1.92, 1.97, 2.05, strip_width_b(1.97))
         assert calibrated_kappa(other) != calibrated_kappa()
+
+    def test_concurrent_first_calls_calibrate_once(self, monkeypatch):
+        # four threads ask for a kappa nobody has yet: one of them fits it
+        # (four Hankel evaluations), the others wait and read the cache
+        strip = StripParams(1.91, 1.98, 2.1, strip_width_b(1.98))
+        key = (strip.a1, strip.a, strip.a2, strip.b)
+        monkeypatch.delitem(residue._KAPPA_CACHE, key, raising=False)
+        calls = []
+        original = hankel.hankel_s_star
+
+        def counted(lam, *args, **kwargs):
+            calls.append(lam)
+            return original(lam, *args, **kwargs)
+
+        monkeypatch.setattr(hankel, "hankel_s_star", counted)
+        gate = threading.Barrier(4)
+        got = []
+
+        def ask():
+            gate.wait(timeout=10)
+            got.append(calibrated_kappa(strip))
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask) for _ in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(got) == 4 and len(set(got)) == 1
+        assert calls == [10.0, 12.0, 14.0, 16.0]
+        residue._KAPPA_CACHE.pop(key)
 
 
 def test_hankel_crosscheck_through_the_window():
