@@ -30,16 +30,18 @@ _QUAD_KEYS = ("truncation_x", "panel_rule_order", "max_panels",
 _TOL_KEYS = ("abs_tol", "rel_tol", "max_work")
 # the --config keys each subcommand honours; sweep and verify take none
 _HONOURED_KEYS = {
-    "eval": _STRIP_KEYS + _QUAD_KEYS + _TOL_KEYS,
+    "eval": _TOL_KEYS,
     "figure": _STRIP_KEYS + _QUAD_KEYS,
     "poles": _STRIP_KEYS,
 }
+# eval honours, besides the tolerance keys, those of the route that runs
+_ROUTE_KEYS = {"hankel": _QUAD_KEYS, "residue": _STRIP_KEYS}
 
 
-def _load_config(path: str | None, command: str):
+def _load_config(path: str | None, who: str, honoured):
     """key=value file -> (QuadConfig | None, StripParams | None,
-    ToleranceSpec | None).  Unknown keys, and keys ``command`` does not
-    honour, are an error, not a warning."""
+    ToleranceSpec | None).  Unknown keys, and keys not in ``honoured``, are
+    an error, not a warning; ``who`` names the refusing command."""
     if path is None:
         return None, None, None
     raw = {}
@@ -55,10 +57,10 @@ def _load_config(path: str | None, command: str):
             if key not in _CONFIG_KEYS:
                 raise DomainError(f"{path}:{ln}: unknown key {key!r}")
             raw[key] = _CONFIG_KEYS[key](val.strip())
-    ignored = [k for k in raw if k not in _HONOURED_KEYS[command]]
+    ignored = [k for k in raw if k not in honoured]
     if ignored:
         raise DomainError(
-            f"{command} does not honour the --config keys "
+            f"{who} does not honour the --config keys "
             f"{', '.join(ignored)}")
 
     quad_cfg = None
@@ -132,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args, quad_cfg, strip, file_tol) -> int:
-    lam = args.lam if args.lam is not None else lambda_of_t(args.t)
+    lam = args.lam
     tol = file_tol
     if args.tol is not None:
         tol = ToleranceSpec(abs_tol=args.tol, rel_tol=args.tol)
@@ -212,7 +214,14 @@ def main(argv=None) -> int:
             raise DomainError(
                 f"{args.command} runs at the default settings and does not "
                 "take --config")
-        quad_cfg, strip, tol = _load_config(args.config, args.command)
+        who, honoured = args.command, _HONOURED_KEYS.get(args.command, ())
+        if args.command == "eval":
+            if args.lam is None:
+                args.lam = lambda_of_t(args.t)
+            route = harness.resolve_route(args.method, args.lam)
+            who = f"eval on the {route} route"
+            honoured += _ROUTE_KEYS.get(route, ())
+        quad_cfg, strip, tol = _load_config(args.config, who, honoured)
         if args.command == "eval":
             return _cmd_eval(args, quad_cfg, strip, tol)
         if args.command == "sweep":

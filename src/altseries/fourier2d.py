@@ -7,9 +7,13 @@ The x-integral is a cosine transform T(y, lambda) handled with the same
 zero-partition panels as the Hankel route; the outer y-integral sees a
 smooth e^(-y^2)-type profile.  Each call of the outer rule asks for T at
 all the y nodes of one panel, and those transforms run as one stacked
-panel quadrature, one integrand row per y.  Two nested quadratures stack
-their error floors, so this route is a cross-check for lambda <= 12, not
-a production path.
+panel quadrature, one integrand row per y.  T depends on y only through
+y^2, and the outer rule's nodes come in exact +-y pairs (symmetric edges,
+antisymmetric Gauss-Legendre nodes), so each evaluation keeps the rows it
+has computed, keyed by y^2, and serves the mirrored panels from them:
+every distinct transform runs once.  Two nested quadratures stack their
+error floors, so this route is a cross-check for lambda <= 12, not a
+production path.
 """
 
 from __future__ import annotations
@@ -72,12 +76,11 @@ def _cos_edges(lam: float, upper: float, base_step: float = 0.75):
     return oscillatory_edges(zeros, upper, base_step)
 
 
-def _inner_t_impl(ys: np.ndarray, lam: float, cfg: Fourier2dConfig):
+def _inner_t_impl(y2: np.ndarray, lam: float, cfg: Fourier2dConfig, edges):
     """(values, errors, work) for T(y, lambda) = 2 int_0^X cos(lam x) w dx
-    at every y of ``ys``, as one stacked panel quadrature."""
+    at every y^2 of ``y2``, as one stacked panel quadrature over the x
+    panel ``edges`` of ``_cos_edges(|lam|, cfg.x_truncation)``."""
     upper = cfg.x_truncation
-    y2 = ys * ys
-    edges = _cos_edges(abs(lam), upper)
     y2_col = y2[:, None]
 
     def f(x):
@@ -100,7 +103,9 @@ def inner_t(y: float, lam: float, tol: ToleranceSpec | None = None,
     """
     cfg = cfg or _DEFAULT_CFG
     tol = tol or ToleranceSpec(abs_tol=cfg.inner_tol, rel_tol=0.0)
-    values, errs, _ = _inner_t_impl(np.array([float(y)]), float(lam), cfg)
+    y, lam = float(y), float(lam)
+    values, errs, _ = _inner_t_impl(
+        np.array([y * y]), lam, cfg, _cos_edges(abs(lam), cfg.x_truncation))
     value, err = float(values[0]), float(errs[0])
     if not tol.met_by(err, abs(value)):
         raise WorkLimitError(
@@ -125,22 +130,31 @@ def fourier2d_s_star(lam: float, tol: ToleranceSpec | None = None,
     tol = tol or ToleranceSpec(abs_tol=cfg.outer_tol, rel_tol=cfg.outer_tol)
 
     y_up = cfg.y_truncation
-    work_box = [0]
-    inner_err_box = [0.0]
+    x_edges = _cos_edges(lam, cfg.x_truncation)
+    # y^2 -> (T, error) of every transform this evaluation has run; local
+    # to the call, so nothing carries over to the next one
+    rows = {}
+    work = 0
 
     def t_profile(ys):
-        values, errs, work = _inner_t_impl(ys, lam, cfg)
-        work_box[0] += work
-        inner_err_box[0] = max(inner_err_box[0], float(np.max(errs)))
-        return values
+        nonlocal work
+        y2 = (ys * ys).tolist()
+        missing = [v for v in y2 if v not in rows]
+        if missing:
+            values, errs, w = _inner_t_impl(np.array(missing), lam, cfg,
+                                            x_edges)
+            work += w
+            rows.update(zip(missing, zip(values.tolist(), errs.tolist())))
+        return np.array([rows[v][0] for v in y2])
 
     edges = [y_up * (k / 12.0) for k in range(-12, 13)]
     value, refine, abs_int, _, _ = panel_quadrature(t_profile, edges, 16)
     s_val = -float(value) / math.pi
     trunc = math.exp(-y_up * y_up)  # T(y) <= sqrt(pi) e^(-y^2)
-    err = (refine + inner_err_box[0] * 2.0 * y_up
+    inner_err = max(e for _, e in rows.values())
+    err = (refine + inner_err * 2.0 * y_up
            + 4.0 * _EPS * abs_int + trunc) / math.pi
-    outcome = EvalOutcome(s_val, err, work_box[0], "fourier2d")
+    outcome = EvalOutcome(s_val, err, work, "fourier2d")
     if not tol.met_by(err, abs(s_val)):
         raise WorkLimitError(
             f"error estimate {err:.3e} misses the requested tolerance",

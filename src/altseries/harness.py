@@ -47,6 +47,7 @@ __all__ = [
     "VerifyCheck",
     "VerifyReport",
     "evaluate",
+    "resolve_route",
     "sweep_row",
     "cross_validate",
     "figure_data",
@@ -146,23 +147,34 @@ def _auto_route(lam: float) -> str:
     return "hankel" if lam <= HANKEL_RESIDUE_SWITCH else "residue"
 
 
-def evaluate(method: str, lam: float, tol: ToleranceSpec | None = None,
-             quad_cfg=None, strip=None) -> EvalOutcome:
-    """One S*(lambda) evaluation by the named route of ``ROUTES`` ('auto'
-    picks the figure convention: hankel up to lambda = 25, residue beyond;
-    'asym' is the asymptotic route).  A ``tol`` is met or refused with
-    WorkLimitError, whichever route runs."""
+def resolve_route(method: str, lam: float) -> str:
+    """The ``ROUTES`` key that ``evaluate(method, lam)`` runs: 'auto' picks
+    the figure convention (hankel up to lambda = 25, residue beyond) and
+    'asym' is the asymptotic route."""
     if method == "auto":
-        method = _auto_route(lam)
-    elif method == "asym":
-        method = "asymptotic"
+        return _auto_route(lam)
+    if method == "asym":
+        return "asymptotic"
     if method not in ROUTES:
         raise DomainError(f"unknown method {method!r}")
-    out = ROUTES[method][0](lam, tol, quad_cfg, strip)
-    if tol is not None and not tol.met_by(out.error_estimate, out.value):
+    return method
+
+
+def evaluate(method: str, lam: float, tol: ToleranceSpec | None = None,
+             quad_cfg=None, strip=None) -> EvalOutcome:
+    """One S*(lambda) evaluation by the route ``resolve_route`` names.  A
+    ``tol`` is met or refused with WorkLimitError, whichever route runs:
+    both its accuracy targets and its ``max_work`` budget."""
+    out = ROUTES[resolve_route(method, lam)][0](lam, tol, quad_cfg, strip)
+    if tol is None:
+        return out
+    if not tol.met_by(out.error_estimate, out.value):
         raise WorkLimitError(
             f"error estimate {out.error_estimate:.3e} misses the requested "
             "tolerance", partial=out)
+    if out.work > tol.max_work:
+        raise WorkLimitError(
+            f"work {out.work} exceeds max_work {tol.max_work}", partial=out)
     return out
 
 

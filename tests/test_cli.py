@@ -247,6 +247,63 @@ class TestConfigFile:
         assert code == 2
         assert "error:" in err and "max_work" in err
 
+    @pytest.mark.parametrize("method,lam", [
+        ("hankel", "10"), ("fourier2d", "10"), ("residue", "10"),
+    ])
+    def test_max_work_refused_on_every_route(self, capsys, tmp_path,
+                                             method, lam):
+        cfg = tmp_path / "budget.cfg"
+        cfg.write_text("abs_tol=1e-6\nmax_work=100\n")
+        code, out, err = run(capsys, "--config", str(cfg),
+                             "eval", "--lambda", lam, "--method", method)
+        assert code == 2 and out == ""
+        assert "exceeds max_work 100" in err and "partial value" in err
+
+    @pytest.mark.parametrize("keys,argv,route", [
+        ("max_panels = 4\n", ("--lambda", "6", "--method", "fourier2d"),
+         "fourier2d"),
+        ("max_panels = 4\n", ("--lambda", "6", "--method", "series"),
+         "series"),
+        ("max_panels = 4\n", ("--lambda", "6", "--method", "asym"),
+         "asymptotic"),
+        ("max_panels = 4\n", ("--lambda", "30", "--method", "residue"),
+         "residue"),
+        ("max_panels = 4\n", ("--lambda", "30"), "residue"),
+        ("a = 2.1\n", ("--lambda", "6", "--method", "hankel"), "hankel"),
+        ("a = 2.1\n", ("--t", "9"), "hankel"),
+        ("a1 = 1.92\n", ("--lambda", "6", "--method", "fourier2d"),
+         "fourier2d"),
+        ("a2 = 2.05\n", ("--lambda", "6", "--method", "series"), "series"),
+    ])
+    def test_eval_refuses_keys_the_route_ignores(self, capsys, tmp_path,
+                                                 keys, argv, route):
+        cfg = tmp_path / "route.cfg"
+        cfg.write_text("abs_tol = 1e-6\n" + keys)
+        code, out, err = run(capsys, "--config", str(cfg), "eval", *argv)
+        assert code == 2
+        assert out == ""
+        key = keys.split("=")[0].strip()
+        assert (f"eval on the {route} route does not honour the --config "
+                f"keys {key}") in err
+
+    @pytest.mark.parametrize("keys,argv", [
+        ("truncation_x = 9.0\n", ("--lambda", "6", "--method", "hankel")),
+        ("truncation_x = 9.0\nabs_tol = 1e-9\n", ("--lambda", "6")),
+        ("a = 1.97\n", ("--lambda", "30", "--method", "residue")),
+        ("a = 1.97\nmax_work = 100000\n", ("--lambda", "30")),
+        ("abs_tol = 1e-6\nmax_work = 300000\n",
+         ("--lambda", "6", "--method", "fourier2d")),
+        ("rel_tol = 1e-6\n", ("--lambda", "6", "--method", "series")),
+        ("abs_tol = 1e-6\n", ("--lambda", "10", "--method", "asym")),
+    ])
+    def test_eval_accepts_keys_the_route_honours(self, capsys, tmp_path,
+                                                 keys, argv):
+        cfg = tmp_path / "route.cfg"
+        cfg.write_text(keys)
+        code, out, err = run(capsys, "--config", str(cfg), "eval", *argv)
+        assert code == 0, err
+        assert "value" in out
+
     def test_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("panel_rule_orderr=40\n")

@@ -14,8 +14,9 @@ from altseries.fourier2d import (
     radial_transform,
 )
 from altseries.fourier2d import _DEFAULT_CFG, _EPS, _cos_edges, _fermi
+from altseries import fourier2d
 from altseries.harness import cross_validate
-from altseries.hankel import hankel_s_star, panel_quadrature
+from altseries.hankel import _gl_rule, hankel_s_star, panel_quadrature
 
 import oracle_values as ov
 
@@ -120,11 +121,83 @@ def test_inner_transform_honours_config_tolerance():
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 3.0, 4.0, 8.0, 10.0, 12.0])
 def test_stacked_inner_quadrature_matches_per_y_loop(lam):
     out = fourier2d_s_star(lam)
-    assert (out.value, out.error_estimate, out.work) == _fourier2d_per_y(lam)
+    ref_value, ref_err, ref_work = _fourier2d_per_y(lam)
+    assert (out.value, out.error_estimate) == (ref_value, ref_err)
+    # the reference runs every transform at +y and again at -y
+    assert 2 * out.work == ref_work
     # built-in types, so outcomes and the reports built on them serialize
     assert type(out.value) is float
     assert type(out.error_estimate) is float
     assert type(out.work) is int
+
+
+@pytest.mark.parametrize("lam", [0.0, 3.0, 10.0])
+def test_mirrored_reuse_matches_per_y_loop_off_default_config(lam):
+    cfg = Fourier2dConfig(y_truncation=7.0, x_truncation=6.5,
+                          inner_tol=1e-10, outer_tol=1e-7)
+    out = fourier2d_s_star(lam, cfg=cfg)
+    ref_value, ref_err, ref_work = _fourier2d_per_y(lam, cfg)
+    assert (out.value, out.error_estimate) == (ref_value, ref_err)
+    assert 2 * out.work == ref_work
+
+
+def _nesting_spy(monkeypatch):
+    """Wrap fourier2d.panel_quadrature; returns the list of (depth, ys) of
+    every call, ys being the nodes the integrand saw at depth 0."""
+    calls = []
+    depth = 0
+
+    def spy(f, edges, order):
+        nonlocal depth
+        seen = []
+
+        def recording(x):
+            seen.append(np.array(x))
+            return f(x)
+
+        calls.append((depth, seen))
+        depth += 1
+        try:
+            return panel_quadrature(recording, edges, order)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(fourier2d, "panel_quadrature", spy)
+    return calls
+
+
+@pytest.mark.parametrize("lam", [0.0, 8.0, 12.0])
+@pytest.mark.parametrize("cfg", [None, Fourier2dConfig(y_truncation=7.0)])
+def test_one_evaluation_runs_each_inner_transform_once(monkeypatch, lam, cfg):
+    calls = _nesting_spy(monkeypatch)
+    fourier2d_s_star(lam, cfg=cfg)
+    # 24 outer panels x (full + half order) calls of the profile, of which
+    # the 24 on the mirrored half are served from the +y rows
+    assert [d for d, _ in calls] == [0] + [1] * 24
+    # nothing carries over: the next call runs every transform again
+    fourier2d_s_star(lam, cfg=cfg)
+    assert [d for d, _ in calls].count(1) == 48
+
+
+@pytest.mark.parametrize("cfg", [None, Fourier2dConfig(y_truncation=7.5)])
+def test_outer_nodes_come_in_exact_pairs(monkeypatch, cfg):
+    calls = _nesting_spy(monkeypatch)
+    fourier2d_s_star(3.0, cfg=cfg)
+    outer = calls[0][1]
+    # (full-order, half-order) nodes of each of the 24 outer panels
+    panels = list(zip(outer[0::2], outer[1::2]))
+    assert len(panels) == 24
+    for (full, half), (m_full, m_half) in zip(panels, reversed(panels)):
+        assert (len(full), len(half)) == (16, 9)
+        assert np.array_equal(full, -m_full[::-1])
+        assert np.array_equal(half, -m_half[::-1])
+
+
+@pytest.mark.parametrize("order", [9, 13, 16, 24])
+def test_gauss_legendre_nodes_exactly_antisymmetric(order):
+    xs, ws = _gl_rule(order)
+    assert np.array_equal(xs, -xs[::-1])
+    assert np.array_equal(ws, ws[::-1])
 
 
 def test_cross_validate_report_is_plain_python():

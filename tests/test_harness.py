@@ -360,3 +360,41 @@ def test_evaluate_refuses_unmet_tolerance(method):
 
 def test_asymptotic_route_answers_to_both_names():
     assert evaluate("asym", 9.0) == evaluate("asymptotic", 9.0)
+
+
+_LOOSE = dict(abs_tol=1e-6, rel_tol=0.0)
+
+
+@pytest.mark.parametrize("method", ["series", "hankel", "fourier2d",
+                                    "residue"])
+def test_evaluate_refuses_a_budget_below_the_work_spent(method):
+    work = evaluate(method, 10.0, ToleranceSpec(**_LOOSE)).work
+    with pytest.raises(WorkLimitError):
+        evaluate(method, 10.0, ToleranceSpec(**_LOOSE, max_work=work - 1))
+
+
+# series is left out: it refuses up front any budget below its bulk
+# stage's worst case, which is more than the 73 terms it spends here
+@pytest.mark.parametrize("method", ["hankel", "fourier2d", "residue", "asym"])
+def test_evaluate_accepts_a_budget_equal_to_the_work_spent(method):
+    work = evaluate(method, 10.0, ToleranceSpec(**_LOOSE)).work
+    at_limit = evaluate(method, 10.0, ToleranceSpec(**_LOOSE, max_work=work))
+    assert at_limit.work == work
+
+
+@pytest.mark.parametrize("method", ["hankel", "fourier2d", "residue"])
+def test_evaluate_refuses_work_past_a_small_budget(method):
+    # these routes do not read max_work themselves; evaluate checks it
+    with pytest.raises(WorkLimitError, match="max_work 100") as ei:
+        evaluate(method, 10.0, ToleranceSpec(**_LOOSE, max_work=100))
+    partial = ei.value.partial
+    assert partial.work > 100
+    assert partial.value == evaluate(method, 10.0).value
+
+
+def test_fourier2d_work_boundary_counts_each_transform_once():
+    # 24 inner quadratures, not the 48 of running each +-y pair twice
+    tol = ToleranceSpec(**_LOOSE, max_work=222_000)
+    assert evaluate("fourier2d", 10.0, tol).work == 222_000
+    with pytest.raises(WorkLimitError):
+        evaluate("fourier2d", 10.0, ToleranceSpec(**_LOOSE, max_work=221_999))
