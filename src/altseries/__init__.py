@@ -22,7 +22,7 @@ from .core import (
 )
 from .series import SeriesParams, sum_alternating_s, sum_series
 from .hankel import QuadConfig, hankel_general, hankel_s_star
-from .fourier2d import Fourier2dConfig, fourier2d_s_star
+from .fourier2d import fourier2d_s_star
 from .poles import StripParams, default_strip, pole_location
 from .residue import ResidueResult, s_star_via_residue
 from .asymptotic import asym_s_star, asym_s_t, error_envelope
@@ -44,7 +44,6 @@ __all__ = [
     "QuadConfig",
     "hankel_general",
     "hankel_s_star",
-    "Fourier2dConfig",
     "fourier2d_s_star",
     "StripParams",
     "default_strip",

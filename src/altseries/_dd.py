@@ -131,16 +131,3 @@ def dd_exp(xh, xl):
     ki = k.astype(np.int64)
     return np.ldexp(sh, ki), np.ldexp(sl, ki)
 
-
-def dd_log_d(x):
-    """log of a positive double, returned as dd.  One Newton step on dd_exp.
-
-    With y0 = log(x) accurate to ~1 ulp, the correction r = x*exp(-y0) - 1
-    recovers the residual, and y0 + r - r^2/2 is accurate to dd roundoff.
-    """
-    x = np.asarray(x, dtype=float)
-    y0 = np.log(x)
-    eh, el = dd_exp(-y0, np.zeros_like(y0))
-    rh, rl = dd_add_d(*dd_mul(eh, el, x, np.zeros_like(x)), -1.0)
-    ch, cl = dd_add(rh, rl, -0.5 * rh * rh, np.zeros_like(rh))
-    return dd_add_d(ch, cl, y0)

@@ -13,13 +13,8 @@ its regimes run in plain doubles with a fixed amount of work per call:
   two Horner polynomials P and Q in 1/u^2, with the number of terms fixed
   per call from the smallest argument in it.
 
-The ascending power series (DLMF 10.2.2) in double-double arithmetic stays
-for ``bessel_j_series(0, u)`` and as the test oracle for the table.
-
-``log_gamma`` uses the Stirling series with Bernoulli-number coefficients and
-upward recursion below x = 12; the dominant (x - 1/2) log x - x part is done
-in double-double so the absolute error stays at the final-rounding level even
-when the result is large.
+``bessel_j_series`` is the ascending series for general order that the
+general-parameter Hankel route integrates.
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ from .core import DomainError, RangeError
 
 __all__ = [
     "BesselEvalConfig",
-    "log_gamma",
     "bessel_j_series",
     "bessel_j0",
     "j0_zeros",
@@ -50,93 +44,17 @@ class BesselEvalConfig:
     ``series_cutoff`` is the |u| at which ``bessel_j0`` switches from the
     Chebyshev table to the Hankel expansion; the table covers every legal
     value.  The expansion's error at its smallest term shrinks like e^(-2u),
-    and 16 is where it reaches the rounding level.  ``series_tol`` is the
-    stopping tolerance of the double-double power series behind
-    ``bessel_j_series(0, u)``.
+    and 16 is where it reaches the rounding level.
     """
 
     series_cutoff: float = 16.0
-    series_tol: float = 1e-30
 
     def __post_init__(self):
         if not 5.0 <= self.series_cutoff <= 30.0:
             raise DomainError("series_cutoff must lie in [5, 30]")
-        if not self.series_tol > 0:
-            raise DomainError("series_tol must be positive")
 
 
 _DEFAULT_CFG = BesselEvalConfig()
-
-_HALF_LN2PI_HI = 9.18938533204672781e-01
-_HALF_LN2PI_LO = -3.87829415806724145e-17
-
-# Stirling series coefficients B_{2k} / (2k (2k-1)), k = 1..8.
-# Bernoulli numbers B_2..B_16 from DLMF 24.2 (1/6, -1/30, 1/42, -1/30,
-# 5/66, -691/2730, 7/6, -3617/510); the ratios below are exact.
-_STIRLING_C = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
-
-_STIRLING_MIN_X = 12.0
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0, absolute error below 1e-13 on [0.5, 200]."""
-    if not x > 0 or math.isnan(x):
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    shift_terms = []
-    y = x
-    while y < _STIRLING_MIN_X:
-        shift_terms.append(math.log(y))
-        y += 1.0
-
-    # Dominant part (y - 1/2) ln y - y + ln(2 pi)/2 in double-double.
-    lnh, lnl = _dd.dd_log_d(y)
-    s, e = _dd.two_sum(y, -0.5)
-    ah, al = _dd.dd_mul_d(lnh, lnl, s)
-    ah, al = _dd.dd_add_d(ah, al, e * lnh)
-    ah, al = _dd.dd_add_d(ah, al, -y)
-    ah, al = _dd.dd_add(ah, al, _HALF_LN2PI_HI, _HALF_LN2PI_LO)
-
-    w = 1.0 / (y * y)
-    tail = 0.0
-    for c in reversed(_STIRLING_C):
-        tail = tail * w + c
-    tail /= y
-
-    ah, al = _dd.dd_add_d(ah, al, tail)
-    if shift_terms:
-        ah, al = _dd.dd_add_d(ah, al, -math.fsum(shift_terms))
-    return float(ah + al)
-
-
-def _j0_series_dd(u):
-    """Power series for J0 at |u| <= 30, double-double throughout."""
-    u = np.asarray(u, dtype=float)
-    qh, ql = _dd.two_prod(u, u)
-    qh, ql = _dd.dd_mul_d(qh, ql, 0.25)  # u^2/4
-    sh = np.ones_like(u)
-    sl = np.zeros_like(u)
-    th = np.ones_like(u)
-    tl = np.zeros_like(u)
-    for k in range(1, 81):
-        th, tl = _dd.dd_mul(th, tl, qh, ql)
-        th, tl = _dd.dd_div_d(th, tl, float(k * k))
-        if k % 2:
-            sh, sl = _dd.dd_add(sh, sl, -th, -tl)
-        else:
-            sh, sl = _dd.dd_add(sh, sl, th, tl)
-        if np.all(np.abs(th) <= _DEFAULT_CFG.series_tol * np.maximum(np.abs(sh), 1e-3)):
-            break
-    return sh + sl
-
 
 # Column j holds c_j of every unit interval [k, k+1], so one gather per call
 # lines up the coefficients of all points for Clenshaw.
@@ -244,46 +162,36 @@ def bessel_j0(u, cfg: BesselEvalConfig | None = None):
     return float(out[0]) if scalar else out
 
 
-def bessel_j_series(nu: float, u: float, tol: float = 1e-15,
-                    cfg: BesselEvalConfig | None = None) -> float:
-    """J_nu(u) by the ascending power series (DLMF 10.2.2).
+def bessel_j_series(nu: float, u):
+    """J_nu(u) for nu >= 0 and u >= 0 (vectorized) by the ascending power
+    series (DLMF 10.2.2).
 
-    Terms are added until one falls below ``tol`` times the running magnitude;
-    the alternating tail then bounds the remainder by the first omitted term.
-    The series is only reliable while the largest term stays small enough for
-    the working precision, so arguments beyond the safe range raise
-    :class:`RangeError` (for nu = 0 use :func:`bessel_j0`, which switches to
-    the asymptotic form automatically).
+    Terms are added in doubles until each is below 1e-17 of its running
+    total.  Roundoff grows with the largest term, like eps e^u /
+    sqrt(2 pi u), so the caller carries that error model (``hankel_general``
+    does); for nu = 0 at large u use :func:`bessel_j0`.
     """
-    cfg = cfg or _DEFAULT_CFG
-    if nu < 0 or math.isnan(nu):
+    if not nu >= 0:
         raise DomainError(f"bessel_j_series requires nu >= 0, got {nu}")
-    if u < 0 or math.isnan(u):
-        raise DomainError(f"bessel_j_series requires u >= 0, got {u}")
-    if not tol > 0:
-        raise DomainError("tol must be positive")
-    if nu == 0.0:
-        if u > 30.0:
-            raise RangeError(
-                "series unreliable for u > 30; call bessel_j0 instead")
-        return float(_j0_series_dd(np.float64(u)))
-    if u > 18.0:
-        raise RangeError(
-            "series for nu > 0 loses accuracy beyond u = 18; for nu = 0 "
-            "bessel_j0 covers large arguments")
-    if u == 0.0:
-        return 0.0
-
-    lead = math.exp(nu * math.log(0.5 * u) - log_gamma(nu + 1.0))
-    q = 0.25 * u * u
-    term = lead
-    total = lead
-    for k in range(1, 300):
+    u = np.asarray(u, dtype=float)
+    if not np.all(u >= 0):
+        raise DomainError("bessel_j_series requires u >= 0")
+    out = np.zeros_like(u) if nu > 0 else np.ones_like(u)
+    pos = u > 0
+    if not np.any(pos):
+        return out
+    up = u[pos]
+    lead = np.exp(nu * np.log(0.5 * up) - math.lgamma(nu + 1.0))
+    q = 0.25 * up * up
+    term = lead.copy()
+    total = lead.copy()
+    for k in range(1, 200):
         term *= -q / (k * (nu + k))
         total += term
-        if abs(term) <= tol * max(abs(total), lead * 1e-8):
+        if np.all(np.abs(term) <= 1e-17 * np.maximum(np.abs(total), 1e-8)):
             break
-    return total
+    out[pos] = total
+    return out
 
 
 # McMahon's expansion for the k-th positive zero of J0 (A&S 9.5.12).

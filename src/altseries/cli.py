@@ -181,11 +181,12 @@ def _cmd_poles(args, strip) -> int:
             raise DomainError("need --grid >= 1")
         b = strip.b
         ys = [-b + (k + 0.5) * (2.0 * b / args.grid) for k in range(args.grid)]
+    # every ordinate is validated before anything is printed
+    locs = [pole_location(y) for y in ys]
     print("y,x_star,u_star,q_residual")
-    for y in ys:
-        loc = pole_location(y)
-        resid = abs(q_eval(loc.z, y))
-        print(f"{y!r},{loc.x_star!r},{loc.u_star!r},{resid!r}")
+    for loc in locs:
+        resid = abs(q_eval(loc.z, loc.y))
+        print(f"{loc.y!r},{loc.x_star!r},{loc.u_star!r},{resid!r}")
     return 0
 
 

@@ -19,7 +19,6 @@ production path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +28,6 @@ from .hankel import oscillatory_edges, panel_quadrature
 
 __all__ = [
     "LAMBDA_WALL",
-    "Fourier2dConfig",
-    "inner_t",
     "fourier2d_s_star",
     "gaussian_term_identity",
     "radial_transform",
@@ -39,21 +36,10 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 # the largest lambda the nested quadrature resolves; see fourier2d_s_star
 LAMBDA_WALL = 12.0
-
-
-@dataclass(frozen=True)
-class Fourier2dConfig:
-    y_truncation: float = 6.0
-    x_truncation: float = 6.0
-    inner_tol: float = 1e-11
-    outer_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not (self.y_truncation >= 6.0 and self.x_truncation >= 6.0):
-            raise DomainError("truncations must be >= 6")
-
-
-_DEFAULT_CFG = Fourier2dConfig()
+# half-widths of the x and y integration boxes; the integrand is below
+# e^(-36) past either
+_X_TRUNCATION = 6.0
+_Y_TRUNCATION = 6.0
 
 
 def _fermi(s: np.ndarray) -> np.ndarray:
@@ -76,11 +62,11 @@ def _cos_edges(lam: float, upper: float, base_step: float = 0.75):
     return oscillatory_edges(zeros, upper, base_step)
 
 
-def _inner_t_impl(y2: np.ndarray, lam: float, cfg: Fourier2dConfig, edges):
+def _inner_t_impl(y2: np.ndarray, lam: float, edges):
     """(values, errors, work) for T(y, lambda) = 2 int_0^X cos(lam x) w dx
     at every y^2 of ``y2``, as one stacked panel quadrature over the x
-    panel ``edges`` of ``_cos_edges(|lam|, cfg.x_truncation)``."""
-    upper = cfg.x_truncation
+    panel ``edges`` of ``_cos_edges(|lam|, _X_TRUNCATION)``."""
+    upper = _X_TRUNCATION
     y2_col = y2[:, None]
 
     def f(x):
@@ -95,26 +81,8 @@ def _inner_t_impl(y2: np.ndarray, lam: float, cfg: Fourier2dConfig, edges):
     return values, errs, work
 
 
-def inner_t(y: float, lam: float, tol: ToleranceSpec | None = None,
-            cfg: Fourier2dConfig | None = None) -> float:
-    """T(y, lambda): the x-integral of e^(i lam x)/(1+e^(x^2+y^2)).
-
-    Real by symmetry, computed as twice the half-line cosine transform.
-    """
-    cfg = cfg or _DEFAULT_CFG
-    tol = tol or ToleranceSpec(abs_tol=cfg.inner_tol, rel_tol=0.0)
-    y, lam = float(y), float(lam)
-    values, errs, _ = _inner_t_impl(
-        np.array([y * y]), lam, cfg, _cos_edges(abs(lam), cfg.x_truncation))
-    value, err = float(values[0]), float(errs[0])
-    if not tol.met_by(err, abs(value)):
-        raise WorkLimitError(
-            f"inner transform error {err:.3e} misses the tolerance")
-    return value
-
-
-def fourier2d_s_star(lam: float, tol: ToleranceSpec | None = None,
-                     cfg: Fourier2dConfig | None = None) -> EvalOutcome:
+def fourier2d_s_star(lam: float,
+                     tol: ToleranceSpec | None = None) -> EvalOutcome:
     """S*(lambda) through the 2D Fourier representation, 0 <= lambda <= 12.
 
     Above 12 the stacked quadrature floors (~1e-13 absolute each) drown the
@@ -126,11 +94,10 @@ def fourier2d_s_star(lam: float, tol: ToleranceSpec | None = None,
         raise RangeError(
             f"the nested 2D route resolves S* only for lambda <= "
             f"{LAMBDA_WALL:g}; use hankel or residue beyond that")
-    cfg = cfg or _DEFAULT_CFG
-    tol = tol or ToleranceSpec(abs_tol=cfg.outer_tol, rel_tol=cfg.outer_tol)
+    tol = tol or ToleranceSpec(abs_tol=1e-8, rel_tol=1e-8)
 
-    y_up = cfg.y_truncation
-    x_edges = _cos_edges(lam, cfg.x_truncation)
+    y_up = _Y_TRUNCATION
+    x_edges = _cos_edges(lam, _X_TRUNCATION)
     # y^2 -> (T, error) of every transform this evaluation has run; local
     # to the call, so nothing carries over to the next one
     rows = {}
@@ -141,8 +108,7 @@ def fourier2d_s_star(lam: float, tol: ToleranceSpec | None = None,
         y2 = (ys * ys).tolist()
         missing = [v for v in y2 if v not in rows]
         if missing:
-            values, errs, w = _inner_t_impl(np.array(missing), lam, cfg,
-                                            x_edges)
+            values, errs, w = _inner_t_impl(np.array(missing), lam, x_edges)
             work += w
             rows.update(zip(missing, zip(values.tolist(), errs.tolist())))
         return np.array([rows[v][0] for v in y2])

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bessel import bessel_j0, log_gamma
+from .bessel import bessel_j0, bessel_j_series
 from .core import DomainError, EvalOutcome, ToleranceSpec, WorkLimitError
 from .series import SeriesParams
 
@@ -206,36 +206,11 @@ def hankel_s_star(lam: float, tol: ToleranceSpec | None = None,
     return outcome
 
 
-def _j_mu_series_unsafe(mu: float, u: np.ndarray) -> np.ndarray:
-    """Ascending series for J_mu on an array, no safe-range guard.
-
-    Used internally with an explicit error model eps*e^max(u)/sqrt(2 pi u);
-    fine for the moderate arguments the general route produces.
-    """
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    pos = u > 0
-    if not np.any(pos):
-        return out
-    up = u[pos]
-    lead = np.exp(mu * np.log(0.5 * up) - log_gamma(mu + 1.0))
-    q = 0.25 * up * up
-    term = lead.copy()
-    total = lead.copy()
-    for k in range(1, 200):
-        term *= -q / (k * (mu + k))
-        total += term
-        if np.all(np.abs(term) <= 1e-17 * np.maximum(np.abs(total), 1e-8)):
-            break
-    out[pos] = total
-    return out
-
-
 def _general_kernel(nu: float, t: float):
     """(x/t)^((nu-1)/2) J_(nu-1)(2 sqrt(t x)), with its t -> 0 limit."""
     mu = nu - 1.0
     if t == 0.0:
-        inv_gamma = math.exp(-log_gamma(nu))
+        inv_gamma = math.exp(-math.lgamma(nu))
 
         def kernel(x):
             if mu == 0.0:
@@ -247,7 +222,7 @@ def _general_kernel(nu: float, t: float):
         u = 2.0 * np.sqrt(t * x)
         if mu == 0.0:
             return bessel_j0(u)
-        return (x / t) ** (0.5 * mu) * _j_mu_series_unsafe(mu, u)
+        return (x / t) ** (0.5 * mu) * bessel_j_series(mu, u)
     return kernel
 
 
@@ -305,7 +280,7 @@ def hankel_general(p: SeriesParams, tol: ToleranceSpec | None = None,
         pref0 = abs(z) / max(gap - 2.0 * delta, 0.5 * gap)
         # near 0 the kernel is x^mu / Gamma(mu+1) whatever t is
         trunc0 = (pref0 * delta ** (mu + 1.0)
-                  / ((mu + 1.0) * math.exp(log_gamma(mu + 1.0))))
+                  / ((mu + 1.0) * math.exp(math.lgamma(mu + 1.0))))
         lower = delta
     edges = oscillatory_edges(sorted(z0 for z0 in zeros if z0 > lower),
                               upper, base_step=1.5)

@@ -545,13 +545,6 @@ def write_csv(table: SweepTable, path) -> None:
         fh.write(render_csv(table))
 
 
-def parse_csv(text: str) -> list:
-    """Inverse of render_csv, keeping the decimal strings verbatim."""
-    lines = text.strip("\n").split("\n")
-    header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:]]
-
-
 def sweep_row_json(row: SweepRow) -> str:
     """Single-evaluation JSON: reals as decimal strings for bit-stable
     cross-language comparison."""

@@ -7,9 +7,9 @@ quartic u^4 - y^2 u^2 - (pi/2)^2 = 0:
     u*(y) = sqrt( (y^2 + sqrt(y^4 + pi^2)) / 2 ).
 
 Everything else in this module is bookkeeping around that root: the strip
-parameters (a1, a, a2, b) used by the contour-shift argument, and a concrete
-lower bound |Q(x + iu, y)| >= alpha e^(x^2+y^2) on pole-free regions,
-obtained by compact grid sampling.
+parameters (a1, a, a2, b) used by the contour-shift argument.  The concrete
+lower bound |Q(x + iu, y)| >= alpha e^(x^2+y^2) on pole-free regions that
+the argument also needs is sampled on a grid in the tests.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import DomainError, RangeError
 
@@ -28,12 +26,9 @@ __all__ = [
     "q_eval",
     "u_star",
     "x_star",
-    "z_plus",
-    "z_minus",
     "strip_width_b",
     "default_strip",
     "pole_location",
-    "q_lower_bound_alpha",
 ]
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)  # lowest pole height, y = 0
@@ -57,14 +52,6 @@ def u_star(y: float) -> float:
 def x_star(y: float) -> float:
     """Half-gap of the pole pair: pi / (2 u*(y))."""
     return math.pi / (2.0 * u_star(y))
-
-
-def z_plus(y: float) -> complex:
-    return complex(x_star(y), u_star(y))
-
-
-def z_minus(y: float) -> complex:
-    return complex(-x_star(y), u_star(y))
 
 
 def strip_width_b(a: float) -> float:
@@ -120,17 +107,10 @@ class PoleLocation:
     branch: int
 
     def __post_init__(self):
+        if not math.isfinite(self.y):
+            raise DomainError(f"need finite y, got {self.y}")
         if self.branch not in (1, -1):
             raise DomainError("branch must be +1 or -1")
-        if not (self.x_star > 0 and self.u_star > 0):
-            raise DomainError("x_star and u_star must be positive")
-        if abs(self.x_star * self.u_star - math.pi / 2.0) > 1e-12:
-            raise DomainError("pole violates x* u* = pi/2")
-        if abs(self.x_star ** 2 + self.y ** 2 - self.u_star ** 2) > 1e-12:
-            raise DomainError("pole violates x*^2 + y^2 = u*^2")
-        z = complex(self.branch * self.x_star, self.u_star)
-        if abs(q_eval(z, self.y)) > 1e-12:
-            raise DomainError("pole does not annihilate Q")
 
     @property
     def z(self) -> complex:
@@ -139,67 +119,3 @@ class PoleLocation:
 
 def pole_location(y: float, branch: int = 1) -> PoleLocation:
     return PoleLocation(y=y, x_star=x_star(y), u_star=u_star(y), branch=branch)
-
-
-def _pole_ordinate(u: float) -> float | None:
-    """|y| at which the pole pair sits exactly at height u, if any."""
-    if u < _SQRT_HALF_PI:
-        return None
-    half_gap = math.pi / (2.0 * u)
-    return math.sqrt(max(u * u - half_gap * half_gap, 0.0))
-
-
-def q_lower_bound_alpha(u: float, y_region, grid_step: float = 0.01) -> float:
-    """Concrete alpha with |Q(x + iu, y)| >= alpha e^(x^2+y^2) for y in region.
-
-    Outside the compact set x^2 + y^2 <= u^2 + ln 2 the exponential alone
-    forces |Q| >= e^(x^2+y^2-u^2)/2, so alpha = min(e^(-u^2)/2, 1/C) with C
-    the grid maximum of e^(x^2+y^2)/|Q| over the compact part.  The grid
-    value of 1/C gets a 10% haircut to cover sampling slack.
-
-    ``y_region`` is an iterable of (lo, hi) intervals; infinite endpoints are
-    fine since the compact constraint caps |y|.
-    """
-    if not u > 0:
-        raise DomainError("u must be positive")
-    if not 0 < grid_step <= 0.1:
-        raise DomainError("grid_step must lie in (0, 0.1]")
-
-    intervals = [(float(lo), float(hi)) for lo, hi in y_region]
-    if not intervals or any(lo >= hi for lo, hi in intervals):
-        raise DomainError("y_region must be nonempty intervals (lo < hi)")
-
-    yp = _pole_ordinate(u)
-    if yp is not None:
-        for lo, hi in intervals:
-            for cand in (yp, -yp):
-                if lo - grid_step <= cand <= hi + grid_step:
-                    raise DomainError(
-                        f"pole at |y| = {yp:.6f}, height u = {u}, lies inside "
-                        "the requested region (precondition violated)")
-
-    r2 = u * u + math.log(2.0)
-    y_cap = math.sqrt(r2)
-    big_c = 0.0
-    for lo, hi in intervals:
-        lo = max(lo, -y_cap)
-        hi = min(hi, y_cap)
-        if lo >= hi:
-            continue
-        ys = np.arange(lo, hi + grid_step, grid_step)
-        xmax = math.sqrt(r2)
-        xs = np.arange(-xmax, xmax + grid_step, grid_step)
-        xg, yg = np.meshgrid(xs, ys)
-        s2 = xg * xg + yg * yg
-        mask = s2 <= r2
-        if not np.any(mask):
-            continue
-        w = (xg + 1j * u) ** 2 + yg * yg
-        q = np.abs(1.0 + np.exp(w))
-        ratio = np.exp(s2) / q
-        big_c = max(big_c, float(np.max(ratio[mask])))
-
-    alpha_exp = 0.5 * math.exp(-u * u)
-    if big_c == 0.0:
-        return alpha_exp
-    return min(alpha_exp, 0.9 / big_c)

@@ -27,13 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, EvalOutcome, ToleranceSpec, WorkLimitError
-from .poles import StripParams, default_strip, z_minus, z_plus
+from .poles import StripParams, default_strip
 
 __all__ = [
     "ResidueResult",
-    "residue_at_pole",
     "saddle_lhs_numeric",
-    "residue_integral_i2",
     "s_star_via_residue",
     "calibrated_kappa",
 ]
@@ -64,24 +62,6 @@ class ResidueResult(EvalOutcome):
     def unscaled_value(self) -> float:
         """Alias of ``value``."""
         return self.value
-
-
-def residue_at_pole(y: float, lam: float, branch: int = 1,
-                    strip: StripParams | None = None) -> complex:
-    """Residue of e^(i lambda z)/(1+e^(z^2+y^2)) at z_branch(y).
-
-    Since e^(z^2+y^2) = -1 at the pole, the denominator's derivative is
-    -2 z, giving e^(i lambda z)/(-2z); the modulus factor e^(-lambda u*) is
-    applied last so the phase part carries no overflow risk.
-    """
-    strip = strip or default_strip()
-    if branch not in (1, -1):
-        raise DomainError(f"branch must be +1 or -1, got {branch}")
-    if not abs(y) < strip.b:
-        raise DomainError(f"|y| = {abs(y)} outside the open strip (b = {strip.b})")
-    z = z_plus(y) if branch == 1 else z_minus(y)
-    phase = complex(math.cos(lam * z.real), math.sin(lam * z.real))
-    return math.exp(-lam * z.imag) * phase / (-2.0 * z)
 
 
 def _pole_line_arrays(y: np.ndarray):
@@ -175,28 +155,6 @@ def saddle_lhs_numeric(lam: float, strip: StripParams | None = None,
         raise WorkLimitError(
             f"quadrature estimate {refine * scale:.3e} misses the tolerance")
     return a_plus * scale
-
-
-def residue_integral_i2(lam: float, strip: StripParams | None = None,
-                        tol: ToleranceSpec | None = None) -> float:
-    """Principal part of I2: 2 pi Re of the saddle integral, lambda > 0.
-
-    Both pole branches are integrated independently; conjugate symmetry
-    makes their sum real up to quadrature roundoff, which is checked here
-    rather than assumed.
-    """
-    if not 0.0 < lam < math.inf:
-        raise DomainError(f"need finite lambda > 0, got {lam}")
-    strip = strip or default_strip()
-    tol = tol or ToleranceSpec()
-    a_plus, a_minus, refine, _, _ = _scaled_saddle(lam, strip)
-    both = a_plus + a_minus
-    if abs(both.imag) > 10.0 * (tol.abs_tol + refine) + 10.0 * _EPS * abs(both):
-        raise WorkLimitError(
-            f"branch sum has imaginary residue {both.imag:.3e}; "
-            "quadrature inconsistency")
-    scale = math.exp(-lam * _SQRT_HALF_PI)
-    return math.pi * both.real * scale
 
 
 def calibrated_kappa(strip: StripParams | None = None) -> float:

@@ -32,11 +32,9 @@ from .core import DomainError, EvalOutcome, ToleranceSpec, WorkLimitError
 
 __all__ = [
     "SeriesParams",
-    "TailBound",
     "AlternatingOutcome",
     "sum_series",
     "sum_alternating_s",
-    "radial_limit_probe",
     "derivative_residuals",
 ]
 
@@ -68,18 +66,6 @@ class SeriesParams:
             raise DomainError(f"need nu > 0, got {self.nu}")
         if not self.t >= 0:
             raise DomainError(f"need t >= 0, got {self.t}")
-
-
-@dataclass(frozen=True)
-class TailBound:
-    """A certified majorant of |sum of all terms beyond n_start|."""
-
-    n_start: int
-    bound: float
-
-    def __post_init__(self):
-        if self.n_start < 0 or self.bound < 0:
-            raise DomainError("TailBound requires n_start >= 0 and bound >= 0")
 
 
 @dataclass(frozen=True)
@@ -155,10 +141,11 @@ def _sum_boundary_euler(z: complex, nu: float, t: float, tol: ToleranceSpec,
     """Bulk + Euler-transformed tail for boundary z with |z/(1-z)| < 0.8."""
     w = z / (1.0 - z)
     n0 = int(max(64, math.ceil(t / nu) + 32))
-    if n0 + _EULER_COLUMNS > tol.max_work:
-        raise WorkLimitError("bulk stage alone exceeds max_work", partial=None)
 
     for _ in range(4):
+        if n0 > tol.max_work:
+            raise WorkLimitError(
+                f"bulk stage of {n0} terms exceeds max_work {tol.max_work}")
         n = np.arange(1, n0 + 1, dtype=float)
         if dd_terms and z.imag == 0.0 and z.real == -1.0 and weight is None:
             bulk, absum_bulk = _bulk_dd_alternating(nu, t, n)
@@ -205,7 +192,13 @@ def _sum_boundary_euler(z: complex, nu: float, t: float, tol: ToleranceSpec,
             floor = per_term * absum_bulk + _EPS * (abs_tail + abs(bulk))
             err = trunc + table_noise + floor
             value = bulk + tail
-            return value, err, n0 + k + 1, absum
+            work = n0 + k + 1
+            if work > tol.max_work:
+                pval = value.real if z.imag == 0.0 else value
+                raise WorkLimitError(
+                    f"work {work} exceeds max_work {tol.max_work}",
+                    partial=EvalOutcome(pval, err, work, "series"))
+            return value, err, work, absum
         n0 *= 2
 
     raise WorkLimitError("Euler tail failed to converge", partial=None)
@@ -277,22 +270,6 @@ def sum_alternating_s(t: float, tol: ToleranceSpec | None = None,
     cancel = absum / abs(value) if value != 0 else math.inf
     return AlternatingOutcome(value=value, error_estimate=err, work=work,
                               method="series", cancellation=cancel)
-
-
-def radial_limit_probe(p: SeriesParams, rho_list) -> list[EvalOutcome]:
-    """Evaluate S(z rho, nu, t) along the ray rho in [0, 1) toward boundary z."""
-    if abs(abs(p.z) - 1.0) > 4.0 * _EPS:
-        raise DomainError("radial_limit_probe requires |z| = 1")
-    out = []
-    for rho in rho_list:
-        if not 0.0 <= rho < 1.0:
-            raise DomainError(f"rho must lie in [0, 1), got {rho}")
-        if rho == 0.0:
-            out.append(EvalOutcome(0.0, 0.0, 0, "series"))
-            continue
-        q = SeriesParams(p.z * rho, p.nu, p.t)
-        out.append(sum_series(q))
-    return out
 
 
 def derivative_residuals(p: SeriesParams, h: float) -> tuple[float, float, float]:

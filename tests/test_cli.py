@@ -1,5 +1,7 @@
 """End-to-end runs of the command-line interface, in process."""
 
+import csv
+import io
 import json
 import time
 
@@ -145,8 +147,7 @@ class TestSweepAndFigure:
                            "--out", str(out_path))
         assert code == 0
         assert f"wrote 5 rows to {out_path}" in out
-        from altseries.harness import parse_csv
-        recs = parse_csv(out_path.read_text())
+        recs = list(csv.DictReader(io.StringIO(out_path.read_text())))
         assert len(recs) == 5
         assert recs[0]["lambda"] == repr(1.0)
 
@@ -209,6 +210,22 @@ class TestPoles:
     def test_empty_grid_rejected(self, capsys):
         code, _, err = run(capsys, "poles", "--grid", "0")
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("y", ["100", "150"])
+    def test_large_ordinate(self, capsys, y):
+        # u*^2 is in the tens of thousands here; rounding alone puts
+        # x*^2 + y^2 - u*^2 past any fixed absolute bound
+        code, out, err = run(capsys, "poles", "--y", y)
+        assert code == 0 and err == ""
+        lines = out.strip().split("\n")
+        assert lines[0] == "y,x_star,u_star,q_residual"
+        assert len(lines) == 2 and float(lines[1].split(",")[0]) == float(y)
+
+    @pytest.mark.parametrize("y", ["nan", "inf", "-inf"])
+    def test_non_finite_ordinate_refused(self, capsys, y):
+        code, out, err = run(capsys, "poles", f"--y={y}")
+        assert code == 2 and out == ""
+        assert "error:" in err
 
 
 class TestConfigFile:

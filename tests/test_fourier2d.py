@@ -7,13 +7,11 @@ import pytest
 
 from altseries.core import DomainError, RangeError, ToleranceSpec, WorkLimitError
 from altseries.fourier2d import (
-    Fourier2dConfig,
     fourier2d_s_star,
     gaussian_term_identity,
-    inner_t,
     radial_transform,
 )
-from altseries.fourier2d import _DEFAULT_CFG, _EPS, _cos_edges, _fermi
+from altseries.fourier2d import _EPS, _cos_edges, _fermi, _inner_t_impl
 from altseries import fourier2d
 from altseries.harness import cross_validate
 from altseries.hankel import _gl_rule, hankel_s_star, panel_quadrature
@@ -21,15 +19,40 @@ from altseries.hankel import _gl_rule, hankel_s_star, panel_quadrature
 import oracle_values as ov
 
 
-def _inner_t_unreduced(y: float, lam: float,
-                       cfg: Fourier2dConfig | None = None) -> complex:
+# the accuracy one inner transform is held to
+_INNER_TOL = 1e-11
+
+
+def inner_t(y: float, lam: float, tol: ToleranceSpec | None = None) -> float:
+    """T(y, lambda): the x-integral of e^(i lam x)/(1+e^(x^2+y^2)).
+
+    Real by symmetry, computed as twice the half-line cosine transform.
+    """
+    tol = tol or ToleranceSpec(abs_tol=_INNER_TOL, rel_tol=0.0)
+    y, lam = float(y), float(lam)
+    values, errs, _ = _inner_t_impl(
+        np.array([y * y]), lam,
+        _cos_edges(abs(lam), fourier2d._X_TRUNCATION))
+    value, err = float(values[0]), float(errs[0])
+    if not tol.met_by(err, abs(value)):
+        raise WorkLimitError(
+            f"inner transform error {err:.3e} misses the tolerance")
+    return value
+
+
+def _set_truncations(monkeypatch, cfg):
+    """Apply a test case's overrides of fourier2d's box half-widths."""
+    for name, value in (cfg or {}).items():
+        monkeypatch.setattr(fourier2d, name, value)
+
+
+def _inner_t_unreduced(y: float, lam: float) -> complex:
     """T(y, lambda) over the full line without the cosine reduction.
 
     Exists so the imaginary-part-vanishing property can be tested against
     an implementation that had a chance to get it wrong.
     """
-    cfg = cfg or _DEFAULT_CFG
-    upper = cfg.x_truncation
+    upper = fourier2d._X_TRUNCATION
     y2 = y * y
     pos = _cos_edges(abs(lam), upper)
     edges = [-e for e in reversed(pos)] + pos[1:]
@@ -41,14 +64,13 @@ def _inner_t_unreduced(y: float, lam: float,
     return complex(value)
 
 
-def _fourier2d_per_y(lam: float, cfg: Fourier2dConfig | None = None):
+def _fourier2d_per_y(lam: float):
     """(value, error_estimate, work) of fourier2d_s_star with one 1-D inner
     transform per y node, the loop the stacked quadrature replaced.
 
     Exists so the stacked route can be held to it bit for bit.
     """
-    cfg = cfg or _DEFAULT_CFG
-    upper = cfg.x_truncation
+    upper = fourier2d._X_TRUNCATION
     x_edges = _cos_edges(abs(lam), upper)
     work = 0
     inner_err = 0.0
@@ -73,20 +95,12 @@ def _fourier2d_per_y(lam: float, cfg: Fourier2dConfig | None = None):
             inner_err = max(inner_err, e)
         return out
 
-    y_up = cfg.y_truncation
+    y_up = fourier2d._Y_TRUNCATION
     edges = [y_up * (k / 12.0) for k in range(-12, 13)]
     value, refine, abs_int, _, _ = panel_quadrature(t_profile, edges, 16)
     err = (refine + inner_err * 2.0 * y_up + 4.0 * _EPS * abs_int
            + math.exp(-y_up * y_up)) / math.pi
     return -float(value) / math.pi, err, work
-
-
-def test_config_validation():
-    Fourier2dConfig(y_truncation=7.0, x_truncation=6.5)
-    with pytest.raises(DomainError):
-        Fourier2dConfig(y_truncation=5.0)
-    with pytest.raises(DomainError):
-        Fourier2dConfig(x_truncation=4.0)
 
 
 @pytest.mark.parametrize("key,expected", sorted(ov.T_INNER.items()))
@@ -110,14 +124,6 @@ def test_inner_transform_unreachable_tolerance():
         inner_t(0.0, 1.0, tol=ToleranceSpec(abs_tol=1e-17, rel_tol=0.0))
 
 
-def test_inner_transform_honours_config_tolerance():
-    # the caller's cfg.inner_tol, not the default's, sets the target
-    with pytest.raises(WorkLimitError):
-        inner_t(0.0, 1.0, cfg=Fourier2dConfig(inner_tol=1e-30))
-    loose = Fourier2dConfig(inner_tol=1e-6)
-    assert inner_t(0.0, 1.0, cfg=loose) == inner_t(0.0, 1.0)
-
-
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 3.0, 4.0, 8.0, 10.0, 12.0])
 def test_stacked_inner_quadrature_matches_per_y_loop(lam):
     out = fourier2d_s_star(lam)
@@ -132,11 +138,13 @@ def test_stacked_inner_quadrature_matches_per_y_loop(lam):
 
 
 @pytest.mark.parametrize("lam", [0.0, 3.0, 10.0])
-def test_mirrored_reuse_matches_per_y_loop_off_default_config(lam):
-    cfg = Fourier2dConfig(y_truncation=7.0, x_truncation=6.5,
-                          inner_tol=1e-10, outer_tol=1e-7)
-    out = fourier2d_s_star(lam, cfg=cfg)
-    ref_value, ref_err, ref_work = _fourier2d_per_y(lam, cfg)
+def test_mirrored_reuse_matches_per_y_loop_off_default_config(monkeypatch,
+                                                            lam):
+    # other box half-widths give other edges; the pairing must still hold
+    _set_truncations(monkeypatch,
+                     {"_Y_TRUNCATION": 7.0, "_X_TRUNCATION": 6.5})
+    out = fourier2d_s_star(lam)
+    ref_value, ref_err, ref_work = _fourier2d_per_y(lam)
     assert (out.value, out.error_estimate) == (ref_value, ref_err)
     assert 2 * out.work == ref_work
 
@@ -167,22 +175,24 @@ def _nesting_spy(monkeypatch):
 
 
 @pytest.mark.parametrize("lam", [0.0, 8.0, 12.0])
-@pytest.mark.parametrize("cfg", [None, Fourier2dConfig(y_truncation=7.0)])
+@pytest.mark.parametrize("cfg", [None, {"_Y_TRUNCATION": 7.0}])
 def test_one_evaluation_runs_each_inner_transform_once(monkeypatch, lam, cfg):
+    _set_truncations(monkeypatch, cfg)
     calls = _nesting_spy(monkeypatch)
-    fourier2d_s_star(lam, cfg=cfg)
+    fourier2d_s_star(lam)
     # 24 outer panels x (full + half order) calls of the profile, of which
     # the 24 on the mirrored half are served from the +y rows
     assert [d for d, _ in calls] == [0] + [1] * 24
     # nothing carries over: the next call runs every transform again
-    fourier2d_s_star(lam, cfg=cfg)
+    fourier2d_s_star(lam)
     assert [d for d, _ in calls].count(1) == 48
 
 
-@pytest.mark.parametrize("cfg", [None, Fourier2dConfig(y_truncation=7.5)])
+@pytest.mark.parametrize("cfg", [None, {"_Y_TRUNCATION": 7.5}])
 def test_outer_nodes_come_in_exact_pairs(monkeypatch, cfg):
+    _set_truncations(monkeypatch, cfg)
     calls = _nesting_spy(monkeypatch)
-    fourier2d_s_star(3.0, cfg=cfg)
+    fourier2d_s_star(3.0)
     outer = calls[0][1]
     # (full-order, half-order) nodes of each of the 24 outer panels
     panels = list(zip(outer[0::2], outer[1::2]))
@@ -237,7 +247,7 @@ def test_stacked_panel_quadrature_rows_match_1d_calls(complex_rows):
 def test_unreduced_imaginary_part_vanishes(y, lam):
     """Full-line evaluation, no symmetry shortcut: Im must vanish."""
     val = _inner_t_unreduced(y, lam)
-    assert abs(val.imag) <= 10.0 * Fourier2dConfig().inner_tol
+    assert abs(val.imag) <= 10.0 * _INNER_TOL
     assert val.real == pytest.approx(inner_t(y, lam), abs=1e-10)
 
 

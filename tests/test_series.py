@@ -8,17 +8,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altseries.core import DomainError, ToleranceSpec, WorkLimitError
+from altseries.core import DomainError, EvalOutcome, ToleranceSpec, WorkLimitError
 from altseries.series import (
     AlternatingOutcome,
     SeriesParams,
     derivative_residuals,
-    radial_limit_probe,
     sum_alternating_s,
     sum_series,
 )
+from altseries.series import _EPS
 
 import oracle_values as ov
+
+
+def radial_limit_probe(p: SeriesParams, rho_list) -> list[EvalOutcome]:
+    """Evaluate S(z rho, nu, t) along the ray rho in [0, 1) toward boundary z."""
+    if abs(abs(p.z) - 1.0) > 4.0 * _EPS:
+        raise DomainError("radial_limit_probe requires |z| = 1")
+    out = []
+    for rho in rho_list:
+        if not 0.0 <= rho < 1.0:
+            raise DomainError(f"rho must lie in [0, 1), got {rho}")
+        if rho == 0.0:
+            out.append(EvalOutcome(0.0, 0.0, 0, "series"))
+            continue
+        q = SeriesParams(p.z * rho, p.nu, p.t)
+        out.append(sum_series(q))
+    return out
 
 
 @pytest.mark.parametrize("t,expected", sorted(ov.S_T.items()))
@@ -202,6 +218,17 @@ def test_interior_budget_exhaustion():
 def test_boundary_budget_exhaustion():
     with pytest.raises(WorkLimitError):
         sum_alternating_s(50.0, tol=ToleranceSpec(max_work=64))
+
+
+def test_boundary_budget_counts_the_terms_spent():
+    out = sum_alternating_s(25.0, ToleranceSpec(1e-6, 0.0))
+    at_limit = sum_alternating_s(25.0, ToleranceSpec(1e-6, 0.0,
+                                                     max_work=out.work))
+    assert (at_limit.value, at_limit.work) == (out.value, out.work)
+    with pytest.raises(WorkLimitError) as exc:
+        sum_alternating_s(25.0, ToleranceSpec(1e-6, 0.0, max_work=out.work - 1))
+    partial = exc.value.partial
+    assert (partial.value, partial.work) == (out.value, out.work)
 
 
 def test_boundary_near_one_gives_up_honestly():
