@@ -10,8 +10,8 @@ its regimes run in plain doubles with a fixed amount of work per call:
   in ``_j0_table`` are generated offline from mpmath at 40 digits by
   ``tools/gen_j0_table.py``;
 * above the cutoff, the large-argument Hankel expansion (DLMF 10.17.3) as
-  two Horner polynomials P and Q in 1/u^2, with the number of terms fixed
-  per call from the smallest argument in it.
+  two polynomials P and Q in 1/u^2, summed in one stacked Horner pass,
+  with the number of terms fixed per call from the smallest argument in it.
 
 ``bessel_j_series`` is the ascending series for general order that the
 general-parameter Hankel route integrates.
@@ -108,22 +108,38 @@ def _hankel_term_count(umin: float) -> int:
     return _MAX_ASYM_TERMS
 
 
-def _horner_half_tail(coefs, m, v):
-    """sum_(j < m) coefs[j] v^j + coefs[m] v^m / 2, by Horner.
+def _pq_rows(n: int):
+    """Horner coefficients of P and Q for n terms, highest degree first,
+    each a (2, 1) column [P; Q].
 
-    The terms of P and Q alternate in sign and barely change in size near
-    the smallest one, where the remainder is about half the first omitted
-    term; adding that half takes the error at u = 16 from ~3e-16 to ~6e-17.
+    P takes (n+1)//2 terms and Q n//2, each followed by half its first
+    omitted term: the terms alternate in sign and barely change in size
+    near the smallest one, where the remainder is about half the first
+    omitted term; adding that half takes the error at u = 16 from ~3e-16
+    to ~6e-17.  The shorter row is padded with leading zeros, and
+    0 * v + c is exactly c, so each row rounds as its own Horner pass would.
     """
-    acc = 0.5 * coefs[m]
-    for c in reversed(coefs[:m]):
-        acc = acc * v + c
-    return acc
+    p = _P_COEF[:(n + 1) // 2] + [0.5 * _P_COEF[(n + 1) // 2]]
+    q = _Q_COEF[:n // 2] + [0.5 * _Q_COEF[n // 2]]
+    q += [0.0] * (len(p) - len(q))
+    return [np.array([[cp], [cq]]) for cp, cq in zip(p[::-1], q[::-1])]
 
 
-def _j0_hankel(u):
-    """J0 at u >= 5 from the Hankel expansion, P and Q by Horner in 1/u^2."""
-    n = _hankel_term_count(float(np.min(u)))
+_PQ_ROWS = [None] + [_pq_rows(n) for n in range(1, _MAX_ASYM_TERMS + 1)]
+
+
+def _pq_horner(n: int, v):
+    """P and Q of n terms at v = 1/u^2, in one Horner pass over [P; Q]."""
+    rows = _PQ_ROWS[n]
+    acc = rows[0]
+    for coef in rows[1:]:
+        acc = acc * v + coef
+    return acc[0], acc[1]
+
+
+def _j0_hankel(u, umin: float):
+    """J0 at 1-D u >= umin >= 5 from the Hankel expansion in 1/u^2."""
+    n = _hankel_term_count(umin)
     # omega = u - pi/4 carried as a double-double so the phase stays exact.
     wh, we = _dd.two_sum(u, -_dd.PI4_HI)
     wl = we - _dd.PI4_LO
@@ -134,8 +150,7 @@ def _j0_hankel(u):
 
     inv = 1.0 / u
     v = inv * inv
-    p = _horner_half_tail(_P_COEF, (n + 1) // 2, v)
-    q = _horner_half_tail(_Q_COEF, n // 2, v)
+    p, q = _pq_horner(n, v)
     return np.sqrt(2.0 / (np.pi * u)) * (p * cosw + q * inv * sinw)
 
 
@@ -143,23 +158,30 @@ def bessel_j0(u, cfg: BesselEvalConfig | None = None):
     """J0(u) for finite real u (vectorized), absolute error <= 3e-16 on [0, 200].
 
     Even symmetry is applied first.  |u| <= ``cfg.series_cutoff`` is summed
-    from the Chebyshev table, larger |u| from the Hankel expansion.
+    from the Chebyshev table, larger |u| from the Hankel expansion.  Array
+    input keeps its shape; scalar or 0-d input returns a float.
     """
     cfg = cfg or _DEFAULT_CFG
-    scalar = np.isscalar(u) or np.ndim(u) == 0
-    au = np.abs(np.atleast_1d(np.asarray(u, dtype=float)))
-    if not np.isfinite(au).all():
+    x = np.asarray(u, dtype=float)
+    au = np.abs(x.ravel())
+    if not au.size:
+        return au.reshape(x.shape)
+    lo = float(au.min())
+    hi = float(au.max())  # NaN propagates, so this is the finiteness check
+    if not hi < math.inf:
         raise DomainError("bessel_j0 requires finite real u")
-    low = au <= cfg.series_cutoff
-    if low.all():
+    cut = cfg.series_cutoff
+    if hi <= cut:
         out = _j0_chebyshev(au)
-    elif not low.any():
-        out = _j0_hankel(au)
+    elif lo > cut:
+        out = _j0_hankel(au, lo)
     else:
+        low = au <= cut
         out = np.empty_like(au)
         out[low] = _j0_chebyshev(au[low])
-        out[~low] = _j0_hankel(au[~low])
-    return float(out[0]) if scalar else out
+        high = au[~low]
+        out[~low] = _j0_hankel(high, float(high.min()))
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def bessel_j_series(nu: float, u):

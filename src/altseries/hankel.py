@@ -74,12 +74,24 @@ def _gl_rule(order: int):
     return x, w
 
 
+@lru_cache(maxsize=32)
+def _gl_pair(order: int):
+    """Nodes of the ``order`` rule followed by those of the half-order rule
+    on [-1, 1], with the weights of each rule."""
+    xs, ws = _gl_rule(order)
+    xh, wh = _gl_rule(order // 2 + 1)
+    return np.concatenate([xs, xh]), ws, wh
+
+
 def panel_quadrature(f, edges, order: int):
     """Composite Gauss-Legendre over fixed panels.
 
     Every panel is integrated at ``order`` and at roughly half order; the
     summed |difference| is the refinement error estimate (pessimistic, since
     the full-order rule is far more accurate than the half-order one).
+    ``f`` is called once per panel, on the full-order nodes followed by the
+    half-order nodes (``order + order // 2 + 1`` of them), and the result is
+    split along its last axis.
 
     ``f`` maps the nodes x to f(x), or to a stack of integrands shaped
     (m, len(x)).  Panels reduce along the last axis, so every row of a
@@ -90,19 +102,19 @@ def panel_quadrature(f, edges, order: int):
     arrays of shape (m,), panel_sums is (m, panels), and work counts the
     nodes of every row.
     """
-    xs, ws = _gl_rule(order)
-    xh, wh = _gl_rule(order // 2 + 1)
+    nodes, ws, wh = _gl_pair(order)
+    n = len(ws)
     sums = []
     halves = []
     abs_parts = []
     for a, b in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (a + b)
         hw = 0.5 * (b - a)
-        fx = np.asarray(f(mid + hw * xs))
-        fxh = np.asarray(f(mid + hw * xh))
-        sums.append(hw * np.sum(ws * fx, axis=-1))
-        halves.append(hw * np.sum(wh * fxh, axis=-1))
-        abs_parts.append(hw * np.sum(ws * np.abs(fx), axis=-1))
+        fx = np.asarray(f(mid + hw * nodes))
+        full = fx[..., :n]
+        sums.append(hw * np.sum(ws * full, axis=-1))
+        halves.append(hw * np.sum(wh * fx[..., n:], axis=-1))
+        abs_parts.append(hw * np.sum(ws * np.abs(full), axis=-1))
     # panels last and C-ordered: np.sum then runs its pairwise sum per row
     sums = np.ascontiguousarray(np.array(sums).T)
     halves = np.ascontiguousarray(np.array(halves).T)
@@ -114,7 +126,7 @@ def panel_quadrature(f, edges, order: int):
                  for re, im in zip(value, rows.imag.tolist())]
     abs_int = [math.fsum(r)
                for r in np.atleast_2d(np.array(abs_parts).T).tolist()]
-    work = (len(xs) + len(xh)) * sums.size
+    work = len(nodes) * sums.size
     if sums.ndim == 1:
         return value[0], float(refine), abs_int[0], sums, work
     return np.array(value), refine, np.array(abs_int), sums, work

@@ -90,7 +90,7 @@ def _saddle_edges(lam: float, b: float):
 
     sigma = (2.0 * math.pi) ** 0.25 / math.sqrt(lam)
     panels = 2.0 * (6.0 + 0.5 * b / sigma)
-    budget = QuadConfig().max_panels
+    budget = QuadConfig.max_panels  # the field's default, read off the class
     if panels > budget:
         raise WorkLimitError(
             f"lambda = {lam:g} needs about {panels:.3g} saddle panels, "

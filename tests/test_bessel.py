@@ -141,10 +141,72 @@ def test_j0_rejects_nan():
         bessel_j0(math.nan)
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, np.array([1.0, math.inf])])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, np.array([1.0, math.inf]),
+                                 np.array([1.0, -math.inf, 50.0]),
+                                 np.array([1.0, math.inf, 2.0])])
 def test_j0_rejects_infinite(bad):
     with pytest.raises(DomainError):
         bessel_j0(bad)
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([1.0, math.nan, 50.0]),    # between a table and a Hankel point
+    np.array([50.0, math.nan, 1.0]),
+    np.array([20.0, math.nan, 30.0]),   # among Hankel points only
+])
+def test_j0_rejects_nan_inside_an_array(bad):
+    with pytest.raises(DomainError):
+        bessel_j0(bad)
+
+
+def test_j0_empty_input_gives_empty_array():
+    for empty in ([], np.array([]), np.empty((0, 3))):
+        out = bessel_j0(empty)
+        assert isinstance(out, np.ndarray)
+        assert out.shape == np.shape(empty) and out.dtype == float
+
+
+_GRID = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+
+
+@pytest.mark.parametrize("u", [3.0 * _GRID,                         # table
+                               np.sign(_GRID) * (np.abs(_GRID) + 17.0),  # Hankel
+                               200.0 * _GRID],                      # both
+                         ids=["table", "hankel", "mixed"])
+def test_j0_2d_input_keeps_shape(u):
+    out = bessel_j0(u)
+    assert out.shape == (3, 4)
+    assert np.array_equal(out, bessel_j0(u.ravel()).reshape(3, 4))
+
+
+@pytest.mark.parametrize("u", [2.0, 20.0, 3, np.float64(2.5),
+                               np.array(2.5), np.array(-40.0)])
+def test_j0_scalar_and_0d_input_give_float(u):
+    out = bessel_j0(u)
+    assert type(out) is float
+    assert out == float(bessel_j0(np.array([float(u)]))[0])
+
+
+def _horner_half_tail(coefs, m, v):
+    """sum_(j < m) coefs[j] v^j + coefs[m] v^m / 2, by its own Horner pass:
+    the reference the stacked P/Q pass in ``bessel`` is held to."""
+    acc = 0.5 * coefs[m]
+    for c in reversed(coefs[:m]):
+        acc = acc * v + c
+    return acc
+
+
+def test_stacked_pq_horner_matches_separate_passes_bit_for_bit():
+    u = np.concatenate([np.linspace(5.0, 30.0, 2001),
+                        np.geomspace(30.0, 1e4, 2001)])
+    inv = 1.0 / u
+    v = inv * inv
+    for n in range(1, bessel._MAX_ASYM_TERMS + 1):
+        p, q = bessel._pq_horner(n, v)
+        p_ref = _horner_half_tail(bessel._P_COEF, (n + 1) // 2, v)
+        q_ref = _horner_half_tail(bessel._Q_COEF, n // 2, v)
+        assert np.array_equal(p, np.broadcast_to(p_ref, v.shape)), n
+        assert np.array_equal(q, np.broadcast_to(q_ref, v.shape)), n
 
 
 def test_j0_zeros_frozen():

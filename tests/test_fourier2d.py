@@ -180,12 +180,13 @@ def test_one_evaluation_runs_each_inner_transform_once(monkeypatch, lam, cfg):
     _set_truncations(monkeypatch, cfg)
     calls = _nesting_spy(monkeypatch)
     fourier2d_s_star(lam)
-    # 24 outer panels x (full + half order) calls of the profile, of which
-    # the 24 on the mirrored half are served from the +y rows
-    assert [d for d, _ in calls] == [0] + [1] * 24
+    # one profile call per outer panel, each on 25 y rows (16 full-order
+    # + 9 half-order nodes); the 12 on the mirrored half are served from
+    # the rows of the first 12
+    assert [d for d, _ in calls] == [0] + [1] * 12
     # nothing carries over: the next call runs every transform again
     fourier2d_s_star(lam)
-    assert [d for d, _ in calls].count(1) == 48
+    assert [d for d, _ in calls].count(1) == 24
 
 
 @pytest.mark.parametrize("cfg", [None, {"_Y_TRUNCATION": 7.5}])
@@ -194,11 +195,11 @@ def test_outer_nodes_come_in_exact_pairs(monkeypatch, cfg):
     calls = _nesting_spy(monkeypatch)
     fourier2d_s_star(3.0)
     outer = calls[0][1]
-    # (full-order, half-order) nodes of each of the 24 outer panels
-    panels = list(zip(outer[0::2], outer[1::2]))
-    assert len(panels) == 24
+    # each of the 24 outer panels makes one call: 16 full-order nodes
+    # followed by 9 half-order nodes
+    assert [len(ys) for ys in outer] == [25] * 24
+    panels = [(ys[:16], ys[16:]) for ys in outer]
     for (full, half), (m_full, m_half) in zip(panels, reversed(panels)):
-        assert (len(full), len(half)) == (16, 9)
         assert np.array_equal(full, -m_full[::-1])
         assert np.array_equal(half, -m_half[::-1])
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from altseries.bessel import bessel_j0
 from altseries.core import DomainError, ToleranceSpec, WorkLimitError
 from altseries.hankel import (
     QuadConfig,
@@ -44,6 +45,87 @@ class TestPanelQuadrature:
         assert isinstance(value, complex)
         # |e^(ix)| = 1, so the absolute integral is the length
         assert absint == pytest.approx(1.0, rel=1e-13)
+
+
+def _two_call_reference(f, edges, order):
+    """Composite Gauss-Legendre with ``f`` called twice per panel, once per
+    rule: the loop the single-call ``panel_quadrature`` is held to."""
+    xs, ws = np.polynomial.legendre.leggauss(order)
+    xh, wh = np.polynomial.legendre.leggauss(order // 2 + 1)
+    sums, halves, abs_parts = [], [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (a + b)
+        hw = 0.5 * (b - a)
+        fx = np.asarray(f(mid + hw * xs))
+        fxh = np.asarray(f(mid + hw * xh))
+        sums.append(hw * np.sum(ws * fx, axis=-1))
+        halves.append(hw * np.sum(wh * fxh, axis=-1))
+        abs_parts.append(hw * np.sum(ws * np.abs(fx), axis=-1))
+    sums = np.ascontiguousarray(np.array(sums).T)
+    halves = np.ascontiguousarray(np.array(halves).T)
+    refine = np.sum(np.abs(sums - halves), axis=-1)
+    rows = np.atleast_2d(sums)
+    value = [math.fsum(r) for r in rows.real.tolist()]
+    if np.iscomplexobj(sums):
+        value = [complex(re, math.fsum(im))
+                 for re, im in zip(value, rows.imag.tolist())]
+    abs_int = [math.fsum(r)
+               for r in np.atleast_2d(np.array(abs_parts).T).tolist()]
+    work = (len(xs) + len(xh)) * sums.size
+    if sums.ndim == 1:
+        return value[0], float(refine), abs_int[0], sums, work
+    return np.array(value), refine, np.array(abs_int), sums, work
+
+
+def _s_star_integrand(lam):
+    return lambda x: -bessel_j0(lam * x) * np.exp(-x * x)
+
+
+_FUSED_CASES = {
+    # J0 straddles its regime switch inside panels, so the call's term
+    # count comes from both rules' nodes
+    "real_j0": (_s_star_integrand(7.3), [0.0, 0.3, 1.1, 2.0, 2.2, 3.5, 8.0]),
+    "real_j0_hankel": (_s_star_integrand(41.0),
+                       list(np.linspace(0.4, 6.0, 23))),
+    "complex": (lambda x: np.exp(3j * x) / (1.0 + x * x),
+                [-2.0, -0.5, 0.0, 1.0, 4.0]),
+    "stacked": (lambda x: np.cos(2.5 * x)
+                * np.exp(-(x * x + np.array([[0.0], [0.7], [3.1]]))),
+                [0.0, 0.6, 1.3, 2.1, 6.0]),
+    "stacked_complex": (lambda x: np.exp(1j * np.array([[1.0], [5.0]]) * x)
+                        * bessel_j0(9.0 * x), [0.0, 1.0, 1.7, 3.0]),
+}
+
+
+@pytest.mark.parametrize("order", [8, 12, 16, 24])
+@pytest.mark.parametrize("case", sorted(_FUSED_CASES))
+def test_single_call_matches_two_call_reference_bit_for_bit(case, order):
+    f, edges = _FUSED_CASES[case]
+    value, refine, abs_int, sums, work = panel_quadrature(f, edges, order)
+    r_value, r_refine, r_abs_int, r_sums, r_work = _two_call_reference(
+        f, edges, order)
+    assert type(value) is type(r_value)
+    assert type(refine) is type(r_refine)
+    assert np.array_equal(value, r_value)
+    assert np.array_equal(refine, r_refine)
+    assert np.array_equal(abs_int, r_abs_int)
+    assert sums.dtype == r_sums.dtype and sums.shape == r_sums.shape
+    assert np.array_equal(sums, r_sums)
+    assert work == r_work
+
+
+@pytest.mark.parametrize("order", [8, 13, 16, 24])
+def test_one_integrand_call_per_panel(order):
+    seen = []
+
+    def f(x):
+        seen.append(len(x))
+        return np.cos(x)
+
+    edges = [0.0, 0.5, 1.5, 2.0, 3.25]
+    *_, work = panel_quadrature(f, edges, order)
+    assert seen == [order + order // 2 + 1] * (len(edges) - 1)
+    assert work == sum(seen)
 
 
 class TestOscillatoryEdges:

@@ -1,0 +1,98 @@
+"""Print a sha256 of every output a pure speed-up must leave byte-identical.
+
+Runs the altseries of the checkout this file sits in (its ``src/``), one
+fresh process per command, and prints one ``<sha256>  <label>`` line per
+output:
+
+* ``verify`` and ``verify --quick``;
+* the ``figure`` CSV at lambda in [5, 25], 200 points;
+* the ``sweep`` CSV at lambda in [1, 30], 59 points;
+* ``eval --json`` for every method at lambda in {0.5, 3, 10, 12, 30, 100};
+* value, error_estimate and work of ``fourier2d_s_star``, ``hankel_s_star``
+  and ``s_star_via_residue`` at lambda in {0, 0.5, 1, 3, 8, 10, 12, 24, 30,
+  100, 1000}, which ``eval --json`` does not show.
+
+Each digest covers the exit code, stdout and stderr (and the CSV for
+``figure`` and ``sweep``), so a refusal is held to the same bytes as a
+value.  Usage, from any directory:
+
+    python3 tools/output_digest.py > digest.txt
+
+Run it in two checkouts and ``diff`` the two files.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+EVAL_LAMBDAS = ("0.5", "3", "10", "12", "30", "100")
+EVAL_METHODS = ("series", "hankel", "fourier2d", "residue", "asym", "auto")
+
+# (value, error_estimate, work) of the three quadrature routes, with a
+# refusal printed as its exception type and message
+OUTCOMES = """
+from altseries import fourier2d_s_star, hankel_s_star, s_star_via_residue
+for fn in (fourier2d_s_star, hankel_s_star, s_star_via_residue):
+    for lam in (0.0, 0.5, 1.0, 3.0, 8.0, 10.0, 12.0, 24.0, 30.0, 100.0,
+                1000.0):
+        try:
+            r = fn(lam)
+            print(fn.__name__, lam, repr(r.value), repr(r.error_estimate),
+                  r.work)
+        except Exception as exc:
+            print(fn.__name__, lam, type(exc).__name__, exc)
+"""
+
+
+def _run(argv, cwd: str, csv: str | None = None) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, *argv], env=env, cwd=cwd,
+                          capture_output=True)
+    h = hashlib.sha256()
+    h.update(f"exit {proc.returncode}\n".encode())
+    h.update(proc.stdout)
+    h.update(b"\0stderr\0")
+    h.update(proc.stderr)
+    if csv is not None:
+        h.update(b"\0csv\0")
+        path = Path(cwd, csv)
+        h.update(path.read_bytes() if path.exists() else b"missing")
+    return h.hexdigest()
+
+
+def main() -> int:
+    jobs = [
+        ("verify", ["verify"], None),
+        ("verify --quick", ["verify", "--quick"], None),
+        ("figure 5..25 x200", ["figure", "--lambda-min", "5", "--lambda-max",
+                               "25", "--points", "200", "--csv",
+                               "figure.csv"], "figure.csv"),
+        ("sweep 1..30 x59", ["sweep", "--lambda-min", "1", "--lambda-max",
+                             "30", "--points", "59", "--out", "sweep.csv"],
+         "sweep.csv"),
+    ]
+    for lam in EVAL_LAMBDAS:
+        for method in EVAL_METHODS:
+            args = ["eval", "--lambda", lam, "--method", method, "--json"]
+            jobs.append((" ".join(args), args, None))
+    # relative paths, so the temporary directory's name reaches no output
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, args, csv in jobs:
+            digest = _run(["-m", "altseries.cli", *args], tmp, csv)
+            print(f"{digest}  {label}", flush=True)
+        digest = _run(["-c", OUTCOMES], tmp)
+        print(f"{digest}  route outcomes with work", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
