@@ -100,32 +100,32 @@ def panel_quadrature(f, edges, order: int):
     Returns (value, refine_diff, abs_integral, panel_sums, work); value is
     complex when f returns complex values.  For a stack the first three are
     arrays of shape (m,), panel_sums is (m, panels), and work counts the
-    nodes of every row.
+    nodes of every row.  Fewer than two edges make no panel: f is not
+    called and the result is (0.0, 0.0, 0.0, empty panel_sums, 0).
     """
+    edges = np.asarray(edges, dtype=float)
+    if len(edges) < 2:
+        return 0.0, 0.0, 0.0, np.array([]), 0
     nodes, ws, wh = _gl_pair(order)
     n = len(ws)
-    sums = []
-    halves = []
-    abs_parts = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (a + b)
-        hw = 0.5 * (b - a)
-        fx = np.asarray(f(mid + hw * nodes))
-        full = fx[..., :n]
-        sums.append(hw * np.sum(ws * full, axis=-1))
-        halves.append(hw * np.sum(wh * fx[..., n:], axis=-1))
-        abs_parts.append(hw * np.sum(ws * np.abs(full), axis=-1))
-    # panels last and C-ordered: np.sum then runs its pairwise sum per row
-    sums = np.ascontiguousarray(np.array(sums).T)
-    halves = np.ascontiguousarray(np.array(halves).T)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    hw = 0.5 * (edges[1:] - edges[:-1])
+    grid = mid[:, None] + hw[:, None] * nodes
+    # panels on axis -2: (panels, nodes), or (m, panels, nodes) for a stack
+    fx = np.stack([np.asarray(f(x)) for x in grid], axis=-2)
+    # each panel is a C-ordered row, so np.sum runs its pairwise sum per row
+    # exactly as it would on that panel alone
+    full = fx[..., :n]
+    sums = hw * np.sum(ws * full, axis=-1)
+    halves = hw * np.sum(wh * fx[..., n:], axis=-1)
+    abs_parts = hw * np.sum(ws * np.abs(full), axis=-1)
     refine = np.sum(np.abs(sums - halves), axis=-1)
     rows = np.atleast_2d(sums)
     value = [math.fsum(r) for r in rows.real.tolist()]
     if np.iscomplexobj(sums):
         value = [complex(re, math.fsum(im))
                  for re, im in zip(value, rows.imag.tolist())]
-    abs_int = [math.fsum(r)
-               for r in np.atleast_2d(np.array(abs_parts).T).tolist()]
+    abs_int = [math.fsum(r) for r in np.atleast_2d(abs_parts).tolist()]
     work = len(nodes) * sums.size
     if sums.ndim == 1:
         return value[0], float(refine), abs_int[0], sums, work

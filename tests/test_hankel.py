@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altseries.bessel import bessel_j0
 from altseries.core import DomainError, ToleranceSpec, WorkLimitError
@@ -77,6 +79,20 @@ def _two_call_reference(f, edges, order):
     return np.array(value), refine, np.array(abs_int), sums, work
 
 
+def _assert_same_quadrature(got, ref):
+    value, refine, abs_int, sums, work = got
+    r_value, r_refine, r_abs_int, r_sums, r_work = ref
+    assert type(value) is type(r_value)
+    assert type(refine) is type(r_refine)
+    assert type(abs_int) is type(r_abs_int)
+    assert np.array_equal(value, r_value)
+    assert np.array_equal(refine, r_refine)
+    assert np.array_equal(abs_int, r_abs_int)
+    assert sums.dtype == r_sums.dtype and sums.shape == r_sums.shape
+    assert np.array_equal(sums, r_sums)
+    assert type(work) is type(r_work) and work == r_work
+
+
 def _s_star_integrand(lam):
     return lambda x: -bessel_j0(lam * x) * np.exp(-x * x)
 
@@ -101,17 +117,62 @@ _FUSED_CASES = {
 @pytest.mark.parametrize("case", sorted(_FUSED_CASES))
 def test_single_call_matches_two_call_reference_bit_for_bit(case, order):
     f, edges = _FUSED_CASES[case]
-    value, refine, abs_int, sums, work = panel_quadrature(f, edges, order)
-    r_value, r_refine, r_abs_int, r_sums, r_work = _two_call_reference(
-        f, edges, order)
-    assert type(value) is type(r_value)
-    assert type(refine) is type(r_refine)
-    assert np.array_equal(value, r_value)
-    assert np.array_equal(refine, r_refine)
-    assert np.array_equal(abs_int, r_abs_int)
-    assert sums.dtype == r_sums.dtype and sums.shape == r_sums.shape
-    assert np.array_equal(sums, r_sums)
-    assert work == r_work
+    _assert_same_quadrature(panel_quadrature(f, edges, order),
+                            _two_call_reference(f, edges, order))
+
+
+# Integrands that are pointwise in x, so the reference's split calls see
+# exactly the values of the single call; ``k`` scales their oscillation.
+_PROPERTY_INTEGRANDS = {
+    "real": lambda k: lambda x: np.cos(k * x) * np.exp(-0.25 * x * x),
+    "complex": lambda k: lambda x: np.exp(1j * k * x) / (1.0 + x * x),
+    "stacked_real": lambda k: lambda x: (
+        np.sin(k * x + np.array([[0.0], [0.4], [2.9]]))
+        * np.exp(-np.array([[0.0], [0.5], [1.0]]) * x * x)),
+    "stacked_complex": lambda k: lambda x: (
+        np.exp(1j * np.array([[1.0], [-k], [k + 2.0]]) * x)
+        / (2.0 + np.cos(x))),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(start=st.floats(-6.0, 6.0),
+       widths=st.lists(st.floats(1e-3, 3.0), max_size=12),
+       order=st.sampled_from([8, 9, 16, 24, 31]),
+       kind=st.sampled_from(sorted(_PROPERTY_INTEGRANDS)),
+       k=st.floats(0.0, 40.0))
+def test_matches_two_call_reference_on_random_edges(start, widths, order,
+                                                     kind, k):
+    edges = [start]
+    for w in widths:
+        edges.append(edges[-1] + w)
+    f = _PROPERTY_INTEGRANDS[kind](k)
+    _assert_same_quadrature(panel_quadrature(f, edges, order),
+                            _two_call_reference(f, edges, order))
+
+
+@pytest.mark.parametrize("kind", sorted(_PROPERTY_INTEGRANDS))
+def test_zero_panels_return_zeros_without_calling_f(kind):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return _PROPERTY_INTEGRANDS[kind](3.0)(x)
+
+    for edges in ([2.5], np.array([2.5])):
+        got = panel_quadrature(f, edges, 24)
+        _assert_same_quadrature(got, (0.0, 0.0, 0.0, np.array([]), 0))
+        _assert_same_quadrature(got, _two_call_reference(f, edges, 24))
+    assert calls == []
+
+
+@pytest.mark.parametrize("order", [8, 9, 16, 24, 31])
+@pytest.mark.parametrize("kind", sorted(_PROPERTY_INTEGRANDS))
+def test_one_panel_matches_two_call_reference(kind, order):
+    f = _PROPERTY_INTEGRANDS[kind](3.0)
+    edges = [-0.75, 1.25]
+    _assert_same_quadrature(panel_quadrature(f, edges, order),
+                            _two_call_reference(f, edges, order))
 
 
 @pytest.mark.parametrize("order", [8, 13, 16, 24])

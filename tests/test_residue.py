@@ -3,15 +3,17 @@
 import cmath
 import dataclasses
 import math
+import random
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from altseries.asymptotic import FRONT_CONSTANT, SQRT_HALF_PI, saddle_rhs_closed
 from altseries import hankel, harness, residue
 from altseries.core import DomainError, EvalOutcome, ToleranceSpec, WorkLimitError
-from altseries.hankel import hankel_s_star
+from altseries.hankel import hankel_s_star, panel_quadrature
 from altseries.poles import (StripParams, default_strip, pole_location,
                              strip_width_b, u_star, x_star)
 from altseries.residue import (
@@ -320,3 +322,37 @@ def test_hankel_crosscheck_through_the_window():
         gap = abs(h.value - r.unscaled_value)
         allowed = h.error_estimate + r.neglected_bound * math.exp(-lam * SQRT_HALF_PI)
         assert gap <= allowed, lam
+
+
+# lambda = 8 + k/4 across the band the residue route serves first, then a
+# seeded log-uniform draw up to the saddle's panel budget
+_RNG = random.Random(8)
+_CONJUGATE_LAMBDAS = {
+    "quarter_steps": [8.0 + k / 4.0 for k in range(129)],
+    "log_uniform": sorted(
+        math.exp(_RNG.uniform(math.log(8.0), math.log(2.5e5)))
+        for _ in range(60)),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_CONJUGATE_LAMBDAS))
+def test_branches_are_exact_conjugates(monkeypatch, grid):
+    """The -1 branch integral is the conjugate of the +1 one bit for bit,
+    with the same refinement, |f| integral and work."""
+    seen = []
+
+    def recording(f, edges, order):
+        out = panel_quadrature(f, edges, order)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(hankel, "panel_quadrature", recording)
+    strip = default_strip()
+    for lam in _CONJUGATE_LAMBDAS[grid]:
+        seen.clear()
+        a_plus, a_minus, *_ = _scaled_saddle(lam, strip)
+        assert a_minus == a_plus.conjugate(), lam
+        (v1, r1, ai1, sums1, w1), (v2, r2, ai2, sums2, w2) = seen
+        assert v2 == v1.conjugate(), lam
+        assert (r2, ai2, w2) == (r1, ai1, w1), lam
+        assert np.array_equal(sums2, sums1.conjugate()), lam

@@ -10,7 +10,10 @@ output:
 * ``eval --json`` for every method at lambda in {0.5, 3, 10, 12, 30, 100};
 * value, error_estimate and work of ``fourier2d_s_star``, ``hankel_s_star``
   and ``s_star_via_residue`` at lambda in {0, 0.5, 1, 3, 8, 10, 12, 24, 30,
-  100, 1000}, which ``eval --json`` does not show.
+  100, 1000}, which ``eval --json`` does not show;
+* the other callers of ``panel_quadrature``: ``hankel_general`` at real and
+  complex z, integer and fractional nu, t = 0 and t > 0; ``radial_transform``;
+  ``gaussian_term_identity``; ``saddle_lhs_numeric``.
 
 Each digest covers the exit code, stdout and stderr (and the CSV for
 ``figure`` and ``sweep``), so a refusal is held to the same bytes as a
@@ -48,6 +51,44 @@ for fn in (fourier2d_s_star, hankel_s_star, s_star_via_residue):
                   r.work)
         except Exception as exc:
             print(fn.__name__, lam, type(exc).__name__, exc)
+"""
+
+# the remaining panel_quadrature callers, each result printed by repr
+CALLERS = """
+import numpy as np
+from altseries import hankel_general
+from altseries.fourier2d import gaussian_term_identity, radial_transform
+from altseries.residue import saddle_lhs_numeric
+from altseries.series import SeriesParams
+
+
+def show(label, call):
+    try:
+        print(label, repr(call()))
+    except Exception as exc:
+        print(label, type(exc).__name__, exc)
+
+
+for p in ((-1.0, 1.0, 0.5), (0.5, 2.0, 3.0), (-1.0, 1.0, 0.0),
+          (0.5, 3.0, 0.0), (0.3 + 0.4j, 1.0, 1.0), (-0.5j, 2.0, 2.0),
+          (-1.0, 1.5, 1.0), (-1.0, 2.5, 0.0), (0.2 - 0.6j, 1.75, 0.0),
+          (-1.0, 0.5, 1.0)):
+    def general():
+        r = hankel_general(SeriesParams(*p))
+        return r.value, r.error_estimate, r.work
+    show(f"hankel_general {p}", general)
+profiles = {"gaussian": lambda r: np.exp(-r * r),
+            "fermi": lambda r: np.exp(-r * r) / (1.0 + np.exp(-r * r))}
+for name, prof in profiles.items():
+    for rho in (0.0, 0.5, 3.0, 10.0):
+        show(f"radial_transform {name} {rho}",
+             lambda: radial_transform(prof, rho))
+for m in (1, 2, 5):
+    for lam in (0.0, 1.0, 4.0, 10.0):
+        show(f"gaussian_term_identity {m} {lam}",
+             lambda: gaussian_term_identity(m, lam))
+for lam in (8.0, 10.0, 30.0, 300.0, 500.0):
+    show(f"saddle_lhs_numeric {lam}", lambda: saddle_lhs_numeric(lam))
 """
 
 
@@ -91,6 +132,8 @@ def main() -> int:
             print(f"{digest}  {label}", flush=True)
         digest = _run(["-c", OUTCOMES], tmp)
         print(f"{digest}  route outcomes with work", flush=True)
+        digest = _run(["-c", CALLERS], tmp)
+        print(f"{digest}  other panel_quadrature callers", flush=True)
     return 0
 
 
