@@ -24,7 +24,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .core import DomainError
+from .core import DomainError, RangeError
 
 __all__ = [
     "AsymptoticTerm",
@@ -50,14 +50,10 @@ class AsymptoticTerm:
     consumers can rely on the identity bit-for-bit.
     """
 
+    lam: float
     amplitude: float
     phase: float
     value: float
-
-    @property
-    def lam(self) -> float:
-        """The lambda this term was built at, recovered from the phase."""
-        return (self.phase - math.pi / 8.0) / SQRT_HALF_PI
 
     @property
     def scaled_amplitude(self) -> float:
@@ -77,7 +73,7 @@ def asym_s_star(lam: float) -> AsymptoticTerm:
     decay = lam * SQRT_HALF_PI
     amplitude = FRONT_CONSTANT * math.exp(-decay) / math.sqrt(lam)
     phase = decay + math.pi / 8.0
-    return AsymptoticTerm(amplitude=amplitude, phase=phase,
+    return AsymptoticTerm(lam=lam, amplitude=amplitude, phase=phase,
                           value=amplitude * math.cos(phase))
 
 
@@ -115,11 +111,18 @@ def error_envelope(lam: float) -> float:
     """Shape e^(-lambda sqrt(pi/2)) lambda^(-3/2) of the asymptotic error.
 
     Unit constant by convention; callers multiply by the empirically
-    calibrated prefactor recorded in verification reports.
+    calibrated prefactor recorded in verification reports.  Below
+    lambda ~ 1e-206 the shape overflows a double and is refused.
     """
     if not 0.0 < lam < math.inf:
         raise DomainError(f"need finite lambda > 0, got {lam}")
-    return math.exp(-lam * SQRT_HALF_PI) * lam ** -1.5
+    try:
+        shape = lam ** -1.5
+    except OverflowError:
+        raise RangeError(
+            f"the asymptotic error envelope overflows at lambda = {lam:g}"
+        ) from None
+    return math.exp(-lam * SQRT_HALF_PI) * shape
 
 
 def rough_bound_trace(a: float, lambda_grid) -> list[float]:

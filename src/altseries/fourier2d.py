@@ -5,15 +5,17 @@ S*(lambda) = -(1/pi) * double integral of e^(i lambda x) / (1 + e^(x^2+y^2)).
 
 The x-integral is a cosine transform T(y, lambda) handled with the same
 zero-partition panels as the Hankel route; the outer y-integral sees a
-smooth e^(-y^2)-type profile.  Each call of the outer rule asks for T at
-all the y nodes of one panel, and those transforms run as one stacked
-panel quadrature, one integrand row per y.  T depends on y only through
-y^2, and the outer rule's nodes come in exact +-y pairs (symmetric edges,
-antisymmetric Gauss-Legendre nodes), so each evaluation keeps the rows it
-has computed, keyed by y^2, and serves the mirrored panels from them:
-every distinct transform runs once.  Two nested quadratures stack their
-error floors, so this route is a cross-check for lambda <= 12, not a
-production path.
+smooth e^(-y^2)-type profile.  The x nodes, x^2 and cos(lambda x) do not
+depend on y, so each evaluation tabulates them once, shaped (panels, 37).
+Each call of the outer rule asks for T at all the y nodes of one panel,
+and those transforms run as one array expression on (rows, panels, 37),
+reduced by the panel kernel ``panel_quadrature`` uses.  T depends on y
+only through y^2, and the outer rule's nodes come in exact +-y pairs
+(symmetric edges, antisymmetric Gauss-Legendre nodes), so each evaluation
+keeps the rows it has computed, keyed by y^2, and serves the mirrored
+panels from them: every distinct transform runs once, in 12 blocks of at
+most 25 rows.  Two nested quadratures stack their error floors, so this
+route is a cross-check for lambda <= 12, not a production path.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 
 from .bessel import j0_zeros
 from .core import DomainError, EvalOutcome, RangeError, ToleranceSpec, WorkLimitError
-from .hankel import oscillatory_edges, panel_quadrature
+from .hankel import (_panel_grid, _reduce_panels, oscillatory_edges,
+                     panel_quadrature)
 
 __all__ = [
     "LAMBDA_WALL",
@@ -62,18 +65,27 @@ def _cos_edges(lam: float, upper: float, base_step: float = 0.75):
     return oscillatory_edges(zeros, upper, base_step)
 
 
-def _inner_t_impl(y2: np.ndarray, lam: float, edges):
+def _x_table(lam: float):
+    """(x^2, cos(lam x), hw) on the nodes of every x panel of
+    ``_cos_edges(|lam|, _X_TRUNCATION)``, each node array shaped
+    (panels, 37): what every inner transform at this lambda shares."""
+    edges = np.asarray(_cos_edges(abs(lam), _X_TRUNCATION))
+    grid, hw = _panel_grid(edges, 24)
+    return grid * grid, np.cos(lam * grid), hw
+
+
+def _inner_t_impl(y2: np.ndarray, table):
     """(values, errors, work) for T(y, lambda) = 2 int_0^X cos(lam x) w dx
-    at every y^2 of ``y2``, as one stacked panel quadrature over the x
-    panel ``edges`` of ``_cos_edges(|lam|, _X_TRUNCATION)``."""
-    upper = _X_TRUNCATION
-    y2_col = y2[:, None]
+    at every y^2 of ``y2``, from the x table ``_x_table(lam)``.
 
-    def f(x):
-        return np.cos(lam * x) * _fermi(x * x + y2_col)
-
-    half, refine, abs_int, _, work = panel_quadrature(f, edges, 24)
+    The integrand of every row is one (rows, panels, 37) array, reduced
+    panel by panel exactly as ``panel_quadrature`` reduces a stack.
+    """
+    x2, cos_x, hw = table
+    fx = cos_x * _fermi(x2 + y2[:, None, None])
+    half, refine, abs_int, _, work = _reduce_panels(fx, hw, 24)
     values = 2.0 * half
+    upper = _X_TRUNCATION
     # math.exp per y, not np.exp: the two may differ in the last bit
     trunc = math.sqrt(math.pi) * np.array(
         [math.exp(-upper * upper - v) for v in y2.tolist()])
@@ -97,7 +109,7 @@ def fourier2d_s_star(lam: float,
     tol = tol or ToleranceSpec(abs_tol=1e-8, rel_tol=1e-8)
 
     y_up = _Y_TRUNCATION
-    x_edges = _cos_edges(lam, _X_TRUNCATION)
+    table = _x_table(lam)
     # y^2 -> (T, error) of every transform this evaluation has run; local
     # to the call, so nothing carries over to the next one
     rows = {}
@@ -108,7 +120,7 @@ def fourier2d_s_star(lam: float,
         y2 = (ys * ys).tolist()
         missing = [v for v in y2 if v not in rows]
         if missing:
-            values, errs, w = _inner_t_impl(np.array(missing), lam, x_edges)
+            values, errs, w = _inner_t_impl(np.array(missing), table)
             work += w
             rows.update(zip(missing, zip(values.tolist(), errs.tolist())))
         return np.array([rows[v][0] for v in y2])

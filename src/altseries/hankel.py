@@ -106,13 +106,27 @@ def panel_quadrature(f, edges, order: int):
     edges = np.asarray(edges, dtype=float)
     if len(edges) < 2:
         return 0.0, 0.0, 0.0, np.array([]), 0
-    nodes, ws, wh = _gl_pair(order)
-    n = len(ws)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    hw = 0.5 * (edges[1:] - edges[:-1])
-    grid = mid[:, None] + hw[:, None] * nodes
+    grid, hw = _panel_grid(edges, order)
     # panels on axis -2: (panels, nodes), or (m, panels, nodes) for a stack
     fx = np.stack([np.asarray(f(x)) for x in grid], axis=-2)
+    return _reduce_panels(fx, hw, order)
+
+
+def _panel_grid(edges: np.ndarray, order: int):
+    """(grid, hw): the nodes of every panel of ``edges`` (two or more) as
+    one (panels, order + order // 2 + 1) array, full-order nodes first,
+    and each panel's half-width."""
+    nodes = _gl_pair(order)[0]
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    hw = 0.5 * (edges[1:] - edges[:-1])
+    return mid[:, None] + hw[:, None] * nodes, hw
+
+
+def _reduce_panels(fx: np.ndarray, hw: np.ndarray, order: int):
+    """The five results of :func:`panel_quadrature` from the integrand
+    values ``fx`` on :func:`_panel_grid`'s nodes, panels on axis -2."""
+    _, ws, wh = _gl_pair(order)
+    n = len(ws)
     # each panel is a C-ordered row, so np.sum runs its pairwise sum per row
     # exactly as it would on that panel alone
     full = fx[..., :n]
@@ -126,7 +140,7 @@ def panel_quadrature(f, edges, order: int):
         value = [complex(re, math.fsum(im))
                  for re, im in zip(value, rows.imag.tolist())]
     abs_int = [math.fsum(r) for r in np.atleast_2d(abs_parts).tolist()]
-    work = len(nodes) * sums.size
+    work = fx.shape[-1] * sums.size
     if sums.ndim == 1:
         return value[0], float(refine), abs_int[0], sums, work
     return np.array(value), refine, np.array(abs_int), sums, work

@@ -14,7 +14,7 @@ from altseries.asymptotic import (
     rough_bound_trace,
     saddle_rhs_closed,
 )
-from altseries.core import DomainError
+from altseries.core import DomainError, RangeError
 
 import oracle_values as ov
 
@@ -61,6 +61,40 @@ def test_scaled_value_survives_underflow():
     assert term.amplitude == 0.0
     assert term.scaled_value != 0.0
     assert abs(term.scaled_value) <= FRONT_CONSTANT / math.sqrt(900.0)
+
+
+@pytest.mark.parametrize("lam", [1e-10, 1e-20])
+def test_scaled_value_exact_at_tiny_lambda(lam):
+    # lambda is stored, not recovered from the phase, so nothing cancels;
+    # the reference keeps the phase's lambda sqrt(pi/2), which moves the
+    # cosine by 5e-11 relative at lambda = 1e-10 and not at all at 1e-20
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        exact = (mp.mpf(FRONT_CONSTANT) / mp.sqrt(lam)
+                 * mp.cos(lam * mp.sqrt(mp.pi / 2) + mp.pi / 8))
+    term = asym_s_star(lam)
+    assert term.lam == lam
+    assert abs(-term.scaled_value - exact) <= 1e-15 * exact
+    if lam == 1e-20:
+        closed = FRONT_CONSTANT / math.sqrt(lam) * math.cos(math.pi / 8.0)
+        assert abs(-term.scaled_value - closed) <= 1e-15 * closed
+
+
+@pytest.mark.parametrize("lam", [1e-300, 5e-324])
+def test_scaled_value_finite_at_smallest_lambda(lam):
+    term = asym_s_star(lam)
+    assert term.lam == lam
+    assert math.isfinite(term.scaled_value) and term.scaled_value < 0.0
+
+
+@pytest.mark.parametrize("lam", [1e-207, 1e-300, 5e-324])
+def test_error_envelope_refuses_overflow(lam):
+    with pytest.raises(RangeError):
+        error_envelope(lam)
+
+
+def test_error_envelope_finite_down_to_its_edge():
+    assert math.isfinite(error_envelope(1e-205))
 
 
 def test_saddle_closed_form_magnitude_and_phase():

@@ -139,6 +139,18 @@ class TestEval:
         assert "error:" in err
 
 
+    @pytest.mark.parametrize("lam", ["1e-300", "5e-324"])
+    @pytest.mark.parametrize("method", ["series", "hankel", "fourier2d",
+                                        "residue", "asym", "auto"])
+    def test_tiny_lambda_answered_or_refused(self, capsys, method, lam):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--lambda", lam,
+                             "--method", method)
+        assert time.perf_counter() - start < 5.0
+        assert code in (0, 2)
+        assert (out != "") == (code == 0)
+
+
 class TestSweepAndFigure:
     def test_sweep_writes_csv(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"

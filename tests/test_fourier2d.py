@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altseries.core import DomainError, RangeError, ToleranceSpec, WorkLimitError
 from altseries.fourier2d import (
@@ -11,7 +13,8 @@ from altseries.fourier2d import (
     gaussian_term_identity,
     radial_transform,
 )
-from altseries.fourier2d import _EPS, _cos_edges, _fermi, _inner_t_impl
+from altseries.fourier2d import (_EPS, _cos_edges, _fermi, _inner_t_impl,
+                                 _x_table)
 from altseries import fourier2d
 from altseries.harness import cross_validate
 from altseries.hankel import _gl_rule, hankel_s_star, panel_quadrature
@@ -30,9 +33,7 @@ def inner_t(y: float, lam: float, tol: ToleranceSpec | None = None) -> float:
     """
     tol = tol or ToleranceSpec(abs_tol=_INNER_TOL, rel_tol=0.0)
     y, lam = float(y), float(lam)
-    values, errs, _ = _inner_t_impl(
-        np.array([y * y]), lam,
-        _cos_edges(abs(lam), fourier2d._X_TRUNCATION))
+    values, errs, _ = _inner_t_impl(np.array([y * y]), _x_table(lam))
     value, err = float(values[0]), float(errs[0])
     if not tol.met_by(err, abs(value)):
         raise WorkLimitError(
@@ -174,19 +175,79 @@ def _nesting_spy(monkeypatch):
     return calls
 
 
+def _inner_spy(monkeypatch):
+    """Wrap fourier2d._inner_t_impl; returns the list of the y^2 rows of
+    every call."""
+    calls = []
+    original = fourier2d._inner_t_impl
+
+    def spy(y2, table):
+        calls.append(y2.tolist())
+        return original(y2, table)
+
+    monkeypatch.setattr(fourier2d, "_inner_t_impl", spy)
+    return calls
+
+
 @pytest.mark.parametrize("lam", [0.0, 8.0, 12.0])
 @pytest.mark.parametrize("cfg", [None, {"_Y_TRUNCATION": 7.0}])
 def test_one_evaluation_runs_each_inner_transform_once(monkeypatch, lam, cfg):
     _set_truncations(monkeypatch, cfg)
-    calls = _nesting_spy(monkeypatch)
+    outer = _nesting_spy(monkeypatch)
+    calls = _inner_spy(monkeypatch)
     fourier2d_s_star(lam)
-    # one profile call per outer panel, each on 25 y rows (16 full-order
-    # + 9 half-order nodes); the 12 on the mirrored half are served from
-    # the rows of the first 12
-    assert [d for d, _ in calls] == [0] + [1] * 12
+    # the outer rule is the only panel_quadrature; it asks for 25 y rows
+    # (16 full-order + 9 half-order nodes) per panel, and the 12 panels on
+    # the mirrored half are served from the rows of the first 12
+    assert [d for d, _ in outer] == [0]
+    assert len(calls) == 12
+    first = [set((ys * ys).tolist()) for ys in outer[0][1][:12]]
+    assert [set(rows) for rows in calls] == first
+    assert [len(rows) for rows in calls] == [25] * 12
+    # every distinct transform runs once
+    outer_y2 = {v for ys in outer[0][1] for v in (ys * ys).tolist()}
+    assert sum(len(rows) for rows in calls) == len(outer_y2)
     # nothing carries over: the next call runs every transform again
     fourier2d_s_star(lam)
-    assert [d for d, _ in calls].count(1) == 24
+    assert len(calls) == 24
+    assert calls[12:] == calls[:12]
+
+
+@pytest.mark.parametrize("lam", [0.0, 3.0, 12.0])
+@pytest.mark.parametrize("cfg", [None, {"_Y_TRUNCATION": 7.0,
+                                        "_X_TRUNCATION": 6.5}])
+def test_no_integrand_array_is_wider_than_one_outer_panel(monkeypatch, lam,
+                                                          cfg):
+    _set_truncations(monkeypatch, cfg)
+    x_panels = len(_cos_edges(lam, fourier2d._X_TRUNCATION)) - 1
+    shapes = []
+    original = fourier2d._reduce_panels
+
+    def spy(fx, hw, order):
+        shapes.append(fx.shape)
+        return original(fx, hw, order)
+
+    monkeypatch.setattr(fourier2d, "_reduce_panels", spy)
+    fourier2d_s_star(lam)
+    # one (rows, x panels, 24 + 13 nodes) block per inner call, never more
+    # rows than the 25 y nodes of one outer panel
+    assert len(shapes) == 12
+    for rows, panels, nodes in shapes:
+        assert 1 <= rows <= 25
+        assert (panels, nodes) == (x_panels, 37)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(lam=st.floats(0.0, 12.0))
+@pytest.mark.parametrize("cfg", [None, {"_Y_TRUNCATION": 7.0,
+                                        "_X_TRUNCATION": 6.5}])
+def test_tabulated_route_matches_per_y_loop_property(cfg, lam):
+    with pytest.MonkeyPatch.context() as mp:
+        _set_truncations(mp, cfg)
+        out = fourier2d_s_star(lam)
+        ref_value, ref_err, ref_work = _fourier2d_per_y(lam)
+    assert (out.value, out.error_estimate) == (ref_value, ref_err)
+    assert 2 * out.work == ref_work
 
 
 @pytest.mark.parametrize("cfg", [None, {"_Y_TRUNCATION": 7.5}])

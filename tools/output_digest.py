@@ -13,7 +13,10 @@ output:
   100, 1000}, which ``eval --json`` does not show;
 * the other callers of ``panel_quadrature``: ``hankel_general`` at real and
   complex z, integer and fractional nu, t = 0 and t > 0; ``radial_transform``;
-  ``gaussian_term_identity``; ``saddle_lhs_numeric``.
+  ``gaussian_term_identity``; ``saddle_lhs_numeric``;
+* on the crossval benchmark's lattice lambda = k/4, k = 4..48: value,
+  error_estimate and work of ``fourier2d_s_star``, and every check of
+  ``cross_validate`` at t = lambda^2/4.
 
 Each digest covers the exit code, stdout and stderr (and the CSV for
 ``figure`` and ``sweep``), so a refusal is held to the same bytes as a
@@ -92,6 +95,19 @@ for lam in (8.0, 10.0, 30.0, 300.0, 500.0):
 """
 
 
+# the crossval workload's inputs, formed as perfbench/workloads.py forms them
+CROSSVAL = """
+from altseries import fourier2d_s_star
+from altseries.harness import cross_validate
+for k in range(4, 49):
+    lam = k / 4.0
+    r = fourier2d_s_star(lam)
+    print(lam, repr(r.value), repr(r.error_estimate), r.work)
+    for c in cross_validate([lam * lam / 4.0]).checks:
+        print(" ", c.name, c.passed, repr(c.measured), repr(c.threshold))
+"""
+
+
 def _run(argv, cwd: str, csv: str | None = None) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -134,6 +150,9 @@ def main() -> int:
         print(f"{digest}  route outcomes with work", flush=True)
         digest = _run(["-c", CALLERS], tmp)
         print(f"{digest}  other panel_quadrature callers", flush=True)
+        digest = _run(["-c", CROSSVAL], tmp)
+        print(f"{digest}  crossval lattice: fourier2d and cross_validate",
+              flush=True)
     return 0
 
 
