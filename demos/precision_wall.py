@@ -15,8 +15,7 @@ import math
 
 from altseries.core import RangeError
 from altseries.hankel import hankel_s_star
-from altseries.harness import RESIDUE_MIN_LAMBDA
-from altseries.residue import s_star_via_residue
+from altseries.residue import RESIDUE_MIN_LAMBDA, s_star_via_residue
 from altseries.series import sum_alternating_s
 
 

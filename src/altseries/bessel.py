@@ -1,4 +1,4 @@
-"""Bessel J evaluation and J0 zeros, self-contained and accuracy-audited.
+"""Bessel J0 evaluation and J0 zeros, self-contained and accuracy-audited.
 
 The Hankel-quadrature route integrates J0 against a smooth weight over many
 oscillations, so J0 must be trustworthy to ~1e-12 absolute over a wide range;
@@ -12,9 +12,6 @@ its regimes run in plain doubles with a fixed amount of work per call:
 * above the cutoff, the large-argument Hankel expansion (DLMF 10.17.3) as
   two polynomials P and Q in 1/u^2, summed in one stacked Horner pass,
   with the number of terms fixed per call from the smallest argument in it.
-
-``bessel_j_series`` is the ascending series for general order that the
-general-parameter Hankel route integrates.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from .core import DomainError, RangeError
 
 __all__ = [
     "BesselEvalConfig",
-    "bessel_j_series",
     "bessel_j0",
     "j0_zeros",
 ]
@@ -183,37 +179,6 @@ def bessel_j0(u, cfg: BesselEvalConfig | None = None):
         out[~low] = _j0_hankel(high, float(high.min()))
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
-
-def bessel_j_series(nu: float, u):
-    """J_nu(u) for nu >= 0 and u >= 0 (vectorized) by the ascending power
-    series (DLMF 10.2.2).
-
-    Terms are added in doubles until each is below 1e-17 of its running
-    total.  Roundoff grows with the largest term, like eps e^u /
-    sqrt(2 pi u), so the caller carries that error model (``hankel_general``
-    does); for nu = 0 at large u use :func:`bessel_j0`.
-    """
-    if not nu >= 0:
-        raise DomainError(f"bessel_j_series requires nu >= 0, got {nu}")
-    u = np.asarray(u, dtype=float)
-    if not np.all(u >= 0):
-        raise DomainError("bessel_j_series requires u >= 0")
-    out = np.zeros_like(u) if nu > 0 else np.ones_like(u)
-    pos = u > 0
-    if not np.any(pos):
-        return out
-    up = u[pos]
-    lead = np.exp(nu * np.log(0.5 * up) - math.lgamma(nu + 1.0))
-    q = 0.25 * up * up
-    term = lead.copy()
-    total = lead.copy()
-    for k in range(1, 200):
-        term *= -q / (k * (nu + k))
-        total += term
-        if np.all(np.abs(term) <= 1e-17 * np.maximum(np.abs(total), 1e-8)):
-            break
-    out[pos] = total
-    return out
 
 
 # McMahon's expansion for the k-th positive zero of J0 (A&S 9.5.12).

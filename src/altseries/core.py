@@ -48,9 +48,10 @@ METHOD_NAMES = ("series", "hankel", "fourier2d", "residue", "asymptotic")
 class ToleranceSpec:
     """Accuracy request: absolute and relative targets plus a work budget.
 
-    At least one of ``abs_tol`` / ``rel_tol`` must be positive.  ``max_work``
-    caps the number of elementary operations (terms, quadrature nodes) a
-    routine may spend before raising :class:`WorkLimitError`.
+    Both tolerances must be non-negative numbers (not NaN), and at least one
+    of them positive.  ``max_work``, positive and finite, caps the number of
+    elementary operations (terms, quadrature nodes) a routine may spend
+    before raising :class:`WorkLimitError`.
     """
 
     abs_tol: float = 1e-12
@@ -58,12 +59,16 @@ class ToleranceSpec:
     max_work: int = 10_000_000
 
     def __post_init__(self):
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise DomainError("tolerances must be non-negative")
+        # each test is written so that NaN fails it
+        if not (self.abs_tol >= 0 and self.rel_tol >= 0):
+            raise DomainError(
+                "tolerances must be non-negative numbers, got "
+                f"abs_tol = {self.abs_tol}, rel_tol = {self.rel_tol}")
         if self.abs_tol == 0 and self.rel_tol == 0:
             raise DomainError("at least one of abs_tol/rel_tol must be positive")
-        if self.max_work <= 0:
-            raise DomainError("max_work must be positive")
+        if not 0 < self.max_work < math.inf:
+            raise DomainError(
+                f"max_work must be positive and finite, got {self.max_work}")
 
     def met_by(self, err: float, scale: float) -> bool:
         """True when an error estimate satisfies this spec at magnitude ``scale``."""

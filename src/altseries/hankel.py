@@ -1,16 +1,11 @@
-"""One-dimensional integral routes for S*(lambda) and S(z, nu, t).
+"""One-dimensional integral route for S*(lambda).
 
-S*(lambda) = -integral_0^inf J0(lambda x) 2x/(e^(x^2)+1) dx, and the general
-
-    S(z, nu, t) = integral_0^inf  z e^(-x)/(1 - z e^(-x))
-                  * (x/t)^((nu-1)/2) J_(nu-1)(2 sqrt(t x)) dx   (nu >= 1),
-
-are both oscillatory-Bessel integrals.  The classic strategy applies: cut the
-axis into panels whose boundaries are (approximately) the scaled zeros of the
-Bessel factor plus a coarse background grid, run a fixed-order Gauss-Legendre
-rule on every panel, and sum panel contributions in ascending order.  A
-half-order re-evaluation of each panel supplies the refinement part of the
-error estimate.
+S*(lambda) = -integral_0^inf J0(lambda x) 2x/(e^(x^2)+1) dx is an
+oscillatory-Bessel integral.  The classic strategy applies: cut the axis
+into panels whose boundaries are the scaled zeros of J0 plus a coarse
+background grid, run a fixed-order Gauss-Legendre rule on every panel, and
+sum panel contributions in ascending order.  A half-order re-evaluation of
+each panel supplies the refinement part of the error estimate.
 
 The error estimate is err = truncation + refinement + floor, where the floor
 (J0 model error + roundoff) * integral|weight| is what makes the lambda ~ 27
@@ -26,16 +21,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bessel import bessel_j0, bessel_j_series
+from .bessel import bessel_j0
 from .core import DomainError, EvalOutcome, ToleranceSpec, WorkLimitError
-from .series import SeriesParams
 
 __all__ = [
     "QuadConfig",
     "panel_quadrature",
     "oscillatory_edges",
     "hankel_s_star",
-    "hankel_general",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -231,135 +224,3 @@ def hankel_s_star(lam: float, tol: ToleranceSpec | None = None,
             partial=outcome)
     return outcome
 
-
-def _general_kernel(nu: float, t: float):
-    """(x/t)^((nu-1)/2) J_(nu-1)(2 sqrt(t x)), with its t -> 0 limit."""
-    mu = nu - 1.0
-    if t == 0.0:
-        inv_gamma = math.exp(-math.lgamma(nu))
-
-        def kernel(x):
-            if mu == 0.0:
-                return np.ones_like(x) * inv_gamma
-            return x ** mu * inv_gamma
-        return kernel
-
-    def kernel(x):
-        u = 2.0 * np.sqrt(t * x)
-        if mu == 0.0:
-            return bessel_j0(u)
-        return (x / t) ** (0.5 * mu) * bessel_j_series(mu, u)
-    return kernel
-
-
-def hankel_general(p: SeriesParams, tol: ToleranceSpec | None = None,
-                   cfg: QuadConfig | None = None) -> EvalOutcome:
-    """S(z, nu, t) via its Bessel-kernel integral representation, nu >= 1."""
-    if not isinstance(p, SeriesParams):
-        p = SeriesParams(*p)
-    if p.nu < 1.0:
-        raise DomainError(
-            "the integral representation needs nu >= 1 (integrand not "
-            f"integrable at 0 otherwise), got nu = {p.nu}")
-    tol = tol or ToleranceSpec()
-    cfg = cfg or _DEFAULT_CFG
-    z = complex(p.z)
-    mu = p.nu - 1.0
-    t = p.t
-    upper = max(45.0, cfg.truncation_x)
-
-    # Panel boundaries: McMahon-style zeros of J_mu(2 sqrt(t x)) in x.
-    zeros = []
-    if t > 0:
-        k = 1
-        while True:
-            beta = (k + 0.5 * mu - 0.25) * math.pi
-            xk = beta * beta / (4.0 * t)
-            if xk >= upper:
-                break
-            zeros.append(xk)
-            k += 1
-            if k > cfg.max_panels:
-                raise WorkLimitError("too many oscillations for max_panels")
-    # Resolve the boundary layer of width ~|1-z| near x = 0 with a geometric
-    # ladder of edges reaching the O(1) region.
-    gap = abs(1.0 - z)
-    if gap < 0.5:
-        pt = 0.5 * max(gap, 1e-12)
-        while pt < 2.0:
-            zeros.append(pt)
-            pt *= math.sqrt(2.0)
-
-    # For fractional mu the kernel goes like x^mu at 0 (not analytic there),
-    # which defeats a polynomial rule on any panel touching 0.  Start the
-    # integration at delta with delta^(mu+1) ~ 1e-20, reach it by doubling
-    # panels (the kernel is smooth on each [h, 2h]), and account for the
-    # dropped mass explicitly.
-    trunc0 = 0.0
-    lower = 0.0
-    if mu != math.floor(mu):
-        delta = min(0.25, 10.0 ** (-20.0 / (mu + 1.0)))
-        pt = delta
-        while pt < 2.0:
-            zeros.append(pt)
-            pt *= 2.0
-        pref0 = abs(z) / max(gap - 2.0 * delta, 0.5 * gap)
-        # near 0 the kernel is x^mu / Gamma(mu+1) whatever t is
-        trunc0 = (pref0 * delta ** (mu + 1.0)
-                  / ((mu + 1.0) * math.exp(math.lgamma(mu + 1.0))))
-        lower = delta
-    edges = oscillatory_edges(sorted(z0 for z0 in zeros if z0 > lower),
-                              upper, base_step=1.5)
-    if lower > 0.0:
-        edges = [lower] + [e for e in edges if e > lower]
-    if len(edges) - 1 > cfg.max_panels:
-        raise WorkLimitError(
-            f"{len(edges) - 1} panels exceed max_panels = {cfg.max_panels}")
-
-    kernel = _general_kernel(p.nu, t)
-
-    one_minus_z = 1.0 - z  # exact for Re z in [1/2, 2] (Sterbenz)
-
-    def prefactor(x):
-        # 1 - z e^(-x) written as (1-z) + z(1-e^(-x)) to dodge cancellation
-        # when z and e^(-x) are both near 1
-        denom = one_minus_z + z * (-np.expm1(-x))
-        return z * np.exp(-x) / denom
-
-    def f(x):
-        return prefactor(x) * kernel(x)
-
-    value, refine, abs_int, _, work = panel_quadrature(
-        f, edges, cfg.panel_rule_order)
-
-    # Floor: integrate the pointwise Bessel roundoff model against the
-    # prefactor.  The ascending-series roundoff grows like eps e^u, the
-    # prefactor decays like e^(-x); their product is integrable and small.
-    def err_density(x):
-        pref = np.abs(prefactor(x))
-        if t == 0.0:
-            return pref * _EPS
-        u = 2.0 * np.sqrt(t * x)
-        if mu == 0.0:
-            return pref * _J0_MODEL_ERR
-        amp = (x / t) ** (0.5 * mu)
-        ser = 4.0 * _EPS * np.exp(u) / np.sqrt(2 * math.pi * u + 1.0)
-        return pref * amp * ser
-
-    jfloor, _, _, _, w2 = panel_quadrature(err_density, edges, 12)
-    work += w2
-    floor = float(abs(jfloor)) + 4.0 * _EPS * abs_int
-
-    kern_peak = max(1.0, (upper / t) ** (0.5 * mu) if t > 0 else upper ** mu)
-    ex_u = math.exp(-upper)
-    m_up = abs(z) * ex_u / (1.0 - abs(z) * ex_u) * kern_peak
-    trunc = 2.0 * m_up + trunc0
-
-    err = trunc + refine + floor
-    out_value = value.real if z.imag == 0.0 else value
-    outcome = EvalOutcome(out_value, err, work, "hankel")
-    if not tol.met_by(err, abs(value)):
-        raise WorkLimitError(
-            f"error estimate {err:.3e} misses the requested tolerance",
-            partial=outcome)
-    return outcome

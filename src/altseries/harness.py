@@ -36,8 +36,8 @@ from .fourier2d import (LAMBDA_WALL, fourier2d_s_star, gaussian_term_identity,
                         radial_transform)
 from .hankel import hankel_s_star
 from .poles import default_strip, pole_location, q_eval, u_star
-from .residue import (ResidueResult, calibrated_kappa, s_star_via_residue,
-                      saddle_lhs_numeric)
+from .residue import (RESIDUE_MIN_LAMBDA, ResidueResult, calibrated_kappa,
+                      s_star_via_residue, saddle_lhs_numeric)
 from .series import SeriesParams, derivative_residuals, sum_alternating_s
 
 __all__ = [
@@ -70,9 +70,6 @@ HANKEL_COMPARE_WALL = 24.0
 # is seen to swallow the value
 HANKEL_SWEEP_WALL = 28.0
 FOURIER_WALL = LAMBDA_WALL
-# below this the residue route's neglected-term bound grows to the size of
-# the answer
-RESIDUE_MIN_LAMBDA = 8.0
 CANCELLATION_FLAG = 1e12
 
 # route -> (evaluation(lam, tol, quad_cfg, strip), closed lambda window a
@@ -267,8 +264,10 @@ def cross_validate(points, tol: ToleranceSpec | None = None) -> VerifyReport:
 
 
 def _lambda_grid(lambda_min: float, lambda_max: float, n: int):
-    if not (0 < lambda_min < lambda_max):
-        raise DomainError("need 0 < lambda_min < lambda_max")
+    if not 0 < lambda_min < lambda_max < math.inf:
+        raise DomainError(
+            "need 0 < lambda_min < lambda_max < inf, got lambda_min = "
+            f"{lambda_min}, lambda_max = {lambda_max}")
     if n < 2:
         raise DomainError("need n >= 2")
     step = (lambda_max - lambda_min) / (n - 1)

@@ -26,16 +26,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, EvalOutcome, ToleranceSpec, WorkLimitError
+from .core import (DomainError, EvalOutcome, RangeError, ToleranceSpec,
+                   WorkLimitError)
 from .poles import StripParams, default_strip
 
 __all__ = [
+    "RESIDUE_MIN_LAMBDA",
     "ResidueResult",
     "saddle_lhs_numeric",
     "s_star_via_residue",
     "calibrated_kappa",
 ]
 
+# below this lambda the neglected-term bound no longer covers the error
+RESIDUE_MIN_LAMBDA = 8.0
 _EPS = float(np.finfo(float).eps)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 _KAPPA_CACHE: dict[tuple, float] = {}
@@ -192,14 +196,19 @@ def s_star_via_residue(lam: float, strip: StripParams | None = None,
                        tol: ToleranceSpec | None = None) -> ResidueResult:
     """S*(lambda) ~ -(1/pi) I2, with the neglected terms bounded not summed.
 
-    Intended for 8 <= lambda <= ~2.5e5; it still runs below that, but the
-    neglected-term bound grows to the size of the answer and says so, and
-    above it the saddle panels exceed their budget (WorkLimitError).  A
-    ``tol`` the error estimate misses raises WorkLimitError carrying the
-    result as ``partial``.
+    Serves RESIDUE_MIN_LAMBDA = 8 <= lambda <= ~2.5e5.  Below 8 the
+    neglected terms outgrow their fitted bound (at lambda = 0.5 the value
+    is off by 1.3 against an estimate of 0.045), so RangeError refuses
+    them; above ~2.5e5 the saddle panels exceed their budget
+    (WorkLimitError).  A ``tol`` the error estimate misses raises
+    WorkLimitError carrying the result as ``partial``.
     """
     if not 0.0 < lam < math.inf:
         raise DomainError(f"need finite lambda > 0, got {lam}")
+    if lam < RESIDUE_MIN_LAMBDA:
+        raise RangeError(
+            f"lambda = {lam} is below the residue route's window "
+            f"lambda >= {RESIDUE_MIN_LAMBDA:g}")
     strip = strip or default_strip()
     a_plus, a_minus, refine, min_mag, work = _scaled_saddle(lam, strip)
     if lam <= 60.0 and 0.0 < min_mag < 2.3e-308:

@@ -1,4 +1,4 @@
-"""Bessel J0 / J_nu building blocks.
+"""Bessel J0 building blocks.
 
 scipy.special is used as a second, fully independent reference next to the
 frozen mpmath constants; J0 is also audited point by point against mpmath
@@ -17,12 +17,7 @@ import pytest
 import scipy.special as sps
 
 from altseries import _dd, _j0_table, bessel
-from altseries.bessel import (
-    BesselEvalConfig,
-    bessel_j0,
-    bessel_j_series,
-    j0_zeros,
-)
+from altseries.bessel import BesselEvalConfig, bessel_j0, j0_zeros
 from altseries.core import DomainError
 
 import oracle_values as ov
@@ -261,37 +256,6 @@ def test_j0_zeros_rejects_bad_count(bad):
     with pytest.raises(DomainError):
         j0_zeros(bad)
 
-
-@pytest.mark.parametrize(
-    "nu,u,expected",
-    [
-        (0.5, 2.0, ov.J_HALF_2),
-        (1.5, 3.0, ov.J_3HALF_3),
-        (1.0, 1.0, 0.44005058574493351596),
-    ],
-)
-def test_j_series_frozen(nu, u, expected):
-    assert abs(bessel_j_series(nu, u) - expected) <= 1e-13
-
-
-def test_j_series_against_scipy_grid():
-    # roundoff grows with the largest series term, so the bar is looser
-    # at larger u
-    for nu in (0.5, 1.0, 1.5, 2.25, 4.0):
-        for u in (0.01, 0.5, 2.0, 7.0, 15.0):
-            cap = 1e-13 if u <= 7.0 else 2e-11
-            assert abs(bessel_j_series(nu, u) - sps.jv(nu, u)) <= cap
-
-
-def test_j_series_zero_argument():
-    assert bessel_j_series(1.5, 0.0) == 0.0
-    assert bessel_j_series(0.0, 0.0) == 1.0
-
-
-@pytest.mark.parametrize("kwargs", [dict(nu=-0.5, u=1.0), dict(nu=1.0, u=-1.0)])
-def test_j_series_domain_guard(kwargs):
-    with pytest.raises(DomainError):
-        bessel_j_series(**kwargs)
 
 
 def test_bessel_config_validation():

@@ -59,6 +59,12 @@ class TestEval:
         assert code == 0
         assert "method          residue" in out
 
+    def test_residue_refused_below_its_window(self, capsys):
+        code, out, err = run(capsys, "eval", "--lambda", "3",
+                             "--method", "residue")
+        assert code == 2 and out == ""
+        assert "below the residue route's window" in err
+
     def test_auto_picks_residue_at_large_lambda(self, capsys):
         _, out, _ = run(capsys, "eval", "--lambda", "26")
         assert "method          residue" in out
@@ -195,6 +201,24 @@ class TestSweepAndFigure:
                            "--lambda-max", "1", "--points", "3",
                            "--out", str(tmp_path / "x.csv"))
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--lambda-min", "1", "--lambda-max", "inf", "--points", "3",
+         "--out", "x.csv"),
+        ("sweep", "--lambda-min", "nan", "--lambda-max", "3", "--points", "3",
+         "--out", "x.csv"),
+        ("figure", "--lambda-min", "5", "--lambda-max", "inf", "--points", "3",
+         "--csv", "x.csv"),
+        ("figure", "--lambda-min", "5", "--lambda-max", "nan", "--points", "3",
+         "--csv", "x.csv"),
+    ])
+    def test_non_finite_bounds_refused(self, capsys, tmp_path, monkeypatch,
+                                       argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "lambda_min = " in err and "lambda_max = " in err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestPoles:

@@ -69,6 +69,11 @@ class TestToleranceSpec:
             dict(abs_tol=0.0, rel_tol=0.0),
             dict(max_work=0),
             dict(max_work=-5),
+            dict(abs_tol=math.nan),
+            dict(rel_tol=math.nan),
+            dict(abs_tol=math.nan, rel_tol=math.nan),
+            dict(max_work=math.nan),
+            dict(max_work=math.inf),
         ],
     )
     def test_rejects_bad_specs(self, kwargs):

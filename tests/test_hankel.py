@@ -1,5 +1,4 @@
-"""Bessel-transform quadrature route, for the alternating case and the
-general parameters."""
+"""Bessel-transform quadrature route for S*(lambda)."""
 
 import math
 
@@ -12,13 +11,11 @@ from altseries.bessel import bessel_j0
 from altseries.core import DomainError, ToleranceSpec, WorkLimitError
 from altseries.hankel import (
     QuadConfig,
-    hankel_general,
     hankel_s_star,
     oscillatory_edges,
     panel_quadrature,
 )
 from altseries.hankel import _accelerated_tail, _s_star_panels
-from altseries.series import SeriesParams, sum_series
 
 import oracle_values as ov
 
@@ -303,52 +300,3 @@ def test_s_star_domain_and_budget():
     with pytest.raises(WorkLimitError):
         hankel_s_star(5000.0)
 
-
-@pytest.mark.parametrize("t", [0.25, 1.0, 4.0, 25.0])
-def test_general_specializes_to_alternating(t):
-    gen = hankel_general(SeriesParams(-1.0, 1.0, t))
-    star = hankel_s_star(2.0 * math.sqrt(t))
-    assert abs(gen.value - star.value) <= gen.error_estimate + star.error_estimate
-
-
-@pytest.mark.parametrize("key,expected", sorted(ov.S_GENERAL.items(),
-                                                key=lambda kv: repr(kv[0])))
-def test_general_frozen_values(key, expected):
-    z, nu, t = key
-    out = hankel_general(SeriesParams(z, nu, t))
-    assert abs(out.value - expected) <= max(1e-13, out.error_estimate)
-
-
-def test_general_agrees_with_direct_sum_off_table():
-    p = SeriesParams(0.35 + 0.2j, 3.7, 1.3)
-    quad = hankel_general(p)
-    direct = sum_series(p)
-    assert abs(quad.value - direct.value) <= quad.error_estimate + direct.error_estimate
-
-
-def test_general_real_input_gives_real_value():
-    out = hankel_general(SeriesParams(0.5, 2.0, 0.5))
-    assert isinstance(out.value, float)
-
-
-def test_general_near_one_boundary_is_stable():
-    # z close to 1 stresses the 1/(1 - z e^(-x)) factor near x = 0, where
-    # naive evaluation loses six digits to cancellation
-    quad = hankel_general(SeriesParams(0.999999, 1.0, 0.5))
-    assert abs(quad.value - ov.S_NEAR_ONE) <= 1e-12
-    assert quad.error_estimate <= 1e-11
-    assert abs(quad.value - ov.S_NEAR_ONE) <= quad.error_estimate
-
-
-def test_general_rejects_nu_below_one():
-    with pytest.raises(DomainError):
-        hankel_general(SeriesParams(0.5, 0.8, 1.0))
-
-
-def test_general_unreachable_tolerance_keeps_partial():
-    tol = ToleranceSpec(abs_tol=1e-18, rel_tol=1e-18)
-    with pytest.raises(WorkLimitError) as exc:
-        hankel_general(SeriesParams(0.5, 1.0, 1.0), tol)
-    partial = exc.value.partial
-    assert partial is not None
-    assert abs(partial.value - ov.S_GENERAL[(0.5, 1.0, 1.0)]) <= 1e-12

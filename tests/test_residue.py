@@ -12,11 +12,13 @@ import pytest
 
 from altseries.asymptotic import FRONT_CONSTANT, SQRT_HALF_PI, saddle_rhs_closed
 from altseries import hankel, harness, residue
-from altseries.core import DomainError, EvalOutcome, ToleranceSpec, WorkLimitError
+from altseries.core import (DomainError, EvalOutcome, RangeError, ToleranceSpec,
+                            WorkLimitError)
 from altseries.hankel import hankel_s_star, panel_quadrature
 from altseries.poles import (StripParams, default_strip, pole_location,
                              strip_width_b, u_star, x_star)
 from altseries.residue import (
+    RESIDUE_MIN_LAMBDA,
     ResidueResult,
     calibrated_kappa,
     s_star_via_residue,
@@ -193,6 +195,19 @@ class TestScaledEvaluation:
             ResidueResult(1.0, 1.0, 1, neglected_bound=-1e-3)
         with pytest.raises(DomainError):
             s_star_via_residue(0.0)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0, 5.0, 6.0, 7.99])
+    def test_refuses_below_its_window(self, lam):
+        # the neglected-term bound stops covering the error below the
+        # window: at lambda = 0.5 the value is off by 1.3 against 0.045
+        with pytest.raises(RangeError):
+            s_star_via_residue(lam)
+
+    def test_window_starts_at_its_minimum(self):
+        # perfbench's worker writes this window's edge as a literal 8.0
+        assert RESIDUE_MIN_LAMBDA == 8.0
+        r = s_star_via_residue(RESIDUE_MIN_LAMBDA)
+        assert abs(r.value - ov.S_STAR[8.0]) <= 1e-7
 
     def test_alternate_strip_agrees(self):
         base = s_star_via_residue(14.0)

@@ -11,9 +11,8 @@ output:
 * value, error_estimate and work of ``fourier2d_s_star``, ``hankel_s_star``
   and ``s_star_via_residue`` at lambda in {0, 0.5, 1, 3, 8, 10, 12, 24, 30,
   100, 1000}, which ``eval --json`` does not show;
-* the other callers of ``panel_quadrature``: ``hankel_general`` at real and
-  complex z, integer and fractional nu, t = 0 and t > 0; ``radial_transform``;
-  ``gaussian_term_identity``; ``saddle_lhs_numeric``;
+* the other callers of ``panel_quadrature``: ``radial_transform``,
+  ``gaussian_term_identity`` and ``saddle_lhs_numeric``;
 * on the crossval benchmark's lattice lambda = k/4, k = 4..48: value,
   error_estimate and work of ``fourier2d_s_star``, and every check of
   ``cross_validate`` at t = lambda^2/4.
@@ -59,10 +58,8 @@ for fn in (fourier2d_s_star, hankel_s_star, s_star_via_residue):
 # the remaining panel_quadrature callers, each result printed by repr
 CALLERS = """
 import numpy as np
-from altseries import hankel_general
 from altseries.fourier2d import gaussian_term_identity, radial_transform
 from altseries.residue import saddle_lhs_numeric
-from altseries.series import SeriesParams
 
 
 def show(label, call):
@@ -72,14 +69,6 @@ def show(label, call):
         print(label, type(exc).__name__, exc)
 
 
-for p in ((-1.0, 1.0, 0.5), (0.5, 2.0, 3.0), (-1.0, 1.0, 0.0),
-          (0.5, 3.0, 0.0), (0.3 + 0.4j, 1.0, 1.0), (-0.5j, 2.0, 2.0),
-          (-1.0, 1.5, 1.0), (-1.0, 2.5, 0.0), (0.2 - 0.6j, 1.75, 0.0),
-          (-1.0, 0.5, 1.0)):
-    def general():
-        r = hankel_general(SeriesParams(*p))
-        return r.value, r.error_estimate, r.work
-    show(f"hankel_general {p}", general)
 profiles = {"gaussian": lambda r: np.exp(-r * r),
             "fermi": lambda r: np.exp(-r * r) / (1.0 + np.exp(-r * r))}
 for name, prof in profiles.items():
