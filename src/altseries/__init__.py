@@ -21,7 +21,7 @@ from .core import (
     t_of_lambda,
 )
 from .series import SeriesParams, sum_alternating_s, sum_series
-from .hankel import QuadConfig, hankel_s_star
+from .hankel import hankel_s_star
 from .fourier2d import fourier2d_s_star
 from .poles import StripParams, default_strip, pole_location
 from .residue import ResidueResult, s_star_via_residue
@@ -41,7 +41,6 @@ __all__ = [
     "SeriesParams",
     "sum_alternating_s",
     "sum_series",
-    "QuadConfig",
     "hankel_s_star",
     "fourier2d_s_star",
     "StripParams",

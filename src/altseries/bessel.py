@@ -193,7 +193,7 @@ _zero_cache: list[float] = []
 _zero_lock = threading.Lock()
 
 
-def j0_zeros(k_max: int, cfg: BesselEvalConfig | None = None) -> list[float]:
+def j0_zeros(k_max: int) -> list[float]:
     """First ``k_max`` positive zeros of J0, each to ~1e-12 absolute.
 
     McMahon seeds bracket each zero (they are good to ~1e-3 already and the
@@ -208,11 +208,11 @@ def j0_zeros(k_max: int, cfg: BesselEvalConfig | None = None) -> list[float]:
     if len(_zero_cache) < k_max:
         with _zero_lock:
             if len(_zero_cache) < k_max:  # not filled while this thread waited
-                _fill_zeros(k_max, cfg or _DEFAULT_CFG)
+                _fill_zeros(k_max)
     return _zero_cache[:k_max]
 
 
-def _fill_zeros(k_max: int, cfg: BesselEvalConfig) -> None:
+def _fill_zeros(k_max: int) -> None:
     """Extend ``_zero_cache`` to the first ``k_max`` zeros.
 
     The caller holds ``_zero_lock``.
@@ -221,13 +221,13 @@ def _fill_zeros(k_max: int, cfg: BesselEvalConfig) -> None:
     guess = _mcmahon_j0_zero(ks)
     lo = guess - 0.6
     hi = guess + 0.6
-    flo = bessel_j0(lo, cfg)
-    if np.any(flo * bessel_j0(hi, cfg) >= 0):
+    flo = bessel_j0(lo)
+    if np.any(flo * bessel_j0(hi) >= 0):
         raise RangeError("failed to bracket a J0 zero from the McMahon seed")
 
     for _ in range(52):
         mid = 0.5 * (lo + hi)
-        fmid = bessel_j0(mid, cfg)
+        fmid = bessel_j0(mid)
         left = flo * fmid <= 0
         hi = np.where(left, mid, hi)
         lo = np.where(left, lo, mid)

@@ -15,35 +15,16 @@ import sys
 from . import harness
 from .core import (DomainError, RangeError, ToleranceSpec, WorkLimitError,
                    lambda_of_t)
-from .hankel import QuadConfig
-from .poles import StripParams, default_strip, pole_location, q_eval, strip_width_b
+from .poles import default_strip, pole_location, q_eval
 
-_CONFIG_KEYS = {
-    "a1": float, "a": float, "a2": float,
-    "truncation_x": float, "panel_rule_order": int, "max_panels": int,
-    "acceleration_depth": int,
-    "abs_tol": float, "rel_tol": float, "max_work": int,
-}
-_STRIP_KEYS = ("a1", "a", "a2")
-_QUAD_KEYS = ("truncation_x", "panel_rule_order", "max_panels",
-              "acceleration_depth")
-_TOL_KEYS = ("abs_tol", "rel_tol", "max_work")
-# the --config keys each subcommand honours; sweep and verify take none
-_HONOURED_KEYS = {
-    "eval": _TOL_KEYS,
-    "figure": _STRIP_KEYS + _QUAD_KEYS,
-    "poles": _STRIP_KEYS,
-}
-# eval honours, besides the tolerance keys, those of the route that runs
-_ROUTE_KEYS = {"hankel": _QUAD_KEYS, "residue": _STRIP_KEYS}
+_CONFIG_KEYS = {"abs_tol": float, "rel_tol": float, "max_work": int}
 
 
-def _load_config(path: str | None, who: str, honoured):
-    """key=value file -> (QuadConfig | None, StripParams | None,
-    ToleranceSpec | None).  Unknown keys, and keys not in ``honoured``, are
-    an error, not a warning; ``who`` names the refusing command."""
+def _load_config(path: str | None) -> ToleranceSpec | None:
+    """key=value file of tolerance keys -> ToleranceSpec | None.  An
+    unknown key is an error, not a warning."""
     if path is None:
-        return None, None, None
+        return None
     raw = {}
     with open(path) as fh:
         for ln, line in enumerate(fh, 1):
@@ -57,34 +38,7 @@ def _load_config(path: str | None, who: str, honoured):
             if key not in _CONFIG_KEYS:
                 raise DomainError(f"{path}:{ln}: unknown key {key!r}")
             raw[key] = _CONFIG_KEYS[key](val.strip())
-    ignored = [k for k in raw if k not in honoured]
-    if ignored:
-        raise DomainError(
-            f"{who} does not honour the --config keys "
-            f"{', '.join(ignored)}")
-
-    quad_cfg = None
-    quad_keys = {k: raw[k] for k in _QUAD_KEYS if k in raw}
-    if quad_keys:
-        quad_cfg = QuadConfig(**quad_keys)
-
-    strip = None
-    if any(k in raw for k in _STRIP_KEYS):
-        base = default_strip()
-        a1 = raw.get("a1", base.a1)
-        a = raw.get("a", base.a)
-        a2 = raw.get("a2", base.a2)
-        strip = StripParams(a1, a, a2, strip_width_b(a))
-
-    tol = None
-    tol_keys = {k: raw[k] for k in _TOL_KEYS if k in raw}
-    if tol_keys:
-        base_tol = ToleranceSpec()
-        tol = ToleranceSpec(
-            abs_tol=tol_keys.get("abs_tol", base_tol.abs_tol),
-            rel_tol=tol_keys.get("rel_tol", base_tol.rel_tol),
-            max_work=tol_keys.get("max_work", base_tol.max_work))
-    return quad_cfg, strip, tol
+    return ToleranceSpec(**raw) if raw else None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,7 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Multi-method evaluation of the alternating series "
                     "S(t) and its scaled form S*(lambda).")
     p.add_argument("--config", metavar="PATH",
-                   help="key=value file: strip a1/a/a2, quadrature orders, budgets")
+                   help="key=value file of tolerances for eval: abs_tol, "
+                        "rel_tol, max_work")
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate S at one point")
@@ -133,12 +88,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_eval(args, quad_cfg, strip, file_tol) -> int:
+def _cmd_eval(args) -> int:
     lam = args.lam
-    tol = file_tol
+    tol = _load_config(args.config)
     if args.tol is not None:
         tol = ToleranceSpec(abs_tol=args.tol, rel_tol=args.tol)
-    out = harness.evaluate(args.method, lam, tol, quad_cfg, strip)
+    out = harness.evaluate(args.method, lam, tol)
     row = harness.sweep_row(lam, {out.method: out}, out)
     if args.json:
         print(harness.sweep_row_json(row))
@@ -161,9 +116,8 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_figure(args, quad_cfg, strip) -> int:
-    table = harness.figure_data(args.lambda_min, args.lambda_max, args.points,
-                                quad_cfg, strip)
+def _cmd_figure(args) -> int:
+    table = harness.figure_data(args.lambda_min, args.lambda_max, args.points)
     harness.write_csv(table, args.csv)
     print(f"wrote {len(table.rows)} rows to {args.csv}")
     if args.svg:
@@ -172,14 +126,13 @@ def _cmd_figure(args, quad_cfg, strip) -> int:
     return 0
 
 
-def _cmd_poles(args, strip) -> int:
-    strip = strip or default_strip()
+def _cmd_poles(args) -> int:
     if args.y is not None:
         ys = [args.y]
     else:
         if args.grid < 1:
             raise DomainError("need --grid >= 1")
-        b = strip.b
+        b = default_strip().b
         ys = [-b + (k + 0.5) * (2.0 * b / args.grid) for k in range(args.grid)]
     # every ordinate is validated before anything is printed
     locs = [pole_location(y) for y in ys]
@@ -211,26 +164,20 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.config is not None and args.command not in _HONOURED_KEYS:
+        if args.config is not None and args.command != "eval":
             raise DomainError(
                 f"{args.command} runs at the default settings and does not "
                 "take --config")
-        who, honoured = args.command, _HONOURED_KEYS.get(args.command, ())
         if args.command == "eval":
             if args.lam is None:
                 args.lam = lambda_of_t(args.t)
-            route = harness.resolve_route(args.method, args.lam)
-            who = f"eval on the {route} route"
-            honoured += _ROUTE_KEYS.get(route, ())
-        quad_cfg, strip, tol = _load_config(args.config, who, honoured)
-        if args.command == "eval":
-            return _cmd_eval(args, quad_cfg, strip, tol)
+            return _cmd_eval(args)
         if args.command == "sweep":
             return _cmd_sweep(args)
         if args.command == "figure":
-            return _cmd_figure(args, quad_cfg, strip)
+            return _cmd_figure(args)
         if args.command == "poles":
-            return _cmd_poles(args, strip)
+            return _cmd_poles(args)
         if args.command == "verify":
             return _cmd_verify(args)
         parser.error(f"unknown command {args.command!r}")

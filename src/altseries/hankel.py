@@ -16,7 +16,6 @@ must say so rather than pretend convergence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -25,7 +24,6 @@ from .bessel import bessel_j0
 from .core import DomainError, EvalOutcome, ToleranceSpec, WorkLimitError
 
 __all__ = [
-    "QuadConfig",
     "panel_quadrature",
     "oscillatory_edges",
     "hankel_s_star",
@@ -38,27 +36,14 @@ _LN2 = math.log(2.0)
 _J0_MODEL_ERR = 1e-15
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    """Panel-quadrature knobs for the Hankel-type routes."""
-
-    truncation_x: float = 8.0
-    panel_rule_order: int = 24
-    max_panels: int = 600
-    acceleration_depth: int = 2
-
-    def __post_init__(self):
-        if not self.truncation_x >= 6.0:
-            raise DomainError("truncation_x must be >= 6")
-        if self.panel_rule_order < 8:
-            raise DomainError("panel_rule_order must be >= 8")
-        if self.max_panels < 4:
-            raise DomainError("max_panels must be >= 4")
-        if self.acceleration_depth < 0:
-            raise DomainError("acceleration_depth must be >= 0")
-
-
-_DEFAULT_CFG = QuadConfig()
+# The quadrature of S*: the integral stops at x = TRUNCATION_X, past which
+# the weight integrates to e^(-TRUNCATION_X^2); every panel takes a
+# PANEL_RULE_ORDER-point Gauss-Legendre rule; and ACCELERATION_DEPTH rounds
+# of averaging the trailing partial sums check the panel tail.
+TRUNCATION_X = 8.0
+PANEL_RULE_ORDER = 24
+MAX_PANELS = 600
+ACCELERATION_DEPTH = 2
 
 
 @lru_cache(maxsize=32)
@@ -172,31 +157,29 @@ def _s_star_weight(x: np.ndarray) -> np.ndarray:
     return 2.0 * x * e / (1.0 + e)
 
 
-def _s_star_panels(lam: float, cfg: QuadConfig):
+def _s_star_panels(lam: float):
     """Edges and panel sums of the S* integrand; shared by tests."""
     from .bessel import j0_zeros
 
-    upper = cfg.truncation_x
     if lam > 0:
-        k_need = int(math.ceil(lam * upper / math.pi)) + 2
+        k_need = int(math.ceil(lam * TRUNCATION_X / math.pi)) + 2
         if k_need > 10_000:
             raise WorkLimitError(f"lambda = {lam} needs {k_need} Bessel zeros")
         zeros = [z / lam for z in j0_zeros(k_need)]
     else:
         zeros = []
-    edges = oscillatory_edges(zeros, upper)
-    if len(edges) - 1 > cfg.max_panels:
+    edges = oscillatory_edges(zeros, TRUNCATION_X)
+    if len(edges) - 1 > MAX_PANELS:
         raise WorkLimitError(
-            f"{len(edges) - 1} panels exceed max_panels = {cfg.max_panels}")
+            f"{len(edges) - 1} panels exceed max_panels = {MAX_PANELS}")
 
     def f(x):
         return -bessel_j0(lam * x) * _s_star_weight(x)
 
-    return edges, panel_quadrature(f, edges, cfg.panel_rule_order)
+    return edges, panel_quadrature(f, edges, PANEL_RULE_ORDER)
 
 
-def hankel_s_star(lam: float, tol: ToleranceSpec | None = None,
-                  cfg: QuadConfig | None = None) -> EvalOutcome:
+def hankel_s_star(lam: float, tol: ToleranceSpec | None = None) -> EvalOutcome:
     """S*(lambda) by Bessel-zero panel quadrature, lambda >= 0.
 
     The reported error_estimate never drops below
@@ -208,14 +191,13 @@ def hankel_s_star(lam: float, tol: ToleranceSpec | None = None,
     if not 0.0 <= lam < math.inf:
         raise DomainError(f"need finite lambda >= 0, got {lam}")
     tol = tol or ToleranceSpec()
-    cfg = cfg or _DEFAULT_CFG
 
-    _, (value, refine, _, panel_sums, work) = _s_star_panels(lam, cfg)
-    trunc = math.exp(-cfg.truncation_x ** 2)
+    _, (value, refine, _, panel_sums, work) = _s_star_panels(lam)
+    trunc = math.exp(-TRUNCATION_X ** 2)
     floor = (_J0_MODEL_ERR + 4.0 * _EPS) * _LN2
     err = trunc + refine + floor
-    if cfg.acceleration_depth > 0 and len(panel_sums) >= 6:
-        accel = _accelerated_tail(panel_sums, cfg.acceleration_depth)
+    if len(panel_sums) >= 6:
+        accel = _accelerated_tail(panel_sums, ACCELERATION_DEPTH)
         err += abs(accel - float(value))
     outcome = EvalOutcome(float(value), err, work, "hankel")
     if not tol.met_by(err, abs(value)):

@@ -72,30 +72,42 @@ HANKEL_SWEEP_WALL = 28.0
 FOURIER_WALL = LAMBDA_WALL
 CANCELLATION_FLAG = 1e12
 
-# route -> (evaluation(lam, tol, quad_cfg, strip), closed lambda window a
-# sweep tabulates it on).  Each evaluation looks its route function up in
-# this module when it runs, so rebinding e.g. harness.hankel_s_star is seen.
+
+def _asymptotic(lam: float) -> EvalOutcome:
+    """The closed-form law as a route.  Below RESIDUE_MIN_LAMBDA its error
+    envelope no longer bounds the error (|error|/estimate peaks at 1.64
+    near lambda = 0.8), so it is refused there like the residue route;
+    lambda <= 0 and NaN go on to asym_s_star's DomainError."""
+    if 0.0 < lam < RESIDUE_MIN_LAMBDA:
+        raise RangeError(
+            f"lambda = {lam} is below the asymptotic route's window "
+            f"lambda >= {RESIDUE_MIN_LAMBDA:g}")
+    return EvalOutcome(asym_s_star(lam).value, error_envelope(lam), 1,
+                       "asymptotic")
+
+
+# route -> (evaluation(lam, tol), closed lambda window a sweep tabulates it
+# on).  Each evaluation looks its route function up in this module when it
+# runs, so rebinding e.g. harness.hankel_s_star is seen.
 ROUTES = {
-    "series": (lambda lam, tol, cfg, strip:
-               sum_alternating_s(lam * lam / 4.0, tol), (0.0, math.inf)),
-    "hankel": (lambda lam, tol, cfg, strip: hankel_s_star(lam, tol, cfg),
+    "series": (lambda lam, tol: sum_alternating_s(lam * lam / 4.0, tol),
+               (0.0, math.inf)),
+    "hankel": (lambda lam, tol: hankel_s_star(lam, tol),
                (0.0, HANKEL_SWEEP_WALL)),
-    "fourier2d": (lambda lam, tol, cfg, strip: fourier2d_s_star(lam, tol),
+    "fourier2d": (lambda lam, tol: fourier2d_s_star(lam, tol),
                   (0.0, FOURIER_WALL)),
-    "residue": (lambda lam, tol, cfg, strip:
-                s_star_via_residue(lam, strip, tol),
+    "residue": (lambda lam, tol: s_star_via_residue(lam, tol),
                 (RESIDUE_MIN_LAMBDA, math.inf)),
-    "asymptotic": (lambda lam, tol, cfg, strip: EvalOutcome(
-        asym_s_star(lam).value, error_envelope(lam), 1, "asymptotic"),
-        (math.nextafter(0.0, 1.0), math.inf)),  # lambda > 0
+    "asymptotic": (lambda lam, tol: _asymptotic(lam),
+                   (RESIDUE_MIN_LAMBDA, math.inf)),
 }
-# cross_validate compares on narrower windows: hankel stops where it is too
-# noisy to judge the others by, and the law joins where the residue route does
+# cross_validate compares hankel on a narrower window, which stops where it
+# is too noisy to judge the others by
 _COMPARE_WINDOWS = {
     "hankel": (0.0, HANKEL_COMPARE_WALL),
     "fourier2d": ROUTES["fourier2d"][1],
     "residue": ROUTES["residue"][1],
-    "asymptotic": ROUTES["residue"][1],
+    "asymptotic": ROUTES["asymptotic"][1],
 }
 
 
@@ -157,12 +169,12 @@ def resolve_route(method: str, lam: float) -> str:
     return method
 
 
-def evaluate(method: str, lam: float, tol: ToleranceSpec | None = None,
-             quad_cfg=None, strip=None) -> EvalOutcome:
+def evaluate(method: str, lam: float,
+             tol: ToleranceSpec | None = None) -> EvalOutcome:
     """One S*(lambda) evaluation by the route ``resolve_route`` names.  A
     ``tol`` is met or refused with WorkLimitError, whichever route runs:
     both its accuracy targets and its ``max_work`` budget."""
-    out = ROUTES[resolve_route(method, lam)][0](lam, tol, quad_cfg, strip)
+    out = ROUTES[resolve_route(method, lam)][0](lam, tol)
     if tol is None:
         return out
     if not tol.met_by(out.error_estimate, out.value):
@@ -276,13 +288,12 @@ def _lambda_grid(lambda_min: float, lambda_max: float, n: int):
     return grid
 
 
-def figure_data(lambda_min: float, lambda_max: float, n: int,
-                quad_cfg=None, strip=None) -> SweepTable:
+def figure_data(lambda_min: float, lambda_max: float, n: int) -> SweepTable:
     """The decay figure's two curves: scaled numeric truth vs the scaled
     closed-form asymptotics, on a uniform lambda grid."""
     rows = []
     for lam in _lambda_grid(lambda_min, lambda_max, n):
-        out = evaluate("auto", lam, None, quad_cfg, strip)
+        out = evaluate("auto", lam)
         rows.append(sweep_row(lam, {out.method: out}, out))
     return SweepTable(rows=rows)
 
@@ -303,9 +314,6 @@ def error_scaling_study(lambda_grid) -> list:
     route, with the lambda^(3/2) envelope ratio per point."""
     rows = []
     for lam in lambda_grid:
-        if not lam >= RESIDUE_MIN_LAMBDA:
-            raise DomainError(
-                f"lambda = {lam} below the residue-route window")
         r = evaluate("residue", lam)
         # e^(lambda c) * asym value without forming the overflow-prone factor
         scaled_asym_signed = -asym_s_star(lam).scaled_value

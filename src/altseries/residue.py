@@ -10,7 +10,7 @@ pair).  The I2 principal part reduces to a single y-integral of
 whose modulus e^(-lambda u*(y)) would underflow long before lambda = 60 if
 summed naively.  Everything here is therefore computed against the scale
 e^(-lambda sqrt(pi/2)): the factored integrand e^(-lambda (u*(y)-sqrt(pi/2)))
-stays inside [e^(-0.92 lambda), 1] on the default strip and the true value
+stays inside [e^(-0.92 lambda), 1] on the strip and the true value
 is reassembled (or reported scaled) at the very end.
 
 The corrections are never computed, only bounded: a single constant kappa
@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import (DomainError, EvalOutcome, RangeError, ToleranceSpec,
                    WorkLimitError)
-from .poles import StripParams, default_strip
+from .poles import default_strip
 
 __all__ = [
     "RESIDUE_MIN_LAMBDA",
@@ -42,8 +42,9 @@ __all__ = [
 RESIDUE_MIN_LAMBDA = 8.0
 _EPS = float(np.finfo(float).eps)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
-_KAPPA_CACHE: dict[tuple, float] = {}
-# one calibration per strip, however many threads ask for it at once
+_STRIP = default_strip()
+_KAPPA_CACHE: float | None = None
+# one calibration, however many threads ask for it at once
 _KAPPA_LOCK = threading.Lock()
 
 
@@ -86,19 +87,18 @@ def _saddle_edges(lam: float, b: float):
     Full-rule nodes come to 16 per panel, so the total is >= 8*16 = 128
     for small lambda and grows like 16 sqrt(lambda) once 2 sigma steps
     dominate, matching the intended node budget max(64, 16 sqrt(lambda)).
-    A panel count past the default ``QuadConfig.max_panels`` (600, near
-    lambda = 2.5e5) is refused before any edge is placed; beyond lambda ~
-    1e33 the steps would fall below half an ulp of b and never arrive.
+    A panel count past ``hankel.MAX_PANELS`` (600, near lambda = 2.5e5)
+    is refused before any edge is placed; beyond lambda ~ 1e33 the steps
+    would fall below half an ulp of b and never arrive.
     """
-    from .hankel import QuadConfig
+    from .hankel import MAX_PANELS
 
     sigma = (2.0 * math.pi) ** 0.25 / math.sqrt(lam)
     panels = 2.0 * (6.0 + 0.5 * b / sigma)
-    budget = QuadConfig.max_panels  # the field's default, read off the class
-    if panels > budget:
+    if panels > MAX_PANELS:
         raise WorkLimitError(
             f"lambda = {lam:g} needs about {panels:.3g} saddle panels, "
-            f"over the budget of {budget}")
+            f"over the budget of {MAX_PANELS}")
     half = [0.0]
     yv = 0.0
     while yv < 6.0 * sigma and yv < b:
@@ -112,7 +112,7 @@ def _saddle_edges(lam: float, b: float):
     return [-e for e in reversed(half)] + half[1:]
 
 
-def _scaled_saddle(lam: float, strip: StripParams, order: int = 16):
+def _scaled_saddle(lam: float, b: float = _STRIP.b, order: int = 16):
     """Both branch integrals of the scaled saddle integrand.
 
     Returns (a_plus, a_minus, refine, min_mag, work) where a_+- approximate
@@ -121,7 +121,7 @@ def _scaled_saddle(lam: float, strip: StripParams, order: int = 16):
     """
     from .hankel import panel_quadrature
 
-    edges = _saddle_edges(lam, strip.b)
+    edges = _saddle_edges(lam, b)
     min_box = [1.0]
 
     def make_integrand(branch):
@@ -141,7 +141,7 @@ def _scaled_saddle(lam: float, strip: StripParams, order: int = 16):
     return complex(a_plus), complex(a_minus), refine, min_box[0], w1 + w2
 
 
-def saddle_lhs_numeric(lam: float, strip: StripParams | None = None,
+def saddle_lhs_numeric(lam: float,
                        tol: ToleranceSpec | None = None) -> complex:
     """integral_{-b}^{b} e^(i lambda z_+(y))/(i z_+(y)) dy, lambda > 0.
 
@@ -151,9 +151,8 @@ def saddle_lhs_numeric(lam: float, strip: StripParams | None = None,
     """
     if not 0.0 < lam < math.inf:
         raise DomainError(f"need finite lambda > 0, got {lam}")
-    strip = strip or default_strip()
     tol = tol or ToleranceSpec()
-    a_plus, _, refine, _, _ = _scaled_saddle(lam, strip)
+    a_plus, _, refine, _, _ = _scaled_saddle(lam)
     scale = math.exp(-lam * _SQRT_HALF_PI)
     if not tol.met_by(refine * scale, abs(a_plus) * scale):
         raise WorkLimitError(
@@ -161,8 +160,8 @@ def saddle_lhs_numeric(lam: float, strip: StripParams | None = None,
     return a_plus * scale
 
 
-def calibrated_kappa(strip: StripParams | None = None) -> float:
-    """Constant kappa of the neglected-term model, fitted once per strip.
+def calibrated_kappa() -> float:
+    """Constant kappa of the neglected-term model, fitted once per process.
 
     The shifted contour and second pole pair contribute O(e^(-lambda a1))
     and O(e^(-lambda a2)); the order is proven but the constant is not, so
@@ -170,29 +169,28 @@ def calibrated_kappa(strip: StripParams | None = None) -> float:
     discrepancy |hankel - residue| to the model shape e^(-lambda(a1 -
     sqrt(pi/2))) over the overlap window lambda in {10, 12, 14, 16}.
     """
+    global _KAPPA_CACHE
     from .hankel import hankel_s_star
 
-    strip = strip or default_strip()
-    key = (strip.a1, strip.a, strip.a2, strip.b)
-    if key in _KAPPA_CACHE:
-        return _KAPPA_CACHE[key]
+    if _KAPPA_CACHE is not None:
+        return _KAPPA_CACHE
     with _KAPPA_LOCK:
-        if key in _KAPPA_CACHE:  # filled while this thread waited
-            return _KAPPA_CACHE[key]
+        if _KAPPA_CACHE is not None:  # filled while this thread waited
+            return _KAPPA_CACHE
         worst = 0.0
         for lam in (10.0, 12.0, 14.0, 16.0):
             href = hankel_s_star(lam).value
-            a_plus, a_minus, _, _, _ = _scaled_saddle(lam, strip)
+            a_plus, a_minus, _, _, _ = _scaled_saddle(lam)
             scaled_res = -(a_plus + a_minus).real
             scaled_diff = abs(math.exp(lam * _SQRT_HALF_PI) * href
                               - scaled_res)
-            shape = math.exp(-lam * (strip.a1 - _SQRT_HALF_PI))
+            shape = math.exp(-lam * (_STRIP.a1 - _SQRT_HALF_PI))
             worst = max(worst, scaled_diff / shape)
-        _KAPPA_CACHE[key] = worst
+        _KAPPA_CACHE = worst
         return worst
 
 
-def s_star_via_residue(lam: float, strip: StripParams | None = None,
+def s_star_via_residue(lam: float,
                        tol: ToleranceSpec | None = None) -> ResidueResult:
     """S*(lambda) ~ -(1/pi) I2, with the neglected terms bounded not summed.
 
@@ -209,15 +207,14 @@ def s_star_via_residue(lam: float, strip: StripParams | None = None,
         raise RangeError(
             f"lambda = {lam} is below the residue route's window "
             f"lambda >= {RESIDUE_MIN_LAMBDA:g}")
-    strip = strip or default_strip()
-    a_plus, a_minus, refine, min_mag, work = _scaled_saddle(lam, strip)
+    a_plus, a_minus, refine, min_mag, work = _scaled_saddle(lam)
     if lam <= 60.0 and 0.0 < min_mag < 2.3e-308:
         raise WorkLimitError(
             f"subnormal intermediate {min_mag} at lambda = {lam}")
     scaled = -(a_plus + a_minus).real
-    kappa = calibrated_kappa(strip)
-    shape = (math.exp(-lam * (strip.a1 - _SQRT_HALF_PI))
-             + math.exp(-lam * (strip.a2 - _SQRT_HALF_PI)))
+    kappa = calibrated_kappa()
+    shape = (math.exp(-lam * (_STRIP.a1 - _SQRT_HALF_PI))
+             + math.exp(-lam * (_STRIP.a2 - _SQRT_HALF_PI)))
     bound = kappa * shape + refine
     scale = math.exp(-lam * _SQRT_HALF_PI)
     result = ResidueResult(scaled * scale, bound * scale, work,

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from altseries.bessel import bessel_j0
 from altseries.core import DomainError, ToleranceSpec, WorkLimitError
 from altseries.hankel import (
-    QuadConfig,
+    ACCELERATION_DEPTH,
+    TRUNCATION_X,
     hankel_s_star,
     oscillatory_edges,
     panel_quadrature,
 )
-from altseries.hankel import _accelerated_tail, _s_star_panels
+from altseries.hankel import _accelerated_tail, _s_star_panels, _s_star_weight
 
 import oracle_values as ov
 
@@ -206,17 +207,6 @@ class TestOscillatoryEdges:
         assert all(e <= 1.0 for e in edges)
 
 
-def test_quad_config_validation():
-    with pytest.raises(DomainError):
-        QuadConfig(truncation_x=4.0)
-    with pytest.raises(DomainError):
-        QuadConfig(panel_rule_order=4)
-    with pytest.raises(DomainError):
-        QuadConfig(max_panels=2)
-    with pytest.raises(DomainError):
-        QuadConfig(acceleration_depth=-1)
-
-
 def test_s_star_at_zero_is_minus_ln2():
     out = hankel_s_star(0.0)
     assert abs(out.value + LN2) <= 1e-14
@@ -255,7 +245,7 @@ def test_relative_tolerance_unreachable_past_wall():
 def test_panel_sums_alternate_in_sign():
     """Between consecutive scaled Bessel zeros the integrand keeps one sign
     and flips at each zero."""
-    edges, (value, _, _, sums, _) = _s_star_panels(10.0, QuadConfig())
+    edges, (value, _, _, sums, _) = _s_star_panels(10.0)
     sums = np.real(sums)
     live = sums[np.abs(sums) > 1e-20]
     signs = np.sign(live)
@@ -263,25 +253,30 @@ def test_panel_sums_alternate_in_sign():
 
 
 def test_acceleration_agrees_within_estimate():
-    cfg = QuadConfig()
     for lam in (6.0, 12.0):
-        out = hankel_s_star(lam, cfg=cfg)
-        _, (_, _, _, sums, _) = _s_star_panels(lam, cfg)
-        accel = _accelerated_tail(sums, cfg.acceleration_depth)
+        out = hankel_s_star(lam)
+        _, (_, _, _, sums, _) = _s_star_panels(lam)
+        accel = _accelerated_tail(sums, ACCELERATION_DEPTH)
         assert abs(accel - out.value) <= out.error_estimate
 
 
 @pytest.mark.parametrize("lam", [1.0, 5.0, 10.0, 20.0])
 def test_order_doubling_within_estimate(lam):
     base = hankel_s_star(lam)
-    fine = hankel_s_star(lam, cfg=QuadConfig(panel_rule_order=48))
-    assert abs(base.value - fine.value) <= base.error_estimate
+    edges, _ = _s_star_panels(lam)
+    fine, *_ = panel_quadrature(
+        lambda x: -bessel_j0(lam * x) * _s_star_weight(x), edges, 48)
+    assert abs(base.value - fine) <= base.error_estimate
 
 
 def test_truncation_extension_within_estimate():
-    base = hankel_s_star(3.0)
-    wide = hankel_s_star(3.0, cfg=QuadConfig(truncation_x=10.0))
-    assert abs(base.value - wide.value) <= base.error_estimate + wide.error_estimate
+    """The integral past TRUNCATION_X, out to 10, stays inside the
+    truncation term e^(-TRUNCATION_X^2) that the estimate carries."""
+    lam = 3.0
+    tail, *_ = panel_quadrature(
+        lambda x: -bessel_j0(lam * x) * _s_star_weight(x),
+        np.linspace(TRUNCATION_X, 10.0, 9), 24)
+    assert 0.0 < abs(tail) <= math.exp(-TRUNCATION_X ** 2)
 
 
 @pytest.mark.parametrize("lam", [math.inf, -math.inf])
@@ -295,8 +290,9 @@ def test_s_star_domain_and_budget():
         hankel_s_star(-1.0)
     with pytest.raises(DomainError):
         hankel_s_star(math.nan)
-    with pytest.raises(WorkLimitError):
-        hankel_s_star(10.0, cfg=QuadConfig(max_panels=4))
-    with pytest.raises(WorkLimitError):
+    with pytest.raises(WorkLimitError,
+                       match="765 panels exceed max_panels = 600"):
+        hankel_s_star(300.0)
+    with pytest.raises(WorkLimitError, match="Bessel zeros"):
         hankel_s_star(5000.0)
 

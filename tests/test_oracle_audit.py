@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from altseries.fourier2d import LAMBDA_WALL, fourier2d_s_star
 from altseries.hankel import hankel_s_star
-from altseries.harness import HANKEL_COMPARE_WALL
+from altseries.harness import HANKEL_COMPARE_WALL, evaluate
+from altseries.residue import RESIDUE_MIN_LAMBDA
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -28,11 +29,11 @@ def _oracle(lam: float):
                            [1, mpmath.inf])
 
 
-def _audit(route, hi, record_property):
+def _audit(route, hi, record_property, lo=0.0):
     ratios = []
 
     @_AUDIT
-    @given(lam=st.floats(min_value=0.0, max_value=hi))
+    @given(lam=st.floats(min_value=lo, max_value=hi))
     def bound_holds(lam):
         out = route(lam)
         with mpmath.workdps(40):
@@ -56,4 +57,13 @@ def test_fourier2d_estimate_bounds_the_oracle_error(record_property):
 
 def test_hankel_estimate_bounds_the_oracle_error(record_property):
     ratios = _audit(hankel_s_star, HANKEL_COMPARE_WALL, record_property)
+    assert len(ratios) >= 25
+
+
+def test_asym_estimate_bounds_the_oracle_error(record_property):
+    def asym(lam):
+        return evaluate("asym", lam)
+
+    # 40 is as far as the 40-digit oracle resolves S* ~ e^(-1.25 lambda)
+    ratios = _audit(asym, 40.0, record_property, lo=RESIDUE_MIN_LAMBDA)
     assert len(ratios) >= 25

@@ -7,6 +7,7 @@ output:
 * ``verify`` and ``verify --quick``;
 * the ``figure`` CSV at lambda in [5, 25], 200 points;
 * the ``sweep`` CSV at lambda in [1, 30], 59 points;
+* ``poles --y 1.0`` and ``poles --grid 50``;
 * ``eval --json`` for every method at lambda in {0.5, 3, 10, 12, 30, 100};
 * value, error_estimate and work of ``fourier2d_s_star``, ``hankel_s_star``
   and ``s_star_via_residue`` at lambda in {0, 0.5, 1, 3, 8, 10, 12, 24, 30,
@@ -125,6 +126,8 @@ def main() -> int:
         ("sweep 1..30 x59", ["sweep", "--lambda-min", "1", "--lambda-max",
                              "30", "--points", "59", "--out", "sweep.csv"],
          "sweep.csv"),
+        ("poles --y 1.0", ["poles", "--y", "1.0"], None),
+        ("poles --grid 50", ["poles", "--grid", "50"], None),
     ]
     for lam in EVAL_LAMBDAS:
         for method in EVAL_METHODS:
