@@ -1,8 +1,6 @@
 """Multi-method numerical laboratory for the alternating series
 
-    S(t) = sum_{n>=1} (-1)^n e^(-t/n) / n
-
-and its generalization S(z, nu, t) = sum z^n n^(-nu) e^(-t/n).
+    S(t) = sum_{n>=1} (-1)^n e^(-t/n) / n.
 
 Five independent evaluation routes (direct summation, Hankel-transform
 quadrature, a 2D Fourier representation, a residue/saddle integral, and
@@ -20,7 +18,7 @@ from .core import (
     lambda_of_t,
     t_of_lambda,
 )
-from .series import SeriesParams, sum_alternating_s, sum_series
+from .series import SeriesParams, sum_alternating_s
 from .hankel import hankel_s_star
 from .fourier2d import fourier2d_s_star
 from .poles import StripParams, default_strip, pole_location
@@ -40,7 +38,6 @@ __all__ = [
     "t_of_lambda",
     "SeriesParams",
     "sum_alternating_s",
-    "sum_series",
     "hankel_s_star",
     "fourier2d_s_star",
     "StripParams",

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _dd
 from ._j0_table import J0_CHEB
 from .core import DomainError, RangeError
 
@@ -51,6 +50,10 @@ class BesselEvalConfig:
 
 
 _DEFAULT_CFG = BesselEvalConfig()
+
+# pi/4 as an unevaluated double-double sum hi + lo.
+_PI4_HI = 7.853981633974482790e-01
+_PI4_LO = 3.061616997868382943e-17
 
 # Column j holds c_j of every unit interval [k, k+1], so one gather per call
 # lines up the coefficients of all points for Clenshaw.
@@ -136,9 +139,12 @@ def _pq_horner(n: int, v):
 def _j0_hankel(u, umin: float):
     """J0 at 1-D u >= umin >= 5 from the Hankel expansion in 1/u^2."""
     n = _hankel_term_count(umin)
-    # omega = u - pi/4 carried as a double-double so the phase stays exact.
-    wh, we = _dd.two_sum(u, -_dd.PI4_HI)
-    wl = we - _dd.PI4_LO
+    # omega = u - pi/4 carried as a double-double so the phase stays exact:
+    # Knuth's two-sum gives wh + we == u - _PI4_HI exactly.
+    wh = u - _PI4_HI
+    bb = wh - u
+    we = (u - (wh - bb)) + (-_PI4_HI - bb)
+    wl = we - _PI4_LO
     c = np.cos(wh)
     s = np.sin(wh)
     cosw = c - wl * s

@@ -16,29 +16,96 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from altseries import _dd, _j0_table, bessel
+from altseries import _j0_table, bessel
 from altseries.bessel import BesselEvalConfig, bessel_j0, j0_zeros
 from altseries.core import DomainError
 
 import oracle_values as ov
 
 
+# Double-double ("dd") arithmetic on numpy arrays, for the reference J0
+# series: a dd number is an unevaluated pair (hi, lo) with |lo| <= ulp(hi)/2,
+# about 32 significant digits.  Dekker (1971) and the QD library of Hida, Li
+# and Bailey (LBNL-46996): error-free two_sum / two_prod, renormalised by
+# quick_two_sum.
+
+_SPLITTER = 134217729.0  # 2**27 + 1, Dekker split constant for binary64
+
+
+def two_sum(a, b):
+    """Error-free sum: returns (s, e) with s + e == a + b exactly."""
+    s = a + b
+    bb = s - a
+    e = (a - (s - bb)) + (b - bb)
+    return s, e
+
+
+def quick_two_sum(a, b):
+    """Error-free sum assuming |a| >= |b|."""
+    s = a + b
+    e = b - (s - a)
+    return s, e
+
+
+def two_prod(a, b):
+    """Error-free product: returns (p, e) with p + e == a * b exactly."""
+    p = a * b
+    ca = _SPLITTER * a
+    ahi = ca - (ca - a)
+    alo = a - ahi
+    cb = _SPLITTER * b
+    bhi = cb - (cb - b)
+    blo = b - bhi
+    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+    return p, e
+
+
+def dd_add(xh, xl, yh, yl):
+    s1, s2 = two_sum(xh, yh)
+    t1, t2 = two_sum(xl, yl)
+    s2 = s2 + t1
+    s1, s2 = quick_two_sum(s1, s2)
+    s2 = s2 + t2
+    return quick_two_sum(s1, s2)
+
+
+def dd_mul(xh, xl, yh, yl):
+    p1, p2 = two_prod(xh, yh)
+    p2 = p2 + xh * yl + xl * yh
+    return quick_two_sum(p1, p2)
+
+
+def dd_mul_d(xh, xl, d):
+    p1, p2 = two_prod(xh, d)
+    p2 = p2 + xl * d
+    return quick_two_sum(p1, p2)
+
+
+def dd_div_d(xh, xl, d):
+    q1 = xh / d
+    p1, p2 = two_prod(q1, d)
+    s, e = two_sum(xh, -p1)
+    e = e + xl - p2
+    q2 = (s + e) / d
+    return quick_two_sum(q1, q2)
+
+
 def _j0_series_dd(u):
     """Power series for J0 at |u| <= 30, double-double throughout."""
     u = np.asarray(u, dtype=float)
-    qh, ql = _dd.two_prod(u, u)
-    qh, ql = _dd.dd_mul_d(qh, ql, 0.25)  # u^2/4
+    qh, ql = two_prod(u, u)
+    qh, ql = dd_mul_d(qh, ql, 0.25)  # u^2/4
     sh = np.ones_like(u)
     sl = np.zeros_like(u)
     th = np.ones_like(u)
     tl = np.zeros_like(u)
     for k in range(1, 81):
-        th, tl = _dd.dd_mul(th, tl, qh, ql)
-        th, tl = _dd.dd_div_d(th, tl, float(k * k))
+        th, tl = dd_mul(th, tl, qh, ql)
+        th, tl = dd_div_d(th, tl, float(k * k))
         if k % 2:
-            sh, sl = _dd.dd_add(sh, sl, -th, -tl)
+            sh, sl = dd_add(sh, sl, -th, -tl)
         else:
-            sh, sl = _dd.dd_add(sh, sl, th, tl)
+            sh, sl = dd_add(sh, sl, th, tl)
         if np.all(np.abs(th) <= 1e-30 * np.maximum(np.abs(sh), 1e-3)):
             break
     return sh + sl

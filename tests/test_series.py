@@ -8,32 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altseries.core import DomainError, EvalOutcome, ToleranceSpec, WorkLimitError
+from altseries.core import DomainError, ToleranceSpec, WorkLimitError
 from altseries.series import (
     AlternatingOutcome,
     SeriesParams,
     derivative_residuals,
     sum_alternating_s,
-    sum_series,
 )
-from altseries.series import _EPS
+from altseries.series import _sum_interior
 
 import oracle_values as ov
 
 
-def radial_limit_probe(p: SeriesParams, rho_list) -> list[EvalOutcome]:
-    """Evaluate S(z rho, nu, t) along the ray rho in [0, 1) toward boundary z."""
-    if abs(abs(p.z) - 1.0) > 4.0 * _EPS:
+def radial_limit_probe(z: complex, nu: float, t: float, rho_list):
+    """S(z rho, nu, t) along the ray rho in [0, 1) toward boundary z."""
+    if abs(z) != 1.0:
         raise DomainError("radial_limit_probe requires |z| = 1")
     out = []
     for rho in rho_list:
         if not 0.0 <= rho < 1.0:
             raise DomainError(f"rho must lie in [0, 1), got {rho}")
-        if rho == 0.0:
-            out.append(EvalOutcome(0.0, 0.0, 0, "series"))
-            continue
-        q = SeriesParams(p.z * rho, p.nu, p.t)
-        out.append(sum_series(q))
+        out.append(_sum_interior(z * rho, nu, t, ToleranceSpec())[0])
     return out
 
 
@@ -45,15 +40,26 @@ def test_alternating_s_frozen_values(t, expected):
     assert abs(out.value - expected) <= out.error_estimate
 
 
-@pytest.mark.parametrize("t", [50.0, 100.0, 150.0])
-def test_alternating_s_dd_mode(t, expected=None):
-    plain = sum_alternating_s(t)
-    dd = sum_alternating_s(t, dd_terms=True)
-    ref = ov.S_T[t]
-    assert abs(dd.value - ref) <= 2e-16
-    # same conditioning diagnostic regardless of accumulation scheme
-    # (up to the tiny absum difference between the two term pipelines)
-    assert dd.cancellation == pytest.approx(plain.cancellation, rel=1e-3)
+# (value, error_estimate, work, cancellation), frozen from the summation
+# code as it stood when it still handled general z on the closed disk
+S_T_OUTCOMES = {
+    0.0: (-0.6931471805599453, 5.472896243237346e-15, 74,
+          6.855170891927952),
+    36.0: (-3.058843266404848e-07, 3.767373656268445e-15, 77,
+           1746563.5523953168),
+    150.0: (3.343440975467349e-14, 1.4722853717206983e-15, 189,
+            8966445353325.639),
+    2500.0: (5.285485590866834e-19, 2.1264451624409872e-16, 2537,
+             4.2425582308435136e+17),
+}
+
+
+@pytest.mark.parametrize("t", sorted(S_T_OUTCOMES))
+def test_alternating_s_frozen_outcomes(t):
+    out = sum_alternating_s(t)
+    got = (out.value, out.error_estimate, out.work, out.cancellation)
+    assert got == S_T_OUTCOMES[t]
+    assert [type(g) for g in got] == [float, float, int, float]
 
 
 def test_cancellation_diagnostic_grows():
@@ -77,18 +83,21 @@ def test_alternating_s_rejects_negative_t():
         sum_alternating_s(math.nan)
 
 
-@pytest.mark.parametrize("key,expected", sorted(ov.S_GENERAL.items(),
-                                                key=lambda kv: repr(kv[0])))
+INTERIOR_PINS = sorted(
+    ((k, v) for k, v in ov.S_GENERAL.items() if abs(k[0]) < 1),
+    key=lambda kv: repr(kv[0]))
+
+
+@pytest.mark.parametrize("key,expected", INTERIOR_PINS)
 def test_general_sum_frozen_values(key, expected):
-    z, nu, t = key
-    out = sum_series(SeriesParams(z, nu, t))
-    assert abs(out.value - expected) <= 1e-15
-    assert abs(out.value - expected) <= out.error_estimate + 1e-16
+    value, err, _ = _sum_interior(*key, ToleranceSpec())
+    assert abs(value - expected) <= 1e-15
+    assert abs(value - expected) <= err + 1e-16
 
 
 def test_general_real_z_returns_real_value():
-    out = sum_series(SeriesParams(0.5, 2.0, 0.5))
-    assert isinstance(out.value, float)
+    value, _, _ = _sum_interior(0.5, 2.0, 0.5, ToleranceSpec())
+    assert value.imag == 0.0
 
 
 def test_lambda_identity_with_s_star_table():
@@ -115,9 +124,10 @@ class TestParamsValidation:
         with pytest.raises(DomainError):
             SeriesParams(0.5, 1.0, -1.0)
 
-    def test_boundary_away_from_one_is_fine(self):
-        SeriesParams(-1.0, 1.0, 0.0)
-        SeriesParams(cmath.exp(0.3j), 1.0, 2.0)
+    def test_rejects_boundary_and_zero(self):
+        for z in (-1.0, 1j, cmath.exp(0.3j), 0.0):
+            with pytest.raises(DomainError):
+                SeriesParams(z, 1.0, 2.0)
 
 
 def test_monotone_tail_threshold():
@@ -148,8 +158,8 @@ def test_alternating_remainder_bounded_by_next_term(t, n_cut):
 )
 def test_interior_sum_dominated_by_geometric_bound(r, theta, nu, t):
     z = r * cmath.exp(1j * theta)
-    out = sum_series(SeriesParams(z, nu, t))
-    assert abs(out.value) <= r / (1.0 - r) + 1e-12
+    value, _, _ = _sum_interior(z, nu, t, ToleranceSpec())
+    assert abs(value) <= r / (1.0 - r) + 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -167,21 +177,20 @@ def test_alternating_tail_property(t, extra):
 
 
 def test_radial_limit_probe_converges_to_boundary():
-    p = SeriesParams(1j, 1.5, 2.0)
     ref = ov.S_GENERAL[(1j, 1.5, 2.0)]
-    outs = radial_limit_probe(p, [0.9, 0.99, 0.999, 0.9999])
-    dists = [abs(o.value - ref) for o in outs]
+    outs = radial_limit_probe(1j, 1.5, 2.0, [0.9, 0.99, 0.999, 0.9999])
+    dists = [abs(v - ref) for v in outs]
     assert all(b < a for a, b in zip(dists, dists[1:]))
     assert dists[-1] < 2e-5
     # frozen value at rho = 0.999 pins the middle of the trend
-    assert abs(outs[2].value - ov.S_GENERAL[(0.999j, 1.5, 2.0)]) <= 1e-15
+    assert abs(outs[2] - ov.S_GENERAL[(0.999j, 1.5, 2.0)]) <= 1e-15
 
 
 def test_radial_limit_probe_validation():
     with pytest.raises(DomainError):
-        radial_limit_probe(SeriesParams(0.5, 1.0, 1.0), [0.9])
+        radial_limit_probe(0.5, 1.0, 1.0, [0.9])
     with pytest.raises(DomainError):
-        radial_limit_probe(SeriesParams(1j, 1.0, 1.0), [1.0])
+        radial_limit_probe(1j, 1.0, 1.0, [1.0])
 
 
 def test_derivative_residuals_small_and_second_order():
@@ -203,13 +212,17 @@ def test_derivative_residuals_validation():
     with pytest.raises(DomainError):
         derivative_residuals(p, 2.0)  # t - h < 0
     with pytest.raises(DomainError):
-        derivative_residuals(SeriesParams(-1.0, 1.0, 1.0), 1e-4)  # z - h exits disk
+        derivative_residuals(SeriesParams(0.0, 1.0, 1.0), 1e-4)  # s/z at z = 0
+    # z +- h on the unit circle: z - h = -1, then z + h = 1
+    for z, h in [(-0.75, 0.25), (0.75, 0.25), (0.5, 0.5), (0.9, 0.1)]:
+        with pytest.raises(DomainError):
+            derivative_residuals(SeriesParams(z, 1.0, 1.0), h)
 
 
 def test_interior_budget_exhaustion():
     tol = ToleranceSpec(abs_tol=1e-300, rel_tol=1e-300, max_work=3)
     with pytest.raises(WorkLimitError) as exc:
-        sum_series(SeriesParams(0.5, 1.0, 1.0), tol)
+        _sum_interior(0.5, 1.0, 1.0, tol)
     partial = exc.value.partial
     assert partial is not None
     assert abs(partial.value - ov.S_GENERAL[(0.5, 1.0, 1.0)]) <= 1e-12
@@ -229,15 +242,6 @@ def test_boundary_budget_counts_the_terms_spent():
         sum_alternating_s(25.0, ToleranceSpec(1e-6, 0.0, max_work=out.work - 1))
     partial = exc.value.partial
     assert (partial.value, partial.work) == (out.value, out.work)
-
-
-def test_boundary_near_one_gives_up_honestly():
-    # e^(i pi/6) lies on the circle but outside the accelerated region,
-    # so only the budget stops the direct sum
-    z = cmath.exp(1j * math.pi / 6.0)
-    tol = ToleranceSpec(max_work=50_000)
-    with pytest.raises(WorkLimitError):
-        sum_series(SeriesParams(z, 1.0, 1.0), tol)
 
 
 def test_work_is_reported():

@@ -14,6 +14,10 @@ output:
   100, 1000}, which ``eval --json`` does not show;
 * the other callers of ``panel_quadrature``: ``radial_transform``,
   ``gaussian_term_identity`` and ``saddle_lhs_numeric``;
+* value, error_estimate, work and cancellation of ``sum_alternating_s`` at
+  t from 0 to 1e5 under three tolerances, its refusals of a small budget,
+  a huge t and an infinite t, and ``derivative_residuals`` at
+  (z, nu, t) = (0.5, 1, 1), h in {1e-3, 1e-4};
 * on the crossval benchmark's lattice lambda = k/4, k = 4..48: value,
   error_estimate and work of ``fourier2d_s_star``, and every check of
   ``cross_validate`` at t = lambda^2/4.
@@ -84,6 +88,40 @@ for lam in (8.0, 10.0, 30.0, 300.0, 500.0):
     show(f"saddle_lhs_numeric {lam}", lambda: saddle_lhs_numeric(lam))
 """
 
+# the series route, each result printed by repr
+SERIES = """
+import math
+from altseries import ToleranceSpec
+from altseries.series import (SeriesParams, derivative_residuals,
+                              sum_alternating_s)
+
+
+def show(label, call):
+    try:
+        print(label, call())
+    except Exception as exc:
+        print(label, type(exc).__name__, exc)
+
+
+def outcome(t, tol):
+    r = sum_alternating_s(t, tol)
+    return (repr(r.value), repr(r.error_estimate), r.work,
+            repr(r.cancellation))
+
+
+tols = (None, ToleranceSpec(1e-6, 0.0), ToleranceSpec(1e-300, 1e-300))
+for t in (0.0, 0.1, 1.0, 9.0, 25.0, 36.0, 50.0, 67.0, 68.0, 69.0, 100.0,
+          150.0, 225.0, 400.0, 2500.0, 1e4, 1e5):
+    for tol in tols:
+        show(f"sum_alternating_s {t} {tol}", lambda: outcome(t, tol))
+for t, tol in ((50.0, ToleranceSpec(max_work=64)), (1e7, None),
+               (math.inf, None)):
+    show(f"sum_alternating_s {t} {tol}", lambda: outcome(t, tol))
+for h in (1e-3, 1e-4):
+    show(f"derivative_residuals {h}", lambda: tuple(
+        map(repr, derivative_residuals(SeriesParams(0.5, 1.0, 1.0), h))))
+"""
+
 
 # the crossval workload's inputs, formed as perfbench/workloads.py forms them
 CROSSVAL = """
@@ -142,6 +180,8 @@ def main() -> int:
         print(f"{digest}  route outcomes with work", flush=True)
         digest = _run(["-c", CALLERS], tmp)
         print(f"{digest}  other panel_quadrature callers", flush=True)
+        digest = _run(["-c", SERIES], tmp)
+        print(f"{digest}  series outcomes", flush=True)
         digest = _run(["-c", CROSSVAL], tmp)
         print(f"{digest}  crossval lattice: fourier2d and cross_validate",
               flush=True)
