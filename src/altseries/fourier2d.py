@@ -26,8 +26,8 @@ import numpy as np
 
 from .bessel import j0_zeros
 from .core import DomainError, EvalOutcome, RangeError, ToleranceSpec, WorkLimitError
-from .hankel import (_panel_grid, _reduce_panels, oscillatory_edges,
-                     panel_quadrature)
+from .hankel import (MAX_PANELS, _panel_grid, _reduce_panels,
+                     oscillatory_edges, panel_quadrature)
 
 __all__ = [
     "LAMBDA_WALL",
@@ -46,14 +46,21 @@ _Y_TRUNCATION = 6.0
 
 
 def _fermi(s: np.ndarray) -> np.ndarray:
-    """1/(1+e^s) for s >= 0 without overflow."""
-    e = np.exp(-s)
-    return e / (1.0 + e)
+    """1/(1+e^s) for s >= 0 without overflow, written over the float array
+    ``s``, which is returned."""
+    e = np.exp(np.negative(s, out=s), out=s)
+    return np.divide(e, 1.0 + e, out=e)
 
 
 def _cos_edges(lam: float, upper: float, base_step: float = 0.75):
     if lam <= 0:
         return oscillatory_edges([], upper, base_step)
+    # ceil of this counts the zeros (k + 1/2) pi / lam below upper
+    zeros_past = lam * upper / math.pi - 0.5
+    if not zeros_past <= MAX_PANELS:
+        raise WorkLimitError(
+            f"lambda = {lam} puts {zeros_past:.3g} cosine zeros below "
+            f"{upper:g}; max_panels = {MAX_PANELS}")
     zeros = []
     k = 0
     while True:
@@ -78,11 +85,13 @@ def _inner_t_impl(y2: np.ndarray, table):
     """(values, errors, work) for T(y, lambda) = 2 int_0^X cos(lam x) w dx
     at every y^2 of ``y2``, from the x table ``_x_table(lam)``.
 
-    The integrand of every row is one (rows, panels, 37) array, reduced
-    panel by panel exactly as ``panel_quadrature`` reduces a stack.
+    The integrand of every row is one (rows, panels, 37) array, built in
+    place from x^2 + y^2 and reduced panel by panel exactly as
+    ``panel_quadrature`` reduces a stack.
     """
     x2, cos_x, hw = table
-    fx = cos_x * _fermi(x2 + y2[:, None, None])
+    fx = _fermi(x2 + y2[:, None, None])
+    fx *= cos_x
     half, refine, abs_int, _, work = _reduce_panels(fx, hw, 24)
     values = 2.0 * half
     upper = _X_TRUNCATION
@@ -168,8 +177,8 @@ def gaussian_term_identity(m: int, lam: float):
     """
     if m < 1 or m != int(m):
         raise DomainError(f"need integer m >= 1, got {m}")
-    if not lam >= 0:
-        raise DomainError(f"need lambda >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise DomainError(f"need finite lambda >= 0, got {lam}")
     numeric = _gaussian_term_complex(int(m), float(lam)).real
     closed = (math.pi / m) * math.exp(-lam * lam / (4.0 * m))
     return numeric, closed
@@ -184,8 +193,8 @@ def radial_transform(f, rho: float, tol: ToleranceSpec | None = None) -> float:
     """
     from .bessel import bessel_j0
 
-    if not rho >= 0:
-        raise DomainError(f"need rho >= 0, got {rho}")
+    if not 0.0 <= rho < math.inf:
+        raise DomainError(f"need finite rho >= 0, got {rho}")
     tol = tol or ToleranceSpec(abs_tol=1e-11, rel_tol=1e-11)
 
     upper = None

@@ -110,7 +110,8 @@ def _reduce_panels(fx: np.ndarray, hw: np.ndarray, order: int):
     full = fx[..., :n]
     sums = hw * np.sum(ws * full, axis=-1)
     halves = hw * np.sum(wh * fx[..., n:], axis=-1)
-    abs_parts = hw * np.sum(ws * np.abs(full), axis=-1)
+    mag = np.abs(full)
+    abs_parts = hw * np.sum(np.multiply(ws, mag, out=mag), axis=-1)
     refine = np.sum(np.abs(sums - halves), axis=-1)
     rows = np.atleast_2d(sums)
     value = [math.fsum(r) for r in rows.real.tolist()]

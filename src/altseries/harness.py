@@ -329,6 +329,9 @@ def error_scaling_study(lambda_grid) -> list:
 # ---------------------------------------------------------------------------
 # acceptance checklist
 
+# the lambda grid of check 6's envelope study
+_ENVELOPE_GRID = (15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
+
 
 def _check(name, measured, threshold, passed=None, note="") -> VerifyCheck:
     if passed is None:
@@ -414,9 +417,11 @@ def check_saddle_lemma() -> VerifyCheck:
                   note=f"lambda*reldev spread {spread:.3f} (<3)")
 
 
-def check_asymptotic_law(quick: bool = False) -> VerifyCheck:
-    grid = (15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
-    rows = error_scaling_study(grid)
+def check_asymptotic_law(quick: bool = False, rows=None) -> VerifyCheck:
+    """Check 6 on ``rows``, the envelope study on ``_ENVELOPE_GRID`` (run
+    here when not given)."""
+    if rows is None:
+        rows = error_scaling_study(_ENVELOPE_GRID)
     ratios = sorted(r["envelope_ratio"] for r in rows)
     median = 0.5 * (ratios[len(ratios) // 2] + ratios[(len(ratios) - 1) // 2])
     ratio = max(ratios) / median
@@ -496,19 +501,20 @@ def check_precision_honesty() -> VerifyCheck:
 
 def run_acceptance(quick: bool = False) -> VerifyReport:
     """All ten acceptance checks, in order, with calibration constants."""
+    # check 6's envelope study, which also gives C_envelope
+    rows = error_scaling_study(_ENVELOPE_GRID)
     checks = [
         check_closed_form_anchor(),
         check_cross_method_agreement(quick),
         check_pole_geometry(),
         check_residue_convergence(),
         check_saddle_lemma(),
-        check_asymptotic_law(quick),
+        check_asymptotic_law(quick, rows),
         check_rough_bound(),
         check_figure_reproduction(quick),
         check_structural_identities(),
         check_precision_honesty(),
     ]
-    rows = error_scaling_study((15.0, 20.0, 25.0, 30.0, 35.0, 40.0))
     calibration = {
         "kappa": calibrated_kappa(),
         "C_envelope": max(r["envelope_ratio"] for r in rows),

@@ -1,6 +1,8 @@
 """Two-dimensional Fourier route and its radially symmetric helpers."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from altseries.fourier2d import (_EPS, _cos_edges, _fermi, _inner_t_impl,
                                  _x_table)
 from altseries import fourier2d
 from altseries.harness import cross_validate
-from altseries.hankel import _gl_rule, hankel_s_star, panel_quadrature
+from altseries.hankel import (MAX_PANELS, _gl_rule, hankel_s_star,
+                              panel_quadrature)
 
 import oracle_values as ov
 
@@ -213,6 +216,25 @@ def test_one_evaluation_runs_each_inner_transform_once(monkeypatch, lam, cfg):
     assert calls[12:] == calls[:12]
 
 
+def test_inner_block_peak_memory_stays_near_one_buffer():
+    # one 25-row block at lambda = 12, the widest the route runs: built
+    # in place, its peak stays near one (rows, panels, 37) buffer plus the
+    # reduction's temporaries, so glibc does not trim and refault the heap
+    # on every block
+    table = _x_table(12.0)
+    y2 = np.linspace(0.0, fourier2d._Y_TRUNCATION, 25) ** 2
+    block = y2.size * table[0].size * table[0].itemsize
+    _inner_t_impl(y2, table)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _inner_t_impl(y2, table)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * block
+
+
 @pytest.mark.parametrize("lam", [0.0, 3.0, 12.0])
 @pytest.mark.parametrize("cfg", [None, {"_Y_TRUNCATION": 7.0,
                                         "_X_TRUNCATION": 6.5}])
@@ -365,6 +387,25 @@ def test_gaussian_term_rejects_bad_args():
         gaussian_term_identity(1, -1.0)
 
 
+@pytest.mark.parametrize("lam,error", [(math.inf, DomainError),
+                                       (math.nan, DomainError),
+                                       (1e12, WorkLimitError)])
+def test_gaussian_term_refuses_unbounded_work_quickly(lam, error):
+    # lambda = inf would ask for cosine zeros forever, and 1e12 for ~1e12
+    start = time.perf_counter()
+    with pytest.raises(error):
+        gaussian_term_identity(1, lam)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cos_edges_refuses_more_zeros_than_max_panels():
+    # (k + 1/2) pi / lam < 6 holds for k < 6 lam / pi - 1/2
+    edges = _cos_edges(MAX_PANELS * math.pi / 6.0, 6.0)
+    assert len(edges) - 1 >= MAX_PANELS
+    with pytest.raises(WorkLimitError):
+        _cos_edges((MAX_PANELS + 2) * math.pi / 6.0, 6.0)
+
+
 def test_gaussian_terms_rebuild_the_series():
     # summing the closed forms with alternating signs recovers the
     # defining series at t = lam^2/4, up to the alternating tail bound
@@ -400,6 +441,11 @@ class TestRadialTransform:
     def test_rejects_negative_rho(self):
         with pytest.raises(DomainError):
             radial_transform(lambda r: np.exp(-r * r), -1.0)
+
+    @pytest.mark.parametrize("rho", [math.inf, math.nan])
+    def test_rejects_non_finite_rho(self, rho):
+        with pytest.raises(DomainError):
+            radial_transform(lambda r: np.exp(-r * r), rho)
 
     def test_slow_decay_cannot_meet_tolerance(self):
         # |f| r is integrable here but the probed tail never gets small,

@@ -187,6 +187,21 @@ class TestErrorScalingStudy:
         with pytest.raises(RangeError):
             error_scaling_study([10.0, 7.9])
 
+    def test_verify_runs_the_study_once(self, monkeypatch):
+        # check 6 and the C_envelope calibration share one study
+        grids = []
+
+        def spy(grid):
+            grids.append(tuple(grid))
+            return error_scaling_study(grid)
+
+        monkeypatch.setattr(harness, "error_scaling_study", spy)
+        report = harness.run_acceptance(quick=True)
+        assert grids == [(15.0, 20.0, 25.0, 30.0, 35.0, 40.0)]
+        rows = error_scaling_study(grids[0])
+        assert report.calibration["C_envelope"] == max(
+            r["envelope_ratio"] for r in rows)
+
 
 class TestTableTypes:
     def test_rows_must_ascend(self):
