@@ -8,45 +8,48 @@ closed-form asymptotics) cross-validate each other; every route reports an
 honest error estimate and refuses ranges where it cannot deliver one.
 """
 
-from .core import (
-    DomainError,
-    EvalOutcome,
-    METHOD_NAMES,
-    RangeError,
-    ToleranceSpec,
-    WorkLimitError,
-    lambda_of_t,
-    t_of_lambda,
-)
-from .series import SeriesParams, sum_alternating_s
-from .hankel import hankel_s_star
-from .fourier2d import fourier2d_s_star
-from .poles import StripParams, default_strip, pole_location
-from .residue import ResidueResult, s_star_via_residue
-from .asymptotic import asym_s_star, asym_s_t, error_envelope
+import importlib
+
+# exported name -> the module that defines it, imported on first access
+# (PEP 562), so that importing the package, or one route, loads no other
+# route and, until a route that needs it runs, no numpy
+_EXPORTS = {
+    "DomainError": "core",
+    "EvalOutcome": "core",
+    "METHOD_NAMES": "core",
+    "RangeError": "core",
+    "ToleranceSpec": "core",
+    "WorkLimitError": "core",
+    "lambda_of_t": "core",
+    "t_of_lambda": "core",
+    "SeriesParams": "series",
+    "sum_alternating_s": "series",
+    "hankel_s_star": "hankel",
+    "fourier2d_s_star": "fourier2d",
+    "StripParams": "poles",
+    "default_strip": "poles",
+    "pole_location": "poles",
+    "ResidueResult": "residue",
+    "s_star_via_residue": "residue",
+    "asym_s_star": "asymptotic",
+    "asym_s_t": "asymptotic",
+    "error_envelope": "asymptotic",
+}
+
+
+def __getattr__(name):
+    home = _EXPORTS.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DomainError",
-    "EvalOutcome",
-    "METHOD_NAMES",
-    "RangeError",
-    "ToleranceSpec",
-    "WorkLimitError",
-    "lambda_of_t",
-    "t_of_lambda",
-    "SeriesParams",
-    "sum_alternating_s",
-    "hankel_s_star",
-    "fourier2d_s_star",
-    "StripParams",
-    "default_strip",
-    "pole_location",
-    "ResidueResult",
-    "s_star_via_residue",
-    "asym_s_star",
-    "asym_s_t",
-    "error_envelope",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]

@@ -194,6 +194,8 @@ def _mcmahon_j0_zero(k: np.ndarray) -> np.ndarray:
     return beta + 1.0 / m - 124.0 / (3.0 * m ** 3) + 120928.0 / (15.0 * m ** 5)
 
 
+# the most zeros j0_zeros serves
+MAX_ZEROS = 10_000
 _zero_cache: list[float] = []
 # serializes fills, so two threads cannot both append the same zeros
 _zero_lock = threading.Lock()
@@ -209,8 +211,8 @@ def j0_zeros(k_max: int) -> list[float]:
     """
     if not isinstance(k_max, int) or k_max < 1:
         raise DomainError("k_max must be a positive integer")
-    if k_max > 10_000:
-        raise DomainError("k_max capped at 10000")
+    if k_max > MAX_ZEROS:
+        raise DomainError(f"k_max capped at {MAX_ZEROS}")
     if len(_zero_cache) < k_max:
         with _zero_lock:
             if len(_zero_cache) < k_max:  # not filled while this thread waited

@@ -15,7 +15,6 @@ import sys
 from . import harness
 from .core import (DomainError, RangeError, ToleranceSpec, WorkLimitError,
                    lambda_of_t)
-from .poles import default_strip, pole_location, q_eval
 
 _CONFIG_KEYS = {"abs_tol": float, "rel_tol": float, "max_work": int}
 
@@ -127,6 +126,8 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_poles(args) -> int:
+    from .poles import default_strip, pole_location, q_eval
+
     if args.y is not None:
         ys = [args.y]
     else:

@@ -16,6 +16,8 @@ __all__ = [
     "ToleranceSpec",
     "EvalOutcome",
     "METHOD_NAMES",
+    "RESIDUE_MIN_LAMBDA",
+    "LAMBDA_WALL",
     "lambda_of_t",
     "t_of_lambda",
 ]
@@ -42,6 +44,14 @@ class WorkLimitError(RuntimeError):
 
 
 METHOD_NAMES = ("series", "hankel", "fourier2d", "residue", "asymptotic")
+
+# The route windows, kept here so that the harness can choose a route
+# without importing it.  Below RESIDUE_MIN_LAMBDA the residue route's
+# neglected-term bound, and the asymptotic route's error envelope, no
+# longer cover the error; above LAMBDA_WALL the nested quadrature of the
+# fourier2d route no longer resolves S*.
+RESIDUE_MIN_LAMBDA = 8.0
+LAMBDA_WALL = 12.0
 
 
 @dataclass(frozen=True)

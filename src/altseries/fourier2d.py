@@ -24,8 +24,9 @@ import math
 
 import numpy as np
 
-from .bessel import j0_zeros
-from .core import DomainError, EvalOutcome, RangeError, ToleranceSpec, WorkLimitError
+from .bessel import MAX_ZEROS, j0_zeros
+from .core import (LAMBDA_WALL, DomainError, EvalOutcome, RangeError,
+                   ToleranceSpec, WorkLimitError)
 from .hankel import (MAX_PANELS, _panel_grid, _reduce_panels,
                      oscillatory_edges, panel_quadrature)
 
@@ -37,8 +38,6 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
-# the largest lambda the nested quadrature resolves; see fourier2d_s_star
-LAMBDA_WALL = 12.0
 # half-widths of the x and y integration boxes; the integrand is below
 # e^(-36) past either
 _X_TRUNCATION = 6.0
@@ -175,7 +174,8 @@ def gaussian_term_identity(m: int, lam: float):
     numeric = Re double-quadrature of e^(i lam x - m(x^2+y^2)),
     closed_form = (pi/m) e^(-lam^2/(4m)).
     """
-    if m < 1 or m != int(m):
+    # NaN fails the first test, so int() sees only finite m
+    if not 1 <= m < math.inf or m != int(m):
         raise DomainError(f"need integer m >= 1, got {m}")
     if not 0.0 <= lam < math.inf:
         raise DomainError(f"need finite lambda >= 0, got {lam}")
@@ -207,8 +207,14 @@ def radial_transform(f, rho: float, tol: ToleranceSpec | None = None) -> float:
     tail = abs(float(f(upper))) * (upper + 1.0) ** 2
 
     if rho > 0:
-        k_need = int(math.ceil(rho * upper / math.pi)) + 2
-        zeros = [z / rho for z in j0_zeros(min(k_need, 10_000))]
+        # inf, not an exception, where rho * upper overflows
+        zeros_past = rho * upper / math.pi
+        if not zeros_past <= MAX_ZEROS - 2:
+            raise WorkLimitError(
+                f"rho = {rho:g} needs about {zeros_past:.3g} Bessel zeros, "
+                f"over the {MAX_ZEROS} j0_zeros serves")
+        k_need = int(math.ceil(zeros_past)) + 2
+        zeros = [z / rho for z in j0_zeros(k_need)]
     else:
         zeros = []
     edges = oscillatory_edges(zeros, upper, base_step=0.75)

@@ -160,11 +160,11 @@ def _s_star_weight(x: np.ndarray) -> np.ndarray:
 
 def _s_star_panels(lam: float):
     """Edges and panel sums of the S* integrand; shared by tests."""
-    from .bessel import j0_zeros
+    from .bessel import MAX_ZEROS, j0_zeros
 
     if lam > 0:
         k_need = int(math.ceil(lam * TRUNCATION_X / math.pi)) + 2
-        if k_need > 10_000:
+        if k_need > MAX_ZEROS:
             raise WorkLimitError(f"lambda = {lam} needs {k_need} Bessel zeros")
         zeros = [z / lam for z in j0_zeros(k_need)]
     else:

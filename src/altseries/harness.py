@@ -12,6 +12,7 @@ emitted in grid order, and line endings are LF.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import random
@@ -25,6 +26,8 @@ from .asymptotic import (
     rough_bound_trace,
 )
 from .core import (
+    LAMBDA_WALL,
+    RESIDUE_MIN_LAMBDA,
     DomainError,
     EvalOutcome,
     RangeError,
@@ -32,13 +35,44 @@ from .core import (
     WorkLimitError,
     lambda_of_t,
 )
-from .fourier2d import (LAMBDA_WALL, fourier2d_s_star, gaussian_term_identity,
-                        radial_transform)
-from .hankel import hankel_s_star
-from .poles import default_strip, pole_location, q_eval, u_star
-from .residue import (RESIDUE_MIN_LAMBDA, ResidueResult, calibrated_kappa,
-                      s_star_via_residue, saddle_lhs_numeric)
-from .series import SeriesParams, derivative_residuals, sum_alternating_s
+
+# The route functions and verify-only helpers, each bound here on first use
+# from its home module, so that a process imports only the routes it runs
+# (the asymptotic route needs no numpy).  Code in this module reaches them
+# through _bound, which reads this module's own binding first: a function
+# rebound on harness is the one called.
+_LAZY = {
+    "fourier2d_s_star": "fourier2d",
+    "gaussian_term_identity": "fourier2d",
+    "radial_transform": "fourier2d",
+    "hankel_s_star": "hankel",
+    "default_strip": "poles",
+    "pole_location": "poles",
+    "q_eval": "poles",
+    "u_star": "poles",
+    "calibrated_kappa": "residue",
+    "s_star_via_residue": "residue",
+    "saddle_lhs_numeric": "residue",
+    "SeriesParams": "series",
+    "derivative_residuals": "series",
+    "sum_alternating_s": "series",
+}
+
+
+def __getattr__(name):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _bound(name):
+    """This module's binding of ``name``, made on first use."""
+    bindings = globals()
+    return bindings[name] if name in bindings else __getattr__(name)
+
 
 __all__ = [
     "ROUTES",
@@ -77,12 +111,14 @@ def _asymptotic(lam: float) -> EvalOutcome:
     """The closed-form law as a route.  Below RESIDUE_MIN_LAMBDA its error
     envelope no longer bounds the error (|error|/estimate peaks at 1.64
     near lambda = 0.8), so it is refused there like the residue route;
-    lambda <= 0 and NaN go on to asym_s_star's DomainError."""
+    lambda <= 0 and NaN go on to asym_s_star's DomainError.  The estimate
+    is floored at the smallest subnormal, where the envelope underflows."""
     if 0.0 < lam < RESIDUE_MIN_LAMBDA:
         raise RangeError(
             f"lambda = {lam} is below the asymptotic route's window "
             f"lambda >= {RESIDUE_MIN_LAMBDA:g}")
-    return EvalOutcome(asym_s_star(lam).value, error_envelope(lam), 1,
+    return EvalOutcome(asym_s_star(lam).value,
+                       max(error_envelope(lam), math.ulp(0.0)), 1,
                        "asymptotic")
 
 
@@ -90,13 +126,14 @@ def _asymptotic(lam: float) -> EvalOutcome:
 # on).  Each evaluation looks its route function up in this module when it
 # runs, so rebinding e.g. harness.hankel_s_star is seen.
 ROUTES = {
-    "series": (lambda lam, tol: sum_alternating_s(lam * lam / 4.0, tol),
+    "series": (lambda lam, tol: _bound("sum_alternating_s")(lam * lam / 4.0,
+                                                            tol),
                (0.0, math.inf)),
-    "hankel": (lambda lam, tol: hankel_s_star(lam, tol),
+    "hankel": (lambda lam, tol: _bound("hankel_s_star")(lam, tol),
                (0.0, HANKEL_SWEEP_WALL)),
-    "fourier2d": (lambda lam, tol: fourier2d_s_star(lam, tol),
+    "fourier2d": (lambda lam, tol: _bound("fourier2d_s_star")(lam, tol),
                   (0.0, FOURIER_WALL)),
-    "residue": (lambda lam, tol: s_star_via_residue(lam, tol),
+    "residue": (lambda lam, tol: _bound("s_star_via_residue")(lam, tol),
                 (RESIDUE_MIN_LAMBDA, math.inf)),
     "asymptotic": (lambda lam, tol: _asymptotic(lam),
                    (RESIDUE_MIN_LAMBDA, math.inf)),
@@ -191,10 +228,10 @@ def sweep_row(lam: float, outs: dict, numeric: EvalOutcome) -> SweepRow:
     """A table row: every outcome in ``outs`` plus the scaled pair.
 
     The numeric curve is the figure's -e^(lambda sqrt(pi/2)) * value of
-    ``numeric``, read off its ``scaled_value`` when it carries one and inf
-    where the factor overflows a double.
+    ``numeric``, read off its ``scaled_value`` when it carries one (a
+    ``ResidueResult``) and inf where the factor overflows a double.
     """
-    if isinstance(numeric, ResidueResult):
+    if hasattr(numeric, "scaled_value"):
         scaled = -numeric.scaled_value
     elif lam * SQRT_HALF_PI < 709.0:
         scaled = -math.exp(lam * SQRT_HALF_PI) * numeric.value
@@ -235,7 +272,7 @@ def cross_validate(points, tol: ToleranceSpec | None = None) -> VerifyReport:
     for t in points:
         lam = lambda_of_t(t)
         # t itself: lambda^2/4 does not always give t back
-        series_out = sum_alternating_s(t)
+        series_out = _bound("sum_alternating_s")(t)
         outs: dict[str, EvalOutcome] = {"series": series_out}
         if series_out.cancellation >= CANCELLATION_FLAG:
             checks.append(VerifyCheck(
@@ -272,7 +309,8 @@ def cross_validate(points, tol: ToleranceSpec | None = None) -> VerifyReport:
                 measured=diff,
                 threshold=threshold,
                 note="compared at the e^(lambda sqrt(pi/2)) scale"))
-    return VerifyReport(checks=checks, calibration={"kappa": calibrated_kappa()})
+    return VerifyReport(checks=checks,
+                        calibration={"kappa": _bound("calibrated_kappa")()})
 
 
 def _lambda_grid(lambda_min: float, lambda_max: float, n: int):
@@ -342,13 +380,16 @@ def _check(name, measured, threshold, passed=None, note="") -> VerifyCheck:
 
 def check_closed_form_anchor() -> VerifyCheck:
     ln2 = math.log(2.0)
-    worst = max(abs(sum_alternating_s(0.0).value + ln2),
-                abs(hankel_s_star(0.0).value + ln2),
-                abs(fourier2d_s_star(0.0).value + ln2))
+    worst = max(abs(_bound("sum_alternating_s")(0.0).value + ln2),
+                abs(_bound("hankel_s_star")(0.0).value + ln2),
+                abs(_bound("fourier2d_s_star")(0.0).value + ln2))
     return _check("1-closed-form-anchor", worst, 1e-10)
 
 
 def check_cross_method_agreement(quick: bool = False) -> VerifyCheck:
+    sum_alternating_s = _bound("sum_alternating_s")
+    hankel_s_star = _bound("hankel_s_star")
+    fourier2d_s_star = _bound("fourier2d_s_star")
     ts = (1.0, 2.0, 5.0) if quick else (1.0, 2.0, 5.0, 10.0, 25.0, 50.0)
     worst_sh = 0.0
     for t in ts:
@@ -367,7 +408,10 @@ def check_cross_method_agreement(quick: bool = False) -> VerifyCheck:
 
 
 def check_pole_geometry() -> VerifyCheck:
-    strip = default_strip()
+    pole_location = _bound("pole_location")
+    q_eval = _bound("q_eval")
+    u_star = _bound("u_star")
+    strip = _bound("default_strip")()
     b = strip.b
     worst_q = 0.0
     for k in range(50):
@@ -391,8 +435,8 @@ def check_pole_geometry() -> VerifyCheck:
 def check_residue_convergence() -> VerifyCheck:
     diffs = []
     for lam in (10.0, 12.0, 14.0, 16.0):
-        h = hankel_s_star(lam).value
-        r = s_star_via_residue(lam)
+        h = _bound("hankel_s_star")(lam).value
+        r = _bound("s_star_via_residue")(lam)
         diffs.append(abs(math.exp(lam * SQRT_HALF_PI) * h - r.scaled_value))
     decreasing = all(a > b for a, b in zip(diffs, diffs[1:]))
     passed = decreasing and diffs[2] <= 0.02
@@ -405,7 +449,7 @@ def check_saddle_lemma() -> VerifyCheck:
     from .asymptotic import saddle_rhs_closed
 
     def reldev(lam):
-        lhs = saddle_lhs_numeric(lam)
+        lhs = _bound("saddle_lhs_numeric")(lam)
         rhs = saddle_rhs_closed(lam)
         return abs(lhs - rhs) / abs(rhs)
 
@@ -467,13 +511,15 @@ def check_figure_reproduction(quick: bool = False) -> VerifyCheck:
 def check_structural_identities() -> VerifyCheck:
     import numpy as np
 
-    res = derivative_residuals(SeriesParams(0.5, 1.0, 1.0), 1e-4)
+    res = _bound("derivative_residuals")(_bound("SeriesParams")(0.5, 1.0, 1.0),
+                                         1e-4)
     worst_res = max(res)
     worst_gauss = 0.0
     for m in range(1, 7):
         for lam in (0.0, 1.0, 3.0):
-            num, clo = gaussian_term_identity(m, lam)
+            num, clo = _bound("gaussian_term_identity")(m, lam)
             worst_gauss = max(worst_gauss, abs(num - clo))
+    radial_transform = _bound("radial_transform")
     g0 = abs(radial_transform(lambda r: np.exp(-r * r), 0.0) - math.pi)
     g2 = abs(radial_transform(lambda r: np.exp(-r * r), 2.0)
              - math.pi * math.exp(-1.0))
@@ -485,10 +531,10 @@ def check_structural_identities() -> VerifyCheck:
 
 
 def check_precision_honesty() -> VerifyCheck:
-    s = sum_alternating_s(150.0)
+    s = _bound("sum_alternating_s")(150.0)
     series_ok = s.error_estimate >= 1e-4 * abs(s.value)
     try:
-        h = hankel_s_star(40.0)
+        h = _bound("hankel_s_star")(40.0)
         hankel_ok = h.error_estimate >= abs(h.value)
     except RangeError:
         hankel_ok = True
@@ -516,7 +562,7 @@ def run_acceptance(quick: bool = False) -> VerifyReport:
         check_precision_honesty(),
     ]
     calibration = {
-        "kappa": calibrated_kappa(),
+        "kappa": _bound("calibrated_kappa")(),
         "C_envelope": max(r["envelope_ratio"] for r in rows),
     }
     return VerifyReport(checks=checks, calibration=calibration)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DomainError, EvalOutcome, RangeError, ToleranceSpec,
-                   WorkLimitError)
+from .core import (RESIDUE_MIN_LAMBDA, DomainError, EvalOutcome, RangeError,
+                   ToleranceSpec, WorkLimitError)
 from .poles import default_strip
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "calibrated_kappa",
 ]
 
-# below this lambda the neglected-term bound no longer covers the error
-RESIDUE_MIN_LAMBDA = 8.0
 _EPS = float(np.finfo(float).eps)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 _STRIP = default_strip()
@@ -217,8 +215,10 @@ def s_star_via_residue(lam: float,
              + math.exp(-lam * (_STRIP.a2 - _SQRT_HALF_PI)))
     bound = kappa * shape + refine
     scale = math.exp(-lam * _SQRT_HALF_PI)
-    result = ResidueResult(scaled * scale, bound * scale, work,
-                           scaled_value=scaled, neglected_bound=bound)
+    # from lambda ~ 566 bound * scale underflows to 0.0 while the value is
+    # still a nonzero subnormal: floor the estimate at the smallest one
+    result = ResidueResult(scaled * scale, max(bound * scale, math.ulp(0.0)),
+                           work, scaled_value=scaled, neglected_bound=bound)
     if tol is not None and not tol.met_by(result.error_estimate, result.value):
         raise WorkLimitError(
             f"error estimate {result.error_estimate:.3e} misses the requested "

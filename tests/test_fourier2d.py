@@ -385,6 +385,10 @@ def test_gaussian_term_rejects_bad_args():
         gaussian_term_identity(0, 1.0)
     with pytest.raises(DomainError):
         gaussian_term_identity(1, -1.0)
+    # int(m) raised OverflowError and ValueError for these
+    for m in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            gaussian_term_identity(m, 1.0)
 
 
 @pytest.mark.parametrize("lam,error", [(math.inf, DomainError),
@@ -445,6 +449,13 @@ class TestRadialTransform:
     @pytest.mark.parametrize("rho", [math.inf, math.nan])
     def test_rejects_non_finite_rho(self, rho):
         with pytest.raises(DomainError):
+            radial_transform(lambda r: np.exp(-r * r), rho)
+
+    @pytest.mark.parametrize("rho", [1e300, 1e308])
+    def test_refuses_rho_past_the_zero_table(self, rho):
+        # rho = 1e308 overflowed the zero count; 1e300 answered from the
+        # first 10,000 zeros alone
+        with pytest.raises(WorkLimitError):
             radial_transform(lambda r: np.exp(-r * r), rho)
 
     def test_slow_decay_cannot_meet_tolerance(self):

@@ -9,6 +9,8 @@ output:
 * the ``sweep`` CSV at lambda in [1, 30], 59 points;
 * ``poles --y 1.0`` and ``poles --grid 50``;
 * ``eval --json`` for every method at lambda in {0.5, 3, 10, 12, 30, 100};
+* the refusals ``eval --lambda nan`` for every method,
+  ``eval --lambda 3 --method residue`` and ``eval --t -1``;
 * value, error_estimate and work of ``fourier2d_s_star``, ``hankel_s_star``
   and ``s_star_via_residue`` at lambda in {0, 0.5, 1, 3, 8, 10, 12, 24, 30,
   100, 1000}, which ``eval --json`` does not show;
@@ -171,6 +173,11 @@ def main() -> int:
         for method in EVAL_METHODS:
             args = ["eval", "--lambda", lam, "--method", method, "--json"]
             jobs.append((" ".join(args), args, None))
+    refusals = [["eval", "--lambda", "nan", "--method", method]
+                for method in EVAL_METHODS]
+    refusals += [["eval", "--lambda", "3", "--method", "residue"],
+                 ["eval", "--t", "-1"]]
+    jobs += [(" ".join(args), args, None) for args in refusals]
     # relative paths, so the temporary directory's name reaches no output
     with tempfile.TemporaryDirectory() as tmp:
         for label, args, csv in jobs:
