@@ -22,7 +22,7 @@ _EXPORTS = {
     "WorkLimitError": "core",
     "lambda_of_t": "core",
     "t_of_lambda": "core",
-    "SeriesParams": "series",
+    "SeriesParams": "acceptance",
     "sum_alternating_s": "series",
     "hankel_s_star": "hankel",
     "fourier2d_s_star": "fourier2d",

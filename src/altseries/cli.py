@@ -145,7 +145,9 @@ def _cmd_poles(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = harness.run_acceptance(quick=args.quick)
+    from .acceptance import run_acceptance
+
+    report = run_acceptance(quick=args.quick)
     width = max(len(c.name) for c in report.checks)
     for c in report.checks:
         line = (f"{c.status.upper():4}  {c.name:<{width}}  "

@@ -2,8 +2,8 @@
 
 This module owns the policy layer: which route counts as numeric truth at a
 given lambda (hankel up to 25, residue beyond), how method pairs are judged
-against each other's error estimates, and the acceptance checklist the CLI
-``verify`` subcommand and the test suite both consume.
+against each other's error estimates, and the result types the acceptance
+checklist (``acceptance``, imported only by ``verify``) reports in.
 
 All file output is deterministic: floats are rendered with repr() (shortest
 string that round-trips, never more than 17 significant digits), rows are
@@ -15,16 +15,9 @@ from __future__ import annotations
 import importlib
 import json
 import math
-import random
 from dataclasses import dataclass, field
 
-from .asymptotic import (
-    SQRT_HALF_PI,
-    asym_s_star,
-    asym_s_t,
-    error_envelope,
-    rough_bound_trace,
-)
+from .asymptotic import SQRT_HALF_PI, asym_s_star, error_envelope
 from .core import (
     LAMBDA_WALL,
     RESIDUE_MIN_LAMBDA,
@@ -36,25 +29,16 @@ from .core import (
     lambda_of_t,
 )
 
-# The route functions and verify-only helpers, each bound here on first use
-# from its home module, so that a process imports only the routes it runs
-# (the asymptotic route needs no numpy).  Code in this module reaches them
-# through _bound, which reads this module's own binding first: a function
-# rebound on harness is the one called.
+# The route functions, each bound here on first use from its home module,
+# so that a process imports only the routes it runs (the asymptotic and
+# series routes need no numpy).  Code in this module and in ``acceptance``
+# reaches them through _bound, which reads this module's own binding
+# first: a function rebound on harness is the one called.
 _LAZY = {
     "fourier2d_s_star": "fourier2d",
-    "gaussian_term_identity": "fourier2d",
-    "radial_transform": "fourier2d",
     "hankel_s_star": "hankel",
-    "default_strip": "poles",
-    "pole_location": "poles",
-    "q_eval": "poles",
-    "u_star": "poles",
     "calibrated_kappa": "residue",
     "s_star_via_residue": "residue",
-    "saddle_lhs_numeric": "residue",
-    "SeriesParams": "series",
-    "derivative_residuals": "series",
     "sum_alternating_s": "series",
 }
 
@@ -87,7 +71,6 @@ __all__ = [
     "figure_data",
     "sweep_data",
     "error_scaling_study",
-    "run_acceptance",
     "write_csv",
     "sweep_row_json",
     "write_svg",
@@ -362,210 +345,6 @@ def error_scaling_study(lambda_grid) -> list:
             "envelope_ratio": scaled_error * lam ** 1.5,
         })
     return rows
-
-
-# ---------------------------------------------------------------------------
-# acceptance checklist
-
-# the lambda grid of check 6's envelope study
-_ENVELOPE_GRID = (15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
-
-
-def _check(name, measured, threshold, passed=None, note="") -> VerifyCheck:
-    if passed is None:
-        passed = measured <= threshold
-    return VerifyCheck(name=name, passed=bool(passed), measured=float(measured),
-                       threshold=float(threshold), note=note)
-
-
-def check_closed_form_anchor() -> VerifyCheck:
-    ln2 = math.log(2.0)
-    worst = max(abs(_bound("sum_alternating_s")(0.0).value + ln2),
-                abs(_bound("hankel_s_star")(0.0).value + ln2),
-                abs(_bound("fourier2d_s_star")(0.0).value + ln2))
-    return _check("1-closed-form-anchor", worst, 1e-10)
-
-
-def check_cross_method_agreement(quick: bool = False) -> VerifyCheck:
-    sum_alternating_s = _bound("sum_alternating_s")
-    hankel_s_star = _bound("hankel_s_star")
-    fourier2d_s_star = _bound("fourier2d_s_star")
-    ts = (1.0, 2.0, 5.0) if quick else (1.0, 2.0, 5.0, 10.0, 25.0, 50.0)
-    worst_sh = 0.0
-    for t in ts:
-        s = sum_alternating_s(t).value
-        h = hankel_s_star(lambda_of_t(t)).value
-        worst_sh = max(worst_sh, abs(s - h))
-    lams = (1.0, 2.0) if quick else (1.0, 2.0, 4.0, 8.0)
-    worst_fh = 0.0
-    for lam in lams:
-        worst_fh = max(worst_fh,
-                       abs(fourier2d_s_star(lam).value - hankel_s_star(lam).value))
-    passed = worst_sh <= 1e-11 and worst_fh <= 1e-8
-    return _check("2-cross-method-agreement", worst_sh, 1e-11, passed=passed,
-                  note=f"series-hankel {worst_sh:.3e} (<=1e-11), "
-                       f"fourier-hankel {worst_fh:.3e} (<=1e-8)")
-
-
-def check_pole_geometry() -> VerifyCheck:
-    pole_location = _bound("pole_location")
-    q_eval = _bound("q_eval")
-    u_star = _bound("u_star")
-    strip = _bound("default_strip")()
-    b = strip.b
-    worst_q = 0.0
-    for k in range(50):
-        y = -b + (k + 0.5) * (2.0 * b / 50.0)
-        loc = pole_location(y)
-        worst_q = max(worst_q, abs(q_eval(complex(loc.x_star, loc.u_star), y)))
-        worst_q = max(worst_q, abs(q_eval(complex(-loc.x_star, loc.u_star), y)))
-    d0 = abs(u_star(0.0) - math.sqrt(math.pi / 2.0))
-    db = abs(u_star(b) - strip.a)
-    worst_quartic = 0.0
-    for y in (1.0, 2.0, 3.0):
-        u = u_star(y)
-        worst_quartic = max(worst_quartic,
-                            abs(u ** 4 - y * y * u * u - math.pi ** 2 / 4.0))
-    passed = worst_q <= 1e-12 and d0 <= 1e-14 and db <= 1e-12 and worst_quartic <= 1e-10
-    return _check("3-pole-geometry", worst_q, 1e-12, passed=passed,
-                  note=f"|Q|={worst_q:.2e}, u*(0) off {d0:.2e} (<=1e-14), "
-                       f"u*(b)-a {db:.2e} (<=1e-12), quartic {worst_quartic:.2e} (<=1e-10)")
-
-
-def check_residue_convergence() -> VerifyCheck:
-    diffs = []
-    for lam in (10.0, 12.0, 14.0, 16.0):
-        h = _bound("hankel_s_star")(lam).value
-        r = _bound("s_star_via_residue")(lam)
-        diffs.append(abs(math.exp(lam * SQRT_HALF_PI) * h - r.scaled_value))
-    decreasing = all(a > b for a, b in zip(diffs, diffs[1:]))
-    passed = decreasing and diffs[2] <= 0.02
-    return _check("4-residue-convergence", diffs[2], 0.02, passed=passed,
-                  note=f"scaled diffs {['%.3e' % d for d in diffs]}, "
-                       f"decreasing={decreasing}")
-
-
-def check_saddle_lemma() -> VerifyCheck:
-    from .asymptotic import saddle_rhs_closed
-
-    def reldev(lam):
-        lhs = _bound("saddle_lhs_numeric")(lam)
-        rhs = saddle_rhs_closed(lam)
-        return abs(lhs - rhs) / abs(rhs)
-
-    r30 = reldev(30.0)
-    products = [lam * reldev(lam) for lam in (20.0, 40.0, 60.0)]
-    spread = max(products) / min(products)
-    passed = r30 <= 0.10 and spread < 3.0
-    return _check("5-saddle-lemma", r30, 0.10, passed=passed,
-                  note=f"lambda*reldev spread {spread:.3f} (<3)")
-
-
-def check_asymptotic_law(quick: bool = False, rows=None) -> VerifyCheck:
-    """Check 6 on ``rows``, the envelope study on ``_ENVELOPE_GRID`` (run
-    here when not given)."""
-    if rows is None:
-        rows = error_scaling_study(_ENVELOPE_GRID)
-    ratios = sorted(r["envelope_ratio"] for r in rows)
-    median = 0.5 * (ratios[len(ratios) // 2] + ratios[(len(ratios) - 1) // 2])
-    ratio = max(ratios) / median
-    rng = random.Random(20260814)
-    n_pts = 20 if quick else 100
-    worst_ulp = 0.0
-    for _ in range(n_pts):
-        t = math.exp(rng.uniform(math.log(1.0), math.log(900.0)))
-        a = asym_s_t(t).value
-        b = asym_s_star(2.0 * math.sqrt(t)).value
-        ulp = math.ulp(max(abs(a), abs(b), 5e-324))
-        worst_ulp = max(worst_ulp, abs(a - b) / ulp)
-    passed = ratio <= 10.0 and worst_ulp <= 4.0
-    return _check("6-asymptotic-law", ratio, 10.0, passed=passed,
-                  note=f"envelope max/median {ratio:.3f}, "
-                       f"lambda-t worst ulp {worst_ulp:.1f} (<=4)")
-
-
-def check_rough_bound() -> VerifyCheck:
-    vals = rough_bound_trace(1.2, [10.0, 15.0, 20.0, 25.0])
-    decreasing = all(a > b for a, b in zip(vals, vals[1:]))
-    measured = max(b / a for a, b in zip(vals, vals[1:]))
-    return _check("7-rough-bound", measured, 1.0, passed=decreasing,
-                  note=f"e^(1.2 lambda)|S*| at 10..25: {['%.4f' % v for v in vals]}")
-
-
-def check_figure_reproduction(quick: bool = False) -> VerifyCheck:
-    n = 60 if quick else 200
-    table = figure_data(5.0, 25.0, n)
-    diffs = [abs(r.scaled_numeric - r.scaled_asym) for r in table.rows]
-    sup = max(diffs)
-    third = len(diffs) // 3
-    sups = [max(diffs[:third]), max(diffs[third:2 * third]), max(diffs[2 * third:])]
-    decreasing = sups[0] > sups[1] > sups[2]
-    csv_a = render_csv(table)
-    csv_b = render_csv(figure_data(5.0, 25.0, n))
-    passed = sup <= 0.5 and decreasing and csv_a == csv_b
-    return _check("8-figure-reproduction", sup, 0.5, passed=passed,
-                  note=f"third sups {['%.4f' % s for s in sups]}, "
-                       f"byte-identical={csv_a == csv_b}")
-
-
-def check_structural_identities() -> VerifyCheck:
-    import numpy as np
-
-    res = _bound("derivative_residuals")(_bound("SeriesParams")(0.5, 1.0, 1.0),
-                                         1e-4)
-    worst_res = max(res)
-    worst_gauss = 0.0
-    for m in range(1, 7):
-        for lam in (0.0, 1.0, 3.0):
-            num, clo = _bound("gaussian_term_identity")(m, lam)
-            worst_gauss = max(worst_gauss, abs(num - clo))
-    radial_transform = _bound("radial_transform")
-    g0 = abs(radial_transform(lambda r: np.exp(-r * r), 0.0) - math.pi)
-    g2 = abs(radial_transform(lambda r: np.exp(-r * r), 2.0)
-             - math.pi * math.exp(-1.0))
-    worst_radial = max(g0, g2)
-    passed = worst_res <= 1e-6 and worst_gauss <= 1e-9 and worst_radial <= 1e-10
-    return _check("9-structural-identities", worst_res, 1e-6, passed=passed,
-                  note=f"derivative {worst_res:.2e} (<=1e-6), gaussian "
-                       f"{worst_gauss:.2e} (<=1e-9), radial {worst_radial:.2e} (<=1e-10)")
-
-
-def check_precision_honesty() -> VerifyCheck:
-    s = _bound("sum_alternating_s")(150.0)
-    series_ok = s.error_estimate >= 1e-4 * abs(s.value)
-    try:
-        h = _bound("hankel_s_star")(40.0)
-        hankel_ok = h.error_estimate >= abs(h.value)
-    except RangeError:
-        hankel_ok = True
-    passed = series_ok and hankel_ok
-    return _check("10-precision-honesty",
-                  s.error_estimate / abs(s.value), 1e-4,
-                  passed=passed,
-                  note="estimates dominate the values they cannot resolve")
-
-
-def run_acceptance(quick: bool = False) -> VerifyReport:
-    """All ten acceptance checks, in order, with calibration constants."""
-    # check 6's envelope study, which also gives C_envelope
-    rows = error_scaling_study(_ENVELOPE_GRID)
-    checks = [
-        check_closed_form_anchor(),
-        check_cross_method_agreement(quick),
-        check_pole_geometry(),
-        check_residue_convergence(),
-        check_saddle_lemma(),
-        check_asymptotic_law(quick, rows),
-        check_rough_bound(),
-        check_figure_reproduction(quick),
-        check_structural_identities(),
-        check_precision_honesty(),
-    ]
-    calibration = {
-        "kappa": _bound("calibrated_kappa")(),
-        "C_envelope": max(r["envelope_ratio"] for r in rows),
-    }
-    return VerifyReport(checks=checks, calibration=calibration)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,12 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
+# sqrt(pi/2) as an unevaluated double-double sum hi + lo, for _decay.  The
+# scaled integrand and kappa keep _SQRT_HALF_PI, one ulp below hi, so their
+# bits do not move.
+_SQRT_HALF_PI_HI = 1.253314137315500343e+00
+_SQRT_HALF_PI_LO = -9.164289990229583387e-17
+
 _STRIP = default_strip()
 _KAPPA_CACHE: float | None = None
 # one calibration, however many threads ask for it at once
@@ -65,6 +71,35 @@ class ResidueResult(EvalOutcome):
     def unscaled_value(self) -> float:
         """Alias of ``value``."""
         return self.value
+
+
+def _veltkamp(a: float):
+    """a = hi + lo exactly, each half with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# the halves of _SQRT_HALF_PI_HI for Dekker's two-product
+_SQRT_HALF_PI_HH, _SQRT_HALF_PI_HL = _veltkamp(_SQRT_HALF_PI_HI)
+
+
+def _decay(lam: float) -> float:
+    """e^(-lambda sqrt(pi/2)), to a few ulp where it is normal.
+
+    math.exp(-lam * _SQRT_HALF_PI) takes an argument rounded twice, in the
+    constant and in the product, so it is good only to about
+    lambda sqrt(pi/2) eps relative (1e-14 at lambda = 100).  Here
+    lam * hi = p + e exactly (Dekker's two-product), and the remainder
+    r = e + lam * lo, below one ulp of p, enters to first order.
+    """
+    p = lam * _SQRT_HALF_PI_HI
+    lh, ll = _veltkamp(lam)
+    e = (((lh * _SQRT_HALF_PI_HH - p) + lh * _SQRT_HALF_PI_HL
+          + ll * _SQRT_HALF_PI_HH) + ll * _SQRT_HALF_PI_HL)
+    r = e + lam * _SQRT_HALF_PI_LO
+    scale = math.exp(-p)
+    return scale - scale * r
 
 
 def _pole_line_arrays(y: np.ndarray):
@@ -151,7 +186,7 @@ def saddle_lhs_numeric(lam: float,
         raise DomainError(f"need finite lambda > 0, got {lam}")
     tol = tol or ToleranceSpec()
     a_plus, _, refine, _, _ = _scaled_saddle(lam)
-    scale = math.exp(-lam * _SQRT_HALF_PI)
+    scale = _decay(lam)
     if not tol.met_by(refine * scale, abs(a_plus) * scale):
         raise WorkLimitError(
             f"quadrature estimate {refine * scale:.3e} misses the tolerance")
@@ -214,7 +249,7 @@ def s_star_via_residue(lam: float,
     shape = (math.exp(-lam * (_STRIP.a1 - _SQRT_HALF_PI))
              + math.exp(-lam * (_STRIP.a2 - _SQRT_HALF_PI)))
     bound = kappa * shape + refine
-    scale = math.exp(-lam * _SQRT_HALF_PI)
+    scale = _decay(lam)
     # from lambda ~ 566 bound * scale underflows to 0.0 while the value is
     # still a nonzero subnormal: floor the estimate at the smallest one
     result = ResidueResult(scaled * scale, max(bound * scale, math.ulp(0.0)),

@@ -1,61 +1,36 @@
 """Direct evaluation of S(t) = sum_n (-1)^n n^-1 exp(-t/n).
 
-Two summation regimes are used:
+``sum_alternating_s`` sums a direct bulk up to N0 > t, past which the terms
+b_n = n^-1 exp(-t/n) decrease monotonically, then the Euler transform of
+the alternating tail,
+sum_m (-1)^m b_m = (-1)^(N0+1)/2 * sum_k (-1/2)^k Delta^k b_(N0+1),
+whose terms decay geometrically once the forward differences of the
+smooth tail die off.
 
-* ``sum_alternating_s``: a direct bulk up to N0 > t, past which the terms
-  b_n = n^-1 exp(-t/n) decrease monotonically, followed by the Euler
-  transform of the alternating tail,
-  sum_m (-1)^m b_m = (-1)^(N0+1)/2 * sum_k (-1/2)^k Delta^k b_(N0+1),
-  whose terms decay geometrically once the forward differences of the
-  smooth tail die off;
-* ``_sum_interior``: ascending chunked summation of the general series
-  S(z, nu, t) = sum z^n n^(-nu) exp(-t/n) at |z| < 1 with an explicit
-  geometric tail majorant.  It serves only ``derivative_residuals``, the
-  structural-identity check.
-
-All accumulation uses math.fsum (exact compensated addition), and every
-result carries an error estimate that includes the roundoff floor
-eps * sum|terms| -- in the heavily cancelling large-t regime that floor, not
-truncation, is the honest accuracy limit.
+Everything runs in Python floats, so this route loads no numpy.  The bulk
+and its |term| mass are summed with math.fsum (exactly rounded addition),
+and the result carries an error estimate that includes the roundoff floor
+eps * sum|terms| -- in the heavily cancelling large-t regime that floor,
+not truncation, is the honest accuracy limit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import chain, cycle
 
 from .core import DomainError, EvalOutcome, ToleranceSpec, WorkLimitError
 
 __all__ = [
-    "SeriesParams",
     "AlternatingOutcome",
     "sum_alternating_s",
-    "derivative_residuals",
 ]
 
-_EPS = float(np.finfo(float).eps)
-_CHUNK = 8192
+_EPS = sys.float_info.epsilon
 _EULER_COLUMNS = 48
-
-
-@dataclass(frozen=True)
-class SeriesParams:
-    """Parameters (z, nu, t) of the general series, with 0 < |z| < 1."""
-
-    z: complex
-    nu: float
-    t: float
-
-    def __post_init__(self):
-        az = abs(self.z)
-        if not 0.0 < az < 1.0:
-            raise DomainError(f"need 0 < |z| < 1, got |z| = {az}")
-        if not self.nu > 0:
-            raise DomainError(f"need nu > 0, got {self.nu}")
-        if not self.t >= 0:
-            raise DomainError(f"need t >= 0, got {self.t}")
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -70,63 +45,39 @@ class AlternatingOutcome(EvalOutcome):
     cancellation: float = 0.0
 
 
-def _term_block(z: complex, nu: float, t: float, n: np.ndarray, weight):
-    """Terms z^n n^(-nu) exp(-t/n) [* weight(n)] for an integer block n."""
-    base = np.exp(-t / n) * n ** (-nu)
-    if weight is not None:
-        base = base * weight(n)
-    if z.imag == 0.0:
-        x = z.real
-        pw = np.abs(x) ** n
-        if x < 0.0:
-            pw = np.where(n % 2 == 0, pw, -pw)
-        return pw * base
-    return np.power(z, n.astype(complex)) * base
-
-
-def _sum_interior(z: complex, nu: float, t: float, tol: ToleranceSpec,
-                  weight=None):
-    """S(z, nu, t) [with weight(n) on each term] at |z| < 1.
-
-    Returns (value, error_estimate, work).  The error estimate is the
-    geometric majorant |z|^N / (1 - |z|) * (largest remaining term factor)
-    of the unsummed tail plus the roundoff floor 4 eps sum|terms|.
-    """
-    z_abs = abs(z)
-    re_parts, im_parts, abs_parts = [], [], []
-    n_done = 0
-    while True:
-        n = np.arange(n_done + 1, n_done + _CHUNK + 1, dtype=float)
-        terms = _term_block(z, nu, t, n, weight).astype(complex)
-        re_parts.append(math.fsum(terms.real))
-        im_parts.append(math.fsum(terms.imag))
-        abs_parts.append(float(np.sum(np.abs(terms))))
-        n_done += _CHUNK
-        value = complex(math.fsum(re_parts), math.fsum(im_parts))
-        n_next = n_done + 1
-        factor = float(n_next) ** (-nu)
-        if n_next * nu > t:
-            factor *= math.exp(-t / n_next)
-        if weight is not None:
-            factor *= abs(float(weight(np.array([float(n_next)]))[0]))
-        bound = z_abs ** n_next / (1.0 - z_abs) * factor
-        floor = 4.0 * _EPS * math.fsum(abs_parts)
-        if tol.met_by(bound + floor, abs(value)):
-            return value, bound + floor, n_done
-        if n_done >= tol.max_work:
-            pval = value.real if z.imag == 0.0 else value
-            raise WorkLimitError(
-                f"geometric tail still {bound:.3e} after {n_done} terms",
-                partial=EvalOutcome(pval, bound + floor, n_done, "series"))
-
-
-def _abs_terms(t: float, n: np.ndarray) -> np.ndarray:
-    """Term magnitudes b_n = n^-1 exp(-t/n).
+def _abs_terms(t: float, first: int, stop: int) -> list:
+    """Term magnitudes b_n = n^-1 exp(-t/n) for first <= n < stop.
 
     Multiplying by the rounded reciprocal, not dividing by n, is the
     rounding that the frozen outcomes in the tests were summed with.
     """
-    return np.exp(-t / n) * (1.0 / n)
+    exp = math.exp
+    return [exp(-t / n) * (1.0 / n) for n in range(first, stop)]
+
+
+def _bulk(t: float, n0: int) -> tuple:
+    """sum_(n <= n0) (-1)^n b_n and its |term| mass, both by math.fsum.
+
+    The terms are formed in blocks of _BLOCK, from n = n0 down to 1, so
+    one block at most is held at a time.  fsum rounds the sum exactly in
+    any order, and in this one it runs fast: at large t the terms shrink
+    towards n = 1, so the tiny ones, each of which would otherwise stay
+    among fsum's partials for every later term, come last.  The mass is
+    the fsum of the blocks' fsums.  (-1.0 / n is -(1.0 / n) exactly, so
+    the magnitudes are those of ``_abs_terms``.)
+    """
+    exp = math.exp
+    masses = []
+
+    def blocks():
+        for top in range(n0, 0, -_BLOCK):
+            signs = cycle((-1.0, 1.0) if top % 2 else (1.0, -1.0))
+            block = [exp(-t / n) * (s / n) for n, s in
+                     zip(range(top, max(top - _BLOCK, 0), -1), signs)]
+            masses.append(math.fsum(map(abs, block)))
+            yield block
+
+    return math.fsum(chain.from_iterable(blocks())), math.fsum(masses)
 
 
 def sum_alternating_s(t: float, tol: ToleranceSpec | None = None
@@ -148,23 +99,25 @@ def sum_alternating_s(t: float, tol: ToleranceSpec | None = None
         if n0 > tol.max_work:
             raise WorkLimitError(
                 f"bulk stage of {n0} terms exceeds max_work {tol.max_work}")
-        n = np.arange(1, n0 + 1, dtype=float)
-        b = _abs_terms(t, n)
-        bulk = math.fsum(np.where(n % 2 == 0, b, -b))
-        absum_bulk = float(np.sum(b))
+        bulk, absum_bulk = _bulk(t, n0)
 
-        m = np.arange(n0 + 1, n0 + _EULER_COLUMNS + 1, dtype=float)
-        b = _abs_terms(t, m)
+        b = _abs_terms(t, n0 + 1, n0 + _EULER_COLUMNS + 1)
         # Euler weight of column k: (-1)^(n0+1)/2 * (-1/2)^k
         wk = 0.5 if n0 % 2 else -0.5
 
         tail = 0.0
         abs_tail = 0.0
-        diffs = b
+        diag = []
         t_prev = math.inf
         target = 1e-3 * max(tol.abs_tol, _EPS * absum_bulk)
-        for k in range(_EULER_COLUMNS):
-            term = wk * float(diffs[0])
+        for k, delta in enumerate(b):
+            # diag[j] becomes Delta^j b_(n0+1+k-j), and delta Delta^k
+            # b_(n0+1): the difference table is formed only as far as the
+            # transform reads it
+            for j, d in enumerate(diag):
+                diag[j], delta = delta, delta - d
+            diag.append(delta)
+            term = wk * delta
             tail += term
             abs_tail += abs(term)
             small_enough = abs(term) <= target and abs(term) <= t_prev
@@ -173,7 +126,6 @@ def sum_alternating_s(t: float, tol: ToleranceSpec | None = None
                 break
             t_prev = abs(term)
             wk *= -0.5
-            diffs = np.diff(diffs)
         else:
             n0 *= 2
             continue
@@ -181,7 +133,7 @@ def sum_alternating_s(t: float, tol: ToleranceSpec | None = None
         trunc = 2.0 * max(abs(term), min(t_prev, abs(term) * 4.0))
         # Roundoff amplification of the k-fold difference table: with
         # Euler ratio 1/2 each of the k + 1 columns adds eps * b_0 / 2.
-        table_noise = _EPS * 0.5 * float(b[0]) * (k + 1.0)
+        table_noise = _EPS * 0.5 * b[0] * (k + 1.0)
         floor = 4.0 * _EPS * absum_bulk + _EPS * (abs_tail + abs(bulk))
         err = trunc + table_noise + floor
         value = bulk + tail
@@ -196,43 +148,3 @@ def sum_alternating_s(t: float, tol: ToleranceSpec | None = None
                                   method="series", cancellation=cancel)
 
     raise WorkLimitError("Euler tail failed to converge", partial=None)
-
-
-def derivative_residuals(p: SeriesParams, h: float) -> tuple[float, float, float]:
-    """Residuals of the three derivative identities, by central differences.
-
-    Checks (with D the step-h central difference):
-      r1 = |D_t S(z,nu,t) + S(z,nu+1,t)|
-      r2 = |D_z S(z,nu+1,t) - S(z,nu,t)/z|
-      r3 = |D2_tz S(z,nu,t) + S(z,nu,t)/z|
-    Each is O(h^2).  The t-differences are evaluated term-wise through the
-    exact factorization exp(-(t+-h)/n) = exp(-t/n) exp(-+h/n), i.e. with the
-    weight -sinh(h/n)/h; that is the same central-difference operator but
-    free of subtractive cancellation, so the h^2 order survives small h.
-    """
-    if not h > 0:
-        raise DomainError("need h > 0")
-    if p.t - h < 0:
-        raise DomainError("t - h leaves the domain; reduce h")
-    for dz in (p.z + h, p.z - h):
-        if not abs(dz) < 1.0:
-            raise DomainError("z +- h leaves the open unit disk; reduce h")
-    tol = ToleranceSpec(abs_tol=1e-15, rel_tol=1e-15)
-    z, nu, t = complex(p.z), p.nu, p.t
-
-    def sval(zz, nn, weight=None):
-        return _sum_interior(zz, nn, t, tol, weight)[0]
-
-    sinh_w = lambda n: -np.sinh(h / n) / h
-
-    s_nu = sval(z, nu)
-    s_nu1 = sval(z, nu + 1.0)
-    dt = sval(z, nu, sinh_w)
-    r1 = abs(dt + s_nu1)
-
-    dzv = (sval(z + h, nu + 1.0) - sval(z - h, nu + 1.0)) / (2.0 * h)
-    r2 = abs(dzv - s_nu / z)
-
-    dtz = (sval(z + h, nu, sinh_w) - sval(z - h, nu, sinh_w)) / (2.0 * h)
-    r3 = abs(dtz + s_nu / z)
-    return float(r1), float(r2), float(r3)

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from altseries.asymptotic import SQRT_HALF_PI, asym_s_star
-from altseries import harness
+from altseries import acceptance, harness
 from altseries.core import DomainError, RangeError, ToleranceSpec, WorkLimitError
 from altseries.harness import (
     CANCELLATION_FLAG,
@@ -196,7 +196,7 @@ class TestErrorScalingStudy:
             return error_scaling_study(grid)
 
         monkeypatch.setattr(harness, "error_scaling_study", spy)
-        report = harness.run_acceptance(quick=True)
+        report = acceptance.run_acceptance(quick=True)
         assert grids == [(15.0, 20.0, 25.0, 30.0, 35.0, 40.0)]
         rows = error_scaling_study(grids[0])
         assert report.calibration["C_envelope"] == max(

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 ROUTE_MODULES = {"altseries.series", "altseries.bessel", "altseries._j0_table",
                  "altseries.hankel", "altseries.fourier2d",
@@ -34,9 +36,10 @@ def _loaded_after(code: str) -> set:
 
 
 def _loaded_after_eval(method: str) -> set:
+    # lambda = 10 lies inside every route's window
     return _loaded_after(
         "from altseries.cli import main\n"
-        f"assert main(['eval', '--lambda', '30', '--method', '{method}']) == 0")
+        f"assert main(['eval', '--lambda', '10', '--method', '{method}']) == 0")
 
 
 def test_cli_import_loads_no_route_and_no_numpy():
@@ -56,6 +59,23 @@ def test_asym_eval_loads_no_numpy():
 def test_series_eval_loads_no_other_route():
     loaded = _loaded_after_eval("series")
     assert loaded & ROUTE_MODULES == {"altseries.series"}
+
+
+def test_series_eval_loads_no_numpy():
+    assert "numpy" not in _loaded_after_eval("series")
+
+
+@pytest.mark.parametrize("method", ["series", "hankel", "fourier2d",
+                                    "residue", "asym", "auto"])
+def test_eval_leaves_the_acceptance_checklist_unloaded(method):
+    assert "altseries.acceptance" not in _loaded_after_eval(method)
+
+
+def test_verify_loads_the_acceptance_checklist():
+    loaded = _loaded_after(
+        "from altseries.cli import main\n"
+        "assert main(['verify', '--quick']) == 0")
+    assert "altseries.acceptance" in loaded
 
 
 def test_spies_set_before_any_route_are_called():

@@ -219,12 +219,20 @@ class TestResidueResult:
     def test_is_an_eval_outcome_at_true_size(self):
         lam = 30.0
         r = s_star_via_residue(lam)
-        scale = math.exp(-lam * SQRT_HALF_PI)
+        scale = residue._decay(lam)
         assert isinstance(r, EvalOutcome)
         assert r.method == "residue"
         assert r.value == r.scaled_value * scale
         assert r.error_estimate == r.neglected_bound * scale
         assert r.unscaled_value == r.value
+
+    @pytest.mark.parametrize("lam", [8.0, 30.0, 100.0, 300.0, 500.0])
+    def test_true_size_factor_is_good_to_the_last_bits(self, lam):
+        # math.exp(-lam * SQRT_HALF_PI) is off by ~lam * eps relative
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            exact = mpmath.exp(-lam * mpmath.sqrt(mpmath.pi / 2))
+            assert abs(residue._decay(lam) - exact) <= 2 * _EPS * exact
 
     def test_rebuilt_like_any_outcome(self):
         r = s_star_via_residue(12.0)

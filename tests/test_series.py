@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,13 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altseries.core import DomainError, ToleranceSpec, WorkLimitError
-from altseries.series import (
-    AlternatingOutcome,
-    SeriesParams,
-    derivative_residuals,
-    sum_alternating_s,
-)
-from altseries.series import _sum_interior
+from altseries.acceptance import (SeriesParams, _sum_interior,
+                                  derivative_residuals)
+from altseries.series import AlternatingOutcome, sum_alternating_s
 
 import oracle_values as ov
 
@@ -41,16 +38,18 @@ def test_alternating_s_frozen_values(t, expected):
 
 
 # (value, error_estimate, work, cancellation), frozen from the summation
-# code as it stood when it still handled general z on the closed disk
+# code as it stood when it still handled general z on the closed disk; the
+# entries at t = 150 and 2500 re-frozen when the terms moved from numpy's
+# exp to math.exp, each within the old entry's error_estimate of its value
 S_T_OUTCOMES = {
     0.0: (-0.6931471805599453, 5.472896243237346e-15, 74,
           6.855170891927952),
     36.0: (-3.058843266404848e-07, 3.767373656268445e-15, 77,
            1746563.5523953168),
-    150.0: (3.343440975467349e-14, 1.4722853717206983e-15, 189,
-            8966445353325.639),
-    2500.0: (5.285485590866834e-19, 2.1264451624409872e-16, 2537,
-             4.2425582308435136e+17),
+    150.0: (3.343484343554248e-14, 1.4722853717206983e-15, 189,
+            8966329050229.436),
+    2500.0: (4.2012834183813297e-19, 2.1264451624409874e-16, 2537,
+             5.337411967835388e+17),
 }
 
 
@@ -242,6 +241,19 @@ def test_boundary_budget_counts_the_terms_spent():
         sum_alternating_s(25.0, ToleranceSpec(1e-6, 0.0, max_work=out.work - 1))
     partial = exc.value.partial
     assert (partial.value, partial.work) == (out.value, out.work)
+
+
+def test_bulk_holds_one_block_of_terms_at_a_time():
+    # 100,032 bulk terms: a list or array of all of them takes 0.8 MB of
+    # pointers or doubles alone (numpy's temporaries peaked at 3.3 MB)
+    tracemalloc.start()
+    try:
+        out = sum_alternating_s(1e5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.work > 100_000
+    assert peak < 500_000
 
 
 def test_work_is_reported():

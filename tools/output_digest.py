@@ -94,8 +94,8 @@ for lam in (8.0, 10.0, 30.0, 300.0, 500.0):
 SERIES = """
 import math
 from altseries import ToleranceSpec
-from altseries.series import (SeriesParams, derivative_residuals,
-                              sum_alternating_s)
+from altseries.acceptance import SeriesParams, derivative_residuals
+from altseries.series import sum_alternating_s
 
 
 def show(label, call):
