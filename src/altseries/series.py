@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import chain, cycle
+from operator import mul
 
 from .core import DomainError, EvalOutcome, ToleranceSpec, WorkLimitError
 
@@ -63,19 +64,17 @@ def _bulk(t: float, n0: int) -> tuple:
     any order, and in this one it runs fast: at large t the terms shrink
     towards n = 1, so the tiny ones, each of which would otherwise stay
     among fsum's partials for every later term, come last.  The mass is
-    the fsum of the blocks' fsums.  (-1.0 / n is -(1.0 / n) exactly, so
-    the magnitudes are those of ``_abs_terms``.)
+    the fsum of the blocks' fsums.
     """
-    exp = math.exp
     masses = []
 
     def blocks():
         for top in range(n0, 0, -_BLOCK):
+            block = _abs_terms(t, max(top - _BLOCK, 0) + 1, top + 1)
+            block.reverse()
+            masses.append(math.fsum(block))
             signs = cycle((-1.0, 1.0) if top % 2 else (1.0, -1.0))
-            block = [exp(-t / n) * (s / n) for n, s in
-                     zip(range(top, max(top - _BLOCK, 0), -1), signs)]
-            masses.append(math.fsum(map(abs, block)))
-            yield block
+            yield map(mul, signs, block)
 
     return math.fsum(chain.from_iterable(blocks())), math.fsum(masses)
 

@@ -58,11 +58,8 @@ def test_asym_eval_loads_no_numpy():
 
 def test_series_eval_loads_no_other_route():
     loaded = _loaded_after_eval("series")
+    assert "numpy" not in loaded
     assert loaded & ROUTE_MODULES == {"altseries.series"}
-
-
-def test_series_eval_loads_no_numpy():
-    assert "numpy" not in _loaded_after_eval("series")
 
 
 @pytest.mark.parametrize("method", ["series", "hankel", "fourier2d",

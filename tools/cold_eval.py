@@ -1,7 +1,7 @@
 """Time cold ``altseries eval`` processes, route by route, in one or more
 checkouts.
 
-Each sample is one fresh ``python -m altseries.cli eval --lambda L
+Each sample is one fresh ``python -m altseries.cli eval --lambda 10
 --method M --json`` process, started in the benchmark's environment:
 ``PYTHONDONTWRITEBYTECODE=1`` (so every process compiles what it imports)
 and one BLAS/OpenMP thread.  The samples are interleaved: every round runs
@@ -18,8 +18,7 @@ one more process that lists ``sys.modules`` after the same call).
 
 Usage, from any directory:
 
-    python3 tools/cold_eval.py [--runs N] [--lambda L] [--out FILE.json] \\
-        [LABEL=CHECKOUT ...]
+    python3 tools/cold_eval.py [--runs N] [--out FILE.json] [LABEL=CHECKOUT ...]
 
 Without a LABEL=CHECKOUT argument it times the checkout this file sits in.
 """
@@ -38,6 +37,10 @@ from pathlib import Path
 
 ROUTES = ("series", "hankel", "fourier2d", "residue", "asym")
 BARE = "python -c pass"
+# lambda of every eval: 10 lies inside all five routes' windows.  residue
+# and asym refuse below 8, and past about 24 the series and hankel values
+# sink below their own error estimates.
+LAMBDA = 10.0
 # the benchmark's child environment
 BENCH_ENV = {"PYTHONDONTWRITEBYTECODE": "1", "OMP_NUM_THREADS": "1",
              "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -56,8 +59,8 @@ def child_env(checkout: Path) -> dict:
     return {**os.environ, **BENCH_ENV, "PYTHONPATH": str(checkout / "src")}
 
 
-def eval_argv(route: str, lam: float) -> list:
-    return ["eval", "--lambda", repr(lam), "--method", route, "--json"]
+def eval_argv(route: str) -> list:
+    return ["eval", "--lambda", repr(LAMBDA), "--method", route, "--json"]
 
 
 def timed(cmd: list, env: dict) -> tuple:
@@ -100,10 +103,8 @@ def cpu_model() -> str:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--runs", type=int, default=12,
-                   help="processes per route and checkout (default 12)")
-    p.add_argument("--lambda", dest="lam", type=float, default=10.0,
-                   help="lambda of every eval; 10 lies in all five windows")
+    p.add_argument("--runs", type=int, default=25,
+                   help="processes per route and checkout (default 25)")
     p.add_argument("--out", metavar="FILE.json",
                    help="also write the report here as JSON")
     p.add_argument("checkouts", nargs="*", metavar="LABEL=CHECKOUT")
@@ -128,7 +129,7 @@ def main(argv=None) -> int:
                 env = child_env(checkouts[label])
                 cmd = ([sys.executable, "-c", "pass"] if row == BARE else
                        [sys.executable, "-m", "altseries.cli",
-                        *eval_argv(row, args.lam)])
+                        *eval_argv(row)])
                 wall, cpu, out = timed(cmd, env)
                 walls[row, label].append(1e3 * wall)
                 cpus[row, label].append(1e3 * cpu)
@@ -136,13 +137,13 @@ def main(argv=None) -> int:
                     printed.setdefault((row, label), json.loads(out))
 
     report = {
-        "what": "cold `altseries eval --lambda L --method M --json`, one "
+        "what": "cold `altseries eval --lambda 10 --method M --json`, one "
                 "fresh process per sample, interleaved across checkouts",
         "env": BENCH_ENV,
         "machine": {"cpu": cpu_model(), "cpus": os.cpu_count(),
                     "python": platform.python_version()},
         "runs": args.runs,
-        "lambda": args.lam,
+        "lambda": LAMBDA,
         "checkouts": {label: git_rev(path) for label, path in checkouts.items()},
         "rows": {},
     }
@@ -156,7 +157,7 @@ def main(argv=None) -> int:
                 entry["value"] = result["value"]
                 entry["error_estimate"] = result["error_estimate"]
                 listed = subprocess.run(
-                    [sys.executable, "-c", MODULES, *eval_argv(row, args.lam)],
+                    [sys.executable, "-c", MODULES, *eval_argv(row)],
                     env=child_env(path), capture_output=True, text=True,
                     check=True)
                 entry["modules"] = json.loads(listed.stdout.splitlines()[-1])
