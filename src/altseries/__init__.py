@@ -26,9 +26,6 @@ _EXPORTS = {
     "sum_alternating_s": "series",
     "hankel_s_star": "hankel",
     "fourier2d_s_star": "fourier2d",
-    "StripParams": "poles",
-    "default_strip": "poles",
-    "pole_location": "poles",
     "ResidueResult": "residue",
     "s_star_via_residue": "residue",
     "asym_s_star": "asymptotic",

@@ -192,18 +192,16 @@ def check_cross_method_agreement(quick: bool = False) -> VerifyCheck:
 
 
 def check_pole_geometry() -> VerifyCheck:
-    from .poles import default_strip, pole_location, q_eval, u_star
+    from .poles import STRIP_A, STRIP_B, q_eval, u_star, x_star
 
-    strip = default_strip()
-    b = strip.b
     worst_q = 0.0
     for k in range(50):
-        y = -b + (k + 0.5) * (2.0 * b / 50.0)
-        loc = pole_location(y)
-        worst_q = max(worst_q, abs(q_eval(complex(loc.x_star, loc.u_star), y)))
-        worst_q = max(worst_q, abs(q_eval(complex(-loc.x_star, loc.u_star), y)))
-    d0 = abs(u_star(0.0) - math.sqrt(math.pi / 2.0))
-    db = abs(u_star(b) - strip.a)
+        y = -STRIP_B + (k + 0.5) * (2.0 * STRIP_B / 50.0)
+        xs, us = x_star(y), u_star(y)
+        worst_q = max(worst_q, abs(q_eval(complex(xs, us), y)))
+        worst_q = max(worst_q, abs(q_eval(complex(-xs, us), y)))
+    d0 = abs(u_star(0.0) - SQRT_HALF_PI)
+    db = abs(u_star(STRIP_B) - STRIP_A)
     worst_quartic = 0.0
     for y in (1.0, 2.0, 3.0):
         u = u_star(y)

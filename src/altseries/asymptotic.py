@@ -90,20 +90,17 @@ def asym_s_t(t: float) -> AsymptoticTerm:
     return asym_s_star(2.0 * math.sqrt(t))
 
 
-def saddle_rhs_closed(lam: float, scaled: bool = False) -> complex:
+def saddle_rhs_closed(lam: float) -> complex:
     """Closed form of the saddle-point integral over the pole line.
 
     Returns -sqrt(2) pi^(1/4) lambda^(-1/2) e^(-lambda sqrt(pi/2))
-    * e^(i (lambda sqrt(pi/2) + pi/8)); with ``scaled=True`` the real decay
-    factor e^(-lambda sqrt(pi/2)) is left out entirely, which keeps the
-    result representable at any lambda.
+    * e^(i (lambda sqrt(pi/2) + pi/8)).
     """
     if not 0.0 < lam < math.inf:
         raise DomainError(f"need finite lambda > 0, got {lam}")
     theta = lam * SQRT_HALF_PI + math.pi / 8.0
-    mag = math.sqrt(2.0) * math.pi ** 0.25 / math.sqrt(lam)
-    if not scaled:
-        mag *= math.exp(-lam * SQRT_HALF_PI)
+    mag = (math.sqrt(2.0) * math.pi ** 0.25 / math.sqrt(lam)
+           * math.exp(-lam * SQRT_HALF_PI))
     return -mag * cmath.exp(1j * theta)
 
 

@@ -126,21 +126,21 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_poles(args) -> int:
-    from .poles import default_strip, pole_location, q_eval
+    from .poles import STRIP_B, q_eval, u_star, x_star
 
     if args.y is not None:
         ys = [args.y]
     else:
         if args.grid < 1:
             raise DomainError("need --grid >= 1")
-        b = default_strip().b
-        ys = [-b + (k + 0.5) * (2.0 * b / args.grid) for k in range(args.grid)]
+        step = 2.0 * STRIP_B / args.grid
+        ys = [-STRIP_B + (k + 0.5) * step for k in range(args.grid)]
     # every ordinate is validated before anything is printed
-    locs = [pole_location(y) for y in ys]
+    rows = [(y, x_star(y), u_star(y)) for y in ys]
     print("y,x_star,u_star,q_residual")
-    for loc in locs:
-        resid = abs(q_eval(loc.z, loc.y))
-        print(f"{loc.y!r},{loc.x_star!r},{loc.u_star!r},{resid!r}")
+    for y, xs, us in rows:
+        resid = abs(q_eval(complex(xs, us), y))
+        print(f"{y!r},{xs!r},{us!r},{resid!r}")
     return 0
 
 

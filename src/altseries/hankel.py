@@ -163,10 +163,13 @@ def _s_star_panels(lam: float):
     from .bessel import MAX_ZEROS, j0_zeros
 
     if lam > 0:
-        k_need = int(math.ceil(lam * TRUNCATION_X / math.pi)) + 2
-        if k_need > MAX_ZEROS:
-            raise WorkLimitError(f"lambda = {lam} needs {k_need} Bessel zeros")
-        zeros = [z / lam for z in j0_zeros(k_need)]
+        # inf, not an exception, where lam * TRUNCATION_X overflows
+        zeros_past = lam * TRUNCATION_X / math.pi
+        if not zeros_past <= MAX_ZEROS - 2:
+            raise WorkLimitError(
+                f"lambda = {lam:g} needs about {zeros_past:.3g} Bessel zeros, "
+                f"over the {MAX_ZEROS} j0_zeros serves")
+        zeros = [z / lam for z in j0_zeros(int(math.ceil(zeros_past)) + 2)]
     else:
         zeros = []
     edges = oscillatory_edges(zeros, TRUNCATION_X)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import importlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .asymptotic import SQRT_HALF_PI, asym_s_star, error_envelope
@@ -301,6 +302,10 @@ def _lambda_grid(lambda_min: float, lambda_max: float, n: int):
         raise DomainError(
             "need 0 < lambda_min < lambda_max < inf, got lambda_min = "
             f"{lambda_min}, lambda_max = {lambda_max}")
+    try:
+        n = operator.index(n)  # what range() would take
+    except TypeError:
+        raise DomainError(f"need an integer n, got {n!r}") from None
     if n < 2:
         raise DomainError("need n >= 2")
     step = (lambda_max - lambda_min) / (n - 1)

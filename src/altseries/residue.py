@@ -10,8 +10,9 @@ pair).  The I2 principal part reduces to a single y-integral of
 whose modulus e^(-lambda u*(y)) would underflow long before lambda = 60 if
 summed naively.  Everything here is therefore computed against the scale
 e^(-lambda sqrt(pi/2)): the factored integrand e^(-lambda (u*(y)-sqrt(pi/2)))
-stays inside [e^(-0.92 lambda), 1] on the strip and the true value
-is reassembled (or reported scaled) at the very end.
+stays inside [e^(-(a - sqrt(pi/2)) lambda), 1] = [e^(-0.747 lambda), 1] on
+the strip |y| <= b, and the true value is reassembled (or reported scaled)
+at the very end.
 
 The corrections are never computed, only bounded: a single constant kappa
 is calibrated against the Hankel route in the overlap window lambda in
@@ -26,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotic import SQRT_HALF_PI
 from .core import (RESIDUE_MIN_LAMBDA, DomainError, EvalOutcome, RangeError,
                    ToleranceSpec, WorkLimitError)
-from .poles import default_strip
+from .poles import STRIP_A1, STRIP_A2, STRIP_B
 
 __all__ = [
     "RESIDUE_MIN_LAMBDA",
@@ -39,14 +41,12 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
-_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 # sqrt(pi/2) as an unevaluated double-double sum hi + lo, for _decay.  The
-# scaled integrand and kappa keep _SQRT_HALF_PI, one ulp below hi, so their
+# scaled integrand and kappa keep SQRT_HALF_PI, one ulp below hi, so their
 # bits do not move.
 _SQRT_HALF_PI_HI = 1.253314137315500343e+00
 _SQRT_HALF_PI_LO = -9.164289990229583387e-17
 
-_STRIP = default_strip()
 _KAPPA_CACHE: float | None = None
 # one calibration, however many threads ask for it at once
 _KAPPA_LOCK = threading.Lock()
@@ -87,7 +87,7 @@ _SQRT_HALF_PI_HH, _SQRT_HALF_PI_HL = _veltkamp(_SQRT_HALF_PI_HI)
 def _decay(lam: float) -> float:
     """e^(-lambda sqrt(pi/2)), to a few ulp where it is normal.
 
-    math.exp(-lam * _SQRT_HALF_PI) takes an argument rounded twice, in the
+    math.exp(-lam * SQRT_HALF_PI) takes an argument rounded twice, in the
     constant and in the product, so it is good only to about
     lambda sqrt(pi/2) eps relative (1e-14 at lambda = 100).  Here
     lam * hi = p + e exactly (Dekker's two-product), and the remainder
@@ -110,7 +110,7 @@ def _pole_line_arrays(y: np.ndarray):
     xs = (0.5 * math.pi) / us
     # u*^2 - pi/2 = (y^2 + (root - pi))/2 with root - pi = y^4/(root + pi),
     # so the difference of nearly equal square roots never materializes.
-    offset = (y2 + y2 * y2 / (root + math.pi)) / (2.0 * (us + _SQRT_HALF_PI))
+    offset = (y2 + y2 * y2 / (root + math.pi)) / (2.0 * (us + SQRT_HALF_PI))
     return us, xs, offset
 
 
@@ -145,25 +145,21 @@ def _saddle_edges(lam: float, b: float):
     return [-e for e in reversed(half)] + half[1:]
 
 
-def _scaled_saddle(lam: float, b: float = _STRIP.b, order: int = 16):
+def _scaled_saddle(lam: float, b: float = STRIP_B, order: int = 16):
     """Both branch integrals of the scaled saddle integrand.
 
-    Returns (a_plus, a_minus, refine, min_mag, work) where a_+- approximate
+    Returns (a_plus, a_minus, refine, work) where a_+- approximate
     integral of e^(lambda(sqrt(pi/2) - u*(y))) e^(+-i lambda x*(y))/(i z_+-)
-    over [-b, b] and min_mag is the smallest exponential factor seen.
+    over [-b, b].
     """
     from .hankel import panel_quadrature
 
     edges = _saddle_edges(lam, b)
-    min_box = [1.0]
 
     def make_integrand(branch):
         def g(y):
             us, xs, offset = _pole_line_arrays(y)
             damp = np.exp(-lam * offset)
-            m = float(np.min(damp))
-            if m < min_box[0]:
-                min_box[0] = m
             z = branch * xs + 1j * us
             return damp * np.exp(1j * branch * lam * xs) / (1j * z)
         return g
@@ -171,7 +167,7 @@ def _scaled_saddle(lam: float, b: float = _STRIP.b, order: int = 16):
     a_plus, r1, ai1, _, w1 = panel_quadrature(make_integrand(1), edges, order)
     a_minus, r2, ai2, _, w2 = panel_quadrature(make_integrand(-1), edges, order)
     refine = r1 + r2 + 4.0 * _EPS * (ai1 + ai2)
-    return complex(a_plus), complex(a_minus), refine, min_box[0], w1 + w2
+    return complex(a_plus), complex(a_minus), refine, w1 + w2
 
 
 def saddle_lhs_numeric(lam: float,
@@ -185,7 +181,7 @@ def saddle_lhs_numeric(lam: float,
     if not 0.0 < lam < math.inf:
         raise DomainError(f"need finite lambda > 0, got {lam}")
     tol = tol or ToleranceSpec()
-    a_plus, _, refine, _, _ = _scaled_saddle(lam)
+    a_plus, _, refine, _ = _scaled_saddle(lam)
     scale = _decay(lam)
     if not tol.met_by(refine * scale, abs(a_plus) * scale):
         raise WorkLimitError(
@@ -213,11 +209,11 @@ def calibrated_kappa() -> float:
         worst = 0.0
         for lam in (10.0, 12.0, 14.0, 16.0):
             href = hankel_s_star(lam).value
-            a_plus, a_minus, _, _, _ = _scaled_saddle(lam)
+            a_plus, a_minus, _, _ = _scaled_saddle(lam)
             scaled_res = -(a_plus + a_minus).real
-            scaled_diff = abs(math.exp(lam * _SQRT_HALF_PI) * href
+            scaled_diff = abs(math.exp(lam * SQRT_HALF_PI) * href
                               - scaled_res)
-            shape = math.exp(-lam * (_STRIP.a1 - _SQRT_HALF_PI))
+            shape = math.exp(-lam * (STRIP_A1 - SQRT_HALF_PI))
             worst = max(worst, scaled_diff / shape)
         _KAPPA_CACHE = worst
         return worst
@@ -240,14 +236,11 @@ def s_star_via_residue(lam: float,
         raise RangeError(
             f"lambda = {lam} is below the residue route's window "
             f"lambda >= {RESIDUE_MIN_LAMBDA:g}")
-    a_plus, a_minus, refine, min_mag, work = _scaled_saddle(lam)
-    if lam <= 60.0 and 0.0 < min_mag < 2.3e-308:
-        raise WorkLimitError(
-            f"subnormal intermediate {min_mag} at lambda = {lam}")
+    a_plus, a_minus, refine, work = _scaled_saddle(lam)
     scaled = -(a_plus + a_minus).real
     kappa = calibrated_kappa()
-    shape = (math.exp(-lam * (_STRIP.a1 - _SQRT_HALF_PI))
-             + math.exp(-lam * (_STRIP.a2 - _SQRT_HALF_PI)))
+    shape = (math.exp(-lam * (STRIP_A1 - SQRT_HALF_PI))
+             + math.exp(-lam * (STRIP_A2 - SQRT_HALF_PI)))
     bound = kappa * shape + refine
     scale = _decay(lam)
     # from lambda ~ 566 bound * scale underflows to 0.0 while the value is

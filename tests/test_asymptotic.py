@@ -100,9 +100,7 @@ def test_error_envelope_finite_down_to_its_edge():
 def test_saddle_closed_form_magnitude_and_phase():
     lam = 9.0
     r = saddle_rhs_closed(lam)
-    r_scaled = saddle_rhs_closed(lam, scaled=True)
     mag = math.sqrt(2.0) * math.pi ** 0.25 / math.sqrt(lam)
-    assert abs(r_scaled) == pytest.approx(mag, rel=1e-15)
     assert abs(r) == pytest.approx(mag * math.exp(-lam * SQRT_HALF_PI), rel=1e-14)
     # the closed form carries exactly the leading term: value = -2 Re
     assert asym_s_star(lam).value == pytest.approx(-2.0 * r.real, rel=1e-14)

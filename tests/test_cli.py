@@ -144,6 +144,7 @@ class TestEval:
         ("--t", "1e308"),
         ("--lambda", "1e40", "--method", "residue"),
         ("--lambda", "inf", "--method", "asym"),
+        ("--lambda", "1e308", "--method", "hankel"),
     ])
     def test_huge_input_refused_in_bounded_time(self, capsys, argv):
         start = time.perf_counter()
@@ -271,6 +272,13 @@ class TestPoles:
         code, out, err = run(capsys, "poles", f"--y={y}")
         assert code == 2 and out == ""
         assert "error:" in err
+
+    @pytest.mark.parametrize("y", ["1e154", "1e200", "-1e200"])
+    def test_overflowing_ordinate_refused(self, capsys, y):
+        # u* overflows here, so no row could name a pole
+        code, out, err = run(capsys, "poles", f"--y={y}")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "u*(y) overflows" in err
 
 
 class TestConfigFile:

@@ -1,6 +1,7 @@
 """Bessel-transform quadrature route for S*(lambda)."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -295,4 +296,14 @@ def test_s_star_domain_and_budget():
         hankel_s_star(300.0)
     with pytest.raises(WorkLimitError, match="Bessel zeros"):
         hankel_s_star(5000.0)
+
+
+@pytest.mark.parametrize("lam", [1e300, 1e308, sys.float_info.max])
+def test_s_star_refuses_huge_lambda(lam):
+    # lambda * TRUNCATION_X / pi is 2.5e300 or inf here: refused before
+    # math.ceil, and written in three digits
+    with pytest.raises(WorkLimitError) as info:
+        hankel_s_star(lam)
+    assert "Bessel zeros, over the 10000 j0_zeros serves" in str(info.value)
+    assert len(str(info.value)) < 100
 

@@ -147,6 +147,13 @@ class TestFigureData:
         with pytest.raises(DomainError):
             figure_data(1.0, 2.0, 1)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+    def test_non_integer_point_count_refused(self, n):
+        with pytest.raises(DomainError, match="need an integer n"):
+            figure_data(5.0, 6.0, n)
+        with pytest.raises(DomainError, match="need an integer n"):
+            sweep_data(5.0, 6.0, n)
+
 
 class TestSweepData:
     def test_method_admission_windows(self):

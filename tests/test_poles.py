@@ -2,30 +2,32 @@
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from altseries.asymptotic import SQRT_HALF_PI
 from altseries.core import DomainError, RangeError
 from altseries.poles import (
-    StripParams,
-    default_strip,
-    pole_location,
+    STRIP_A,
+    STRIP_A1,
+    STRIP_A2,
+    STRIP_B,
     q_eval,
     strip_width_b,
     u_star,
     x_star,
 )
-from altseries.poles import _SQRT_HALF_PI
 
 import oracle_values as ov
 
 
 def _pole_ordinate(u: float) -> float | None:
     """|y| at which the pole pair sits exactly at height u, if any."""
-    if u < _SQRT_HALF_PI:
+    if u < SQRT_HALF_PI:
         return None
     half_gap = math.pi / (2.0 * u)
     return math.sqrt(max(u * u - half_gap * half_gap, 0.0))
@@ -106,9 +108,8 @@ def test_hyperbola_identity():
 
 def test_root_residual_across_strip():
     """|Q(z_+(y), y)| stays below 1e-12 for 50 equispaced y in (-b, b)."""
-    b = default_strip().b
-    ys = np.linspace(-b, b, 52)[1:-1]
-    worst = max(abs(q_eval(pole_location(float(y)).z, float(y))) for y in ys)
+    ys = [float(y) for y in np.linspace(-STRIP_B, STRIP_B, 52)[1:-1]]
+    worst = max(abs(q_eval(complex(x_star(y), u_star(y)), y)) for y in ys)
     assert worst <= 1e-12
 
 
@@ -125,10 +126,9 @@ def test_u_star_floor_and_monotonicity():
 def test_no_higher_branch_intrudes():
     # all strip poles stay below a2, which itself is below sqrt(3 pi/2),
     # so the k >= 1 family never enters the contour box
-    strip = default_strip()
-    for y in np.linspace(-strip.b, strip.b, 41):
-        assert u_star(float(y)) <= strip.a2 + 1e-12
-    assert strip.a2 < ov.SQRT_3HALF_PI
+    for y in np.linspace(-STRIP_B, STRIP_B, 41):
+        assert u_star(float(y)) <= STRIP_A2 + 1e-12
+    assert STRIP_A2 < ov.SQRT_3HALF_PI
 
 
 @pytest.mark.parametrize("y", [0.0, 1.0, 2.0, 3.0])
@@ -160,46 +160,46 @@ def test_strip_width_domain(a):
 
 class TestStripParams:
     def test_default(self):
-        s = default_strip()
-        assert (s.a1, s.a, s.a2) == (1.9, 2.0, 2.15)
-        assert s.b == pytest.approx(ov.STRIP_B_2, abs=1e-14)
-
-    def test_rejects_unordered_heights(self):
-        b = strip_width_b(2.0)
-        with pytest.raises(DomainError):
-            StripParams(2.0, 1.9, 2.15, b)
-
-    def test_rejects_heights_outside_band(self):
-        with pytest.raises(DomainError):
-            StripParams(1.2, 2.0, 2.15, strip_width_b(2.0))
-        with pytest.raises(DomainError):
-            StripParams(1.9, 2.0, 2.2, strip_width_b(2.0))
-
-    def test_rejects_inconsistent_b(self):
-        with pytest.raises(DomainError):
-            StripParams(1.9, 2.0, 2.15, 1.5)
-        with pytest.raises(DomainError):
-            StripParams(1.9, 2.0, 2.15, -1.0)
+        assert (STRIP_A1, STRIP_A, STRIP_A2) == (1.9, 2.0, 2.15)
+        assert SQRT_HALF_PI < STRIP_A1 < STRIP_A < STRIP_A2 < ov.SQRT_3HALF_PI
+        assert STRIP_B == pytest.approx(ov.STRIP_B_2, abs=1e-14)
+        # the poles over the ends of (-b, b) sit at height a
+        assert u_star(STRIP_B) == pytest.approx(STRIP_A, abs=1e-12)
 
 
 class TestPoleLocation:
+    """The pole pair z = +-x*(y) + i u*(y) over ordinate y."""
+
     def test_z_property(self):
-        loc = pole_location(1.0)
-        assert loc.z == complex(ov.X_STAR[1.0], ov.U_STAR[1.0])
+        z = complex(x_star(1.0), u_star(1.0))
+        assert z == complex(ov.X_STAR[1.0], ov.U_STAR[1.0])
 
     def test_negative_branch(self):
-        loc = pole_location(1.0, branch=-1)
-        assert loc.z == complex(-ov.X_STAR[1.0], ov.U_STAR[1.0])
-        assert loc.z.real < 0
-
-    def test_rejects_bad_branch(self):
-        with pytest.raises(DomainError):
-            pole_location(1.0, branch=0)
+        # Q(-conj(z), y) = conj(Q(z, y)): the mirror point is a zero too
+        xs, us = x_star(1.0), u_star(1.0)
+        assert abs(q_eval(complex(-xs, us), 1.0)) == abs(
+            q_eval(complex(xs, us), 1.0))
+        assert abs(q_eval(complex(-xs, us), 1.0)) <= 1e-13
 
     @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_ordinate(self, y):
-        with pytest.raises(DomainError):
-            pole_location(y)
+        for fn in (u_star, x_star):
+            with pytest.raises(DomainError, match="need finite y"):
+                fn(y)
+
+    @pytest.mark.parametrize("y", [9.5e153, -1e154, 1e200,
+                                   sys.float_info.max])
+    def test_rejects_overflowing_ordinate(self, y):
+        # y^2 + sqrt(y^4 + pi^2) overflows past |y| ~ 9.48e153
+        for fn in (u_star, x_star):
+            with pytest.raises(RangeError, match=r"u\*\(y\) overflows"):
+                fn(y)
+
+    def test_largest_ordinates_answered(self):
+        # just below the overflow u* is |y| to the last bits
+        for y in (9.4e153, 1e150):
+            assert u_star(y) == pytest.approx(y, rel=1e-15)
+            assert u_star(-y) == u_star(y)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(y=st.floats(-200.0, 200.0),
@@ -207,16 +207,16 @@ class TestPoleLocation:
     def test_identities_hold_relative_to_height(self, y, branch):
         # rounding in u*^2 grows with y^2, so every identity is held to a
         # few ulps of u*^2 rather than to an absolute bound
-        loc = pole_location(y, branch)
-        scale = 8.0 * np.finfo(float).eps * loc.u_star ** 2
-        assert abs(loc.x_star * loc.u_star - math.pi / 2.0) <= scale
-        assert abs(loc.x_star ** 2 + y * y - loc.u_star ** 2) <= scale
-        assert abs(q_eval(loc.z, y)) <= scale
+        xs, us = x_star(y), u_star(y)
+        scale = 8.0 * np.finfo(float).eps * us ** 2
+        assert abs(xs * us - math.pi / 2.0) <= scale
+        assert abs(xs ** 2 + y * y - us ** 2) <= scale
+        assert abs(q_eval(complex(branch * xs, us), y)) <= scale
 
 
 def test_q_eval_at_simple_points():
     assert q_eval(0.0, 0.0) == pytest.approx(2.0, abs=0)
-    assert abs(q_eval(pole_location(0.5).z, 0.5)) <= 1e-13
+    assert abs(q_eval(complex(x_star(0.5), u_star(0.5)), 0.5)) <= 1e-13
     # purely imaginary z keeps the exponent real, so no root on the axis
     expected = 1.0 + math.exp(-math.pi)
     assert abs(q_eval(1j * math.sqrt(math.pi), 0.0) - expected) <= 1e-15
@@ -231,14 +231,14 @@ class TestQLowerBound:
     def test_positive_and_verified_on_grid(self):
         # at height a1 the poles sit at |y| = b(a1) < b, so ordinates beyond
         # b are safely outside the requested region
-        strip = default_strip()
-        alpha = q_lower_bound_alpha(strip.a1, [(strip.b, 4.0), (-4.0, -strip.b)])
+        alpha = q_lower_bound_alpha(STRIP_A1,
+                                    [(STRIP_B, 4.0), (-4.0, -STRIP_B)])
         assert alpha > 0
         rng = np.random.default_rng(7)
         for _ in range(300):
-            y = rng.uniform(strip.b, 4.0) * rng.choice([-1.0, 1.0])
+            y = rng.uniform(STRIP_B, 4.0) * rng.choice([-1.0, 1.0])
             x = rng.uniform(-3.0, 3.0)
-            q = abs(q_eval(complex(x, strip.a1), float(y)))
+            q = abs(q_eval(complex(x, STRIP_A1), float(y)))
             assert q >= alpha * math.exp(x * x + y * y) * (1.0 - 1e-12)
 
     def test_clean_line_below_poles(self):
@@ -247,9 +247,8 @@ class TestQLowerBound:
         assert alpha > 0
 
     def test_pole_inside_region_rejected(self):
-        strip = default_strip()
         with pytest.raises(DomainError):
-            q_lower_bound_alpha(strip.a, [(-4.0, 4.0)])
+            q_lower_bound_alpha(STRIP_A, [(-4.0, 4.0)])
 
     def test_bad_region_rejected(self):
         with pytest.raises(DomainError):

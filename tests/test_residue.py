@@ -15,8 +15,7 @@ from altseries import hankel, harness, residue
 from altseries.core import (DomainError, EvalOutcome, RangeError, ToleranceSpec,
                             WorkLimitError)
 from altseries.hankel import hankel_s_star, panel_quadrature
-from altseries.poles import (default_strip, pole_location, strip_width_b,
-                             u_star, x_star)
+from altseries.poles import STRIP_B, strip_width_b, u_star, x_star
 from altseries.residue import (
     RESIDUE_MIN_LAMBDA,
     ResidueResult,
@@ -24,7 +23,7 @@ from altseries.residue import (
     s_star_via_residue,
     saddle_lhs_numeric,
 )
-from altseries.residue import _EPS, _SQRT_HALF_PI, _scaled_saddle
+from altseries.residue import _EPS, _scaled_saddle
 
 import oracle_values as ov
 
@@ -36,12 +35,12 @@ def residue_at_pole(y: float, lam: float, branch: int = 1) -> complex:
     -2 z, giving e^(i lambda z)/(-2z); the modulus factor e^(-lambda u*) is
     applied last so the phase part carries no overflow risk.
     """
-    b = default_strip().b
     if branch not in (1, -1):
         raise DomainError(f"branch must be +1 or -1, got {branch}")
-    if not abs(y) < b:
-        raise DomainError(f"|y| = {abs(y)} outside the open strip (b = {b})")
-    z = pole_location(y, branch).z
+    if not abs(y) < STRIP_B:
+        raise DomainError(
+            f"|y| = {abs(y)} outside the open strip (b = {STRIP_B})")
+    z = complex(branch * x_star(y), u_star(y))
     phase = complex(math.cos(lam * z.real), math.sin(lam * z.real))
     return math.exp(-lam * z.imag) * phase / (-2.0 * z)
 
@@ -56,19 +55,19 @@ def residue_integral_i2(lam: float, tol: ToleranceSpec | None = None) -> float:
     if not 0.0 < lam < math.inf:
         raise DomainError(f"need finite lambda > 0, got {lam}")
     tol = tol or ToleranceSpec()
-    a_plus, a_minus, refine, _, _ = _scaled_saddle(lam)
+    a_plus, a_minus, refine, _ = _scaled_saddle(lam)
     both = a_plus + a_minus
     if abs(both.imag) > 10.0 * (tol.abs_tol + refine) + 10.0 * _EPS * abs(both):
         raise WorkLimitError(
             f"branch sum has imaginary residue {both.imag:.3e}; "
             "quadrature inconsistency")
-    scale = math.exp(-lam * _SQRT_HALF_PI)
+    scale = math.exp(-lam * SQRT_HALF_PI)
     return math.pi * both.real * scale
 
 
 def _i2_imag_defect(lam: float) -> float:
     """|Im| left in the +- branch sum, relative to its real part."""
-    a_plus, a_minus, _, _, _ = _scaled_saddle(lam)
+    a_plus, a_minus, _, _ = _scaled_saddle(lam)
     both = a_plus + a_minus
     return abs(both.imag) / abs(both.real)
 
@@ -89,7 +88,7 @@ class TestResidueAtPole:
     def test_matches_local_limit(self):
         """(z - z0) f(z) -> residue as z -> z0, sampled on a small circle."""
         y, lam = 0.5, 3.0
-        z0 = pole_location(y).z
+        z0 = complex(x_star(y), u_star(y))
         res = residue_at_pole(y, lam)
         eps = 1e-6
         samples = []
@@ -101,11 +100,10 @@ class TestResidueAtPole:
         assert abs(approx - res) / abs(res) <= 1e-4
 
     def test_rejects_y_outside_strip(self):
-        b = default_strip().b
         with pytest.raises(DomainError):
-            residue_at_pole(b, 1.0)
+            residue_at_pole(STRIP_B, 1.0)
         with pytest.raises(DomainError):
-            residue_at_pole(-b - 0.1, 1.0)
+            residue_at_pole(-STRIP_B - 0.1, 1.0)
 
     def test_rejects_bad_branch(self):
         with pytest.raises(DomainError):
@@ -171,6 +169,10 @@ class TestScaledEvaluation:
         assert r.work > 0
 
     def test_no_subnormals_through_sixty(self):
+        # u* <= a on |y| <= b, so at lambda = 60 the smallest damping factor
+        # is e^(-60 (a - sqrt(pi/2))) ~ 3.5e-20, nowhere near subnormal
+        _, _, offset = residue._pole_line_arrays(np.array([STRIP_B]))
+        assert math.exp(-60.0 * offset[0]) > 3e-20
         r = s_star_via_residue(60.0)
         assert math.isfinite(r.scaled_value) and r.scaled_value != 0.0
 
