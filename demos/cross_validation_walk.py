@@ -11,6 +11,7 @@ Run:  python3 demos/cross_validation_walk.py
 """
 
 from altseries.harness import cross_validate
+from altseries.residue import calibrated_kappa
 
 
 def main():
@@ -22,7 +23,7 @@ def main():
     print()
     print(f"all passed: {report.all_passed}")
     print(f"calibrated kappa for the residue error model: "
-          f"{report.calibration['kappa']:.6f}")
+          f"{calibrated_kappa():.6f}")
 
 
 if __name__ == "__main__":

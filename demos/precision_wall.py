@@ -6,7 +6,9 @@ every time sqrt(2 pi t) grows by ln 10.  The quadrature route fares
 better but still computes an O(1) integral whose value is exponentially
 small.  Both routes report error estimates that grow to swallow their
 values instead of returning confident garbage; the residue route sidesteps
-the cancellation entirely by computing the scaled value directly.
+the cancellation entirely by computing the scaled value directly.  Its
+column prints that value as the figure plots it, -e^(lambda sqrt(pi/2)) S*,
+the same sign as the asymptotic route's scaled value.
 
 Run:  python3 demos/precision_wall.py
 """
@@ -48,7 +50,7 @@ def main():
           f"of the value, so barely two digits survive the cancellation")
     r = s_star_via_residue(2.0 * math.sqrt(150.0))
     print(f"the residue route still resolves the scaled value "
-          f"{r.scaled_value:.10f}")
+          f"-e^(lambda sqrt(pi/2)) S* = {r.scaled_value:.10f}")
     print(f"  with neglected-terms bound {r.neglected_bound:.1e}")
 
 

@@ -218,7 +218,7 @@ def check_residue_convergence() -> VerifyCheck:
     for lam in (10.0, 12.0, 14.0, 16.0):
         h = _bound("hankel_s_star")(lam).value
         r = _bound("s_star_via_residue")(lam)
-        diffs.append(abs(math.exp(lam * SQRT_HALF_PI) * h - r.scaled_value))
+        diffs.append(abs(math.exp(lam * SQRT_HALF_PI) * h + r.scaled_value))
     decreasing = all(a > b for a, b in zip(diffs, diffs[1:]))
     passed = decreasing and diffs[2] <= 0.02
     return _check("4-residue-convergence", diffs[2], 0.02, passed=passed,

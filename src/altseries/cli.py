@@ -21,7 +21,7 @@ _CONFIG_KEYS = {"abs_tol": float, "rel_tol": float, "max_work": int}
 
 def _load_config(path: str | None) -> ToleranceSpec | None:
     """key=value file of tolerance keys -> ToleranceSpec | None.  An
-    unknown key is an error, not a warning."""
+    unknown key or an unparsable value is an error, not a warning."""
     if path is None:
         return None
     raw = {}
@@ -33,10 +33,16 @@ def _load_config(path: str | None) -> ToleranceSpec | None:
             if "=" not in line:
                 raise DomainError(f"{path}:{ln}: expected key=value")
             key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
+            key, val = key.strip(), val.strip()
+            kind = _CONFIG_KEYS.get(key)
+            if kind is None:
                 raise DomainError(f"{path}:{ln}: unknown key {key!r}")
-            raw[key] = _CONFIG_KEYS[key](val.strip())
+            try:
+                raw[key] = kind(val)
+            except ValueError:
+                noun = "an int" if kind is int else "a float"
+                raise DomainError(
+                    f"{path}:{ln}: {key} needs {noun}, got {val!r}") from None
     return ToleranceSpec(**raw) if raw else None
 
 
@@ -133,6 +139,10 @@ def _cmd_poles(args) -> int:
     else:
         if args.grid < 1:
             raise DomainError("need --grid >= 1")
+        if args.grid > harness.MAX_GRID_POINTS:
+            raise WorkLimitError(
+                f"a grid of {args.grid} points exceeds MAX_GRID_POINTS = "
+                f"{harness.MAX_GRID_POINTS}")
         step = 2.0 * STRIP_B / args.grid
         ys = [-STRIP_B + (k + 0.5) * step for k in range(args.grid)]
     # every ordinate is validated before anything is printed

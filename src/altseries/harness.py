@@ -89,6 +89,9 @@ HANKEL_COMPARE_WALL = 24.0
 HANKEL_SWEEP_WALL = 28.0
 FOURIER_WALL = LAMBDA_WALL
 CANCELLATION_FLAG = 1e12
+# the most points a figure, sweep or ``poles --grid`` grid may hold (50
+# times the figure's 200); a larger one is refused before it is built
+MAX_GRID_POINTS = 10_000
 
 
 def _asymptotic(lam: float) -> EvalOutcome:
@@ -107,17 +110,18 @@ def _asymptotic(lam: float) -> EvalOutcome:
 
 
 # route -> (evaluation(lam, tol), closed lambda window a sweep tabulates it
-# on).  Each evaluation looks its route function up in this module when it
-# runs, so rebinding e.g. harness.hankel_s_star is seen.
+# on).  Only series reads tol, to steer its own work.  Each evaluation looks
+# its route function up in this module when it runs, so rebinding e.g.
+# harness.hankel_s_star is seen.
 ROUTES = {
     "series": (lambda lam, tol: _bound("sum_alternating_s")(lam * lam / 4.0,
                                                             tol),
                (0.0, math.inf)),
-    "hankel": (lambda lam, tol: _bound("hankel_s_star")(lam, tol),
+    "hankel": (lambda lam, tol: _bound("hankel_s_star")(lam),
                (0.0, HANKEL_SWEEP_WALL)),
-    "fourier2d": (lambda lam, tol: _bound("fourier2d_s_star")(lam, tol),
+    "fourier2d": (lambda lam, tol: _bound("fourier2d_s_star")(lam),
                   (0.0, FOURIER_WALL)),
-    "residue": (lambda lam, tol: _bound("s_star_via_residue")(lam, tol),
+    "residue": (lambda lam, tol: _bound("s_star_via_residue")(lam),
                 (RESIDUE_MIN_LAMBDA, math.inf)),
     "asymptotic": (lambda lam, tol: _asymptotic(lam),
                    (RESIDUE_MIN_LAMBDA, math.inf)),
@@ -193,8 +197,9 @@ def resolve_route(method: str, lam: float) -> str:
 def evaluate(method: str, lam: float,
              tol: ToleranceSpec | None = None) -> EvalOutcome:
     """One S*(lambda) evaluation by the route ``resolve_route`` names.  A
-    ``tol`` is met or refused with WorkLimitError, whichever route runs:
-    both its accuracy targets and its ``max_work`` budget."""
+    ``tol`` is met or refused with WorkLimitError (the result as its
+    ``partial``), whichever route runs: both its accuracy targets and its
+    ``max_work`` budget.  No route function judges a tolerance itself."""
     out = ROUTES[resolve_route(method, lam)][0](lam, tol)
     if tol is None:
         return out
@@ -216,7 +221,7 @@ def sweep_row(lam: float, outs: dict, numeric: EvalOutcome) -> SweepRow:
     ``ResidueResult``) and inf where the factor overflows a double.
     """
     if hasattr(numeric, "scaled_value"):
-        scaled = -numeric.scaled_value
+        scaled = numeric.scaled_value
     elif lam * SQRT_HALF_PI < 709.0:
         scaled = -math.exp(lam * SQRT_HALF_PI) * numeric.value
     else:
@@ -284,8 +289,7 @@ def cross_validate(points, tol: ToleranceSpec | None = None) -> VerifyReport:
                 checks.append(_pair_check(t, na, outs[na], nb, outs[nb], tol))
         if "residue" in outs and "asymptotic" in outs:
             r = outs["residue"]
-            scaled_asym = -asym_s_star(lam).scaled_value
-            diff = abs(r.scaled_value - scaled_asym)
+            diff = abs(r.scaled_value - asym_s_star(lam).scaled_value)
             threshold = 10.0 * lam ** -1.5 + r.neglected_bound
             checks.append(VerifyCheck(
                 name=f"t={t:g}:residue-vs-asym-scaled",
@@ -293,8 +297,7 @@ def cross_validate(points, tol: ToleranceSpec | None = None) -> VerifyReport:
                 measured=diff,
                 threshold=threshold,
                 note="compared at the e^(lambda sqrt(pi/2)) scale"))
-    return VerifyReport(checks=checks,
-                        calibration={"kappa": _bound("calibrated_kappa")()})
+    return VerifyReport(checks=checks)
 
 
 def _lambda_grid(lambda_min: float, lambda_max: float, n: int):
@@ -308,6 +311,9 @@ def _lambda_grid(lambda_min: float, lambda_max: float, n: int):
         raise DomainError(f"need an integer n, got {n!r}") from None
     if n < 2:
         raise DomainError("need n >= 2")
+    if n > MAX_GRID_POINTS:
+        raise WorkLimitError(f"a grid of {n} points exceeds MAX_GRID_POINTS"
+                             f" = {MAX_GRID_POINTS}")
     step = (lambda_max - lambda_min) / (n - 1)
     grid = [lambda_min + step * i for i in range(n)]
     grid[-1] = lambda_max
@@ -341,9 +347,8 @@ def error_scaling_study(lambda_grid) -> list:
     rows = []
     for lam in lambda_grid:
         r = evaluate("residue", lam)
-        # e^(lambda c) * asym value without forming the overflow-prone factor
-        scaled_asym_signed = -asym_s_star(lam).scaled_value
-        scaled_error = abs(r.scaled_value - scaled_asym_signed)
+        # both scaled values are formed without the overflow-prone factor
+        scaled_error = abs(r.scaled_value - asym_s_star(lam).scaled_value)
         rows.append({
             "lambda": lam,
             "scaled_error": scaled_error,

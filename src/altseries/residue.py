@@ -54,9 +54,10 @@ _KAPPA_LOCK = threading.Lock()
 
 @dataclass(frozen=True)
 class ResidueResult(EvalOutcome):
-    """Residue-route estimate of S*; ``scaled_value`` and ``neglected_bound``
-    are ``value`` and ``error_estimate`` at the e^(lambda sqrt(pi/2)) scale,
-    where they stay representable at any lambda."""
+    """Residue-route estimate of S*.  ``scaled_value`` is the figure's
+    -e^(lambda sqrt(pi/2)) * ``value``, as in ``AsymptoticTerm``, and
+    ``neglected_bound`` is ``error_estimate`` at the same scale; both stay
+    representable at any lambda."""
 
     method: str = "residue"
     scaled_value: float = math.nan
@@ -145,7 +146,7 @@ def _saddle_edges(lam: float, b: float):
     return [-e for e in reversed(half)] + half[1:]
 
 
-def _scaled_saddle(lam: float, b: float = STRIP_B, order: int = 16):
+def _scaled_saddle(lam: float, b: float = STRIP_B):
     """Both branch integrals of the scaled saddle integrand.
 
     Returns (a_plus, a_minus, refine, work) where a_+- approximate
@@ -164,26 +165,25 @@ def _scaled_saddle(lam: float, b: float = STRIP_B, order: int = 16):
             return damp * np.exp(1j * branch * lam * xs) / (1j * z)
         return g
 
-    a_plus, r1, ai1, _, w1 = panel_quadrature(make_integrand(1), edges, order)
-    a_minus, r2, ai2, _, w2 = panel_quadrature(make_integrand(-1), edges, order)
+    a_plus, r1, ai1, _, w1 = panel_quadrature(make_integrand(1), edges, 16)
+    a_minus, r2, ai2, _, w2 = panel_quadrature(make_integrand(-1), edges, 16)
     refine = r1 + r2 + 4.0 * _EPS * (ai1 + ai2)
     return complex(a_plus), complex(a_minus), refine, w1 + w2
 
 
-def saddle_lhs_numeric(lam: float,
-                       tol: ToleranceSpec | None = None) -> complex:
+def saddle_lhs_numeric(lam: float) -> complex:
     """integral_{-b}^{b} e^(i lambda z_+(y))/(i z_+(y)) dy, lambda > 0.
 
     The value returned is the true integral; only the final multiplication
     by e^(-lambda sqrt(pi/2)) can underflow (at lambda beyond ~560), every
-    intermediate stays comfortably normal.
+    intermediate stays comfortably normal.  A quadrature estimate that
+    misses 1e-12, absolute or relative, raises WorkLimitError.
     """
     if not 0.0 < lam < math.inf:
         raise DomainError(f"need finite lambda > 0, got {lam}")
-    tol = tol or ToleranceSpec()
     a_plus, _, refine, _ = _scaled_saddle(lam)
     scale = _decay(lam)
-    if not tol.met_by(refine * scale, abs(a_plus) * scale):
+    if not ToleranceSpec().met_by(refine * scale, abs(a_plus) * scale):
         raise WorkLimitError(
             f"quadrature estimate {refine * scale:.3e} misses the tolerance")
     return a_plus * scale
@@ -210,25 +210,22 @@ def calibrated_kappa() -> float:
         for lam in (10.0, 12.0, 14.0, 16.0):
             href = hankel_s_star(lam).value
             a_plus, a_minus, _, _ = _scaled_saddle(lam)
-            scaled_res = -(a_plus + a_minus).real
-            scaled_diff = abs(math.exp(lam * SQRT_HALF_PI) * href
-                              - scaled_res)
+            scaled_res = (a_plus + a_minus).real  # -e^(lambda sqrt(pi/2)) S*
+            scaled_diff = abs(math.exp(lam * SQRT_HALF_PI) * href + scaled_res)
             shape = math.exp(-lam * (STRIP_A1 - SQRT_HALF_PI))
             worst = max(worst, scaled_diff / shape)
         _KAPPA_CACHE = worst
         return worst
 
 
-def s_star_via_residue(lam: float,
-                       tol: ToleranceSpec | None = None) -> ResidueResult:
+def s_star_via_residue(lam: float) -> ResidueResult:
     """S*(lambda) ~ -(1/pi) I2, with the neglected terms bounded not summed.
 
     Serves RESIDUE_MIN_LAMBDA = 8 <= lambda <= ~2.5e5.  Below 8 the
     neglected terms outgrow their fitted bound (at lambda = 0.5 the value
     is off by 1.3 against an estimate of 0.045), so RangeError refuses
     them; above ~2.5e5 the saddle panels exceed their budget
-    (WorkLimitError).  A ``tol`` the error estimate misses raises
-    WorkLimitError carrying the result as ``partial``.
+    (WorkLimitError).
     """
     if not 0.0 < lam < math.inf:
         raise DomainError(f"need finite lambda > 0, got {lam}")
@@ -237,7 +234,7 @@ def s_star_via_residue(lam: float,
             f"lambda = {lam} is below the residue route's window "
             f"lambda >= {RESIDUE_MIN_LAMBDA:g}")
     a_plus, a_minus, refine, work = _scaled_saddle(lam)
-    scaled = -(a_plus + a_minus).real
+    scaled = (a_plus + a_minus).real
     kappa = calibrated_kappa()
     shape = (math.exp(-lam * (STRIP_A1 - SQRT_HALF_PI))
              + math.exp(-lam * (STRIP_A2 - SQRT_HALF_PI)))
@@ -245,10 +242,5 @@ def s_star_via_residue(lam: float,
     scale = _decay(lam)
     # from lambda ~ 566 bound * scale underflows to 0.0 while the value is
     # still a nonzero subnormal: floor the estimate at the smallest one
-    result = ResidueResult(scaled * scale, max(bound * scale, math.ulp(0.0)),
-                           work, scaled_value=scaled, neglected_bound=bound)
-    if tol is not None and not tol.met_by(result.error_estimate, result.value):
-        raise WorkLimitError(
-            f"error estimate {result.error_estimate:.3e} misses the requested "
-            "tolerance", partial=result)
-    return result
+    return ResidueResult(-scaled * scale, max(bound * scale, math.ulp(0.0)),
+                         work, scaled_value=scaled, neglected_bound=bound)

@@ -7,7 +7,9 @@ import time
 
 import pytest
 
+from altseries import harness
 from altseries.cli import main
+from altseries.core import EvalOutcome
 
 import oracle_values as ov
 
@@ -230,6 +232,37 @@ class TestSweepAndFigure:
         assert "lambda_min = " in err and "lambda_max = " in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("command", ["figure", "sweep"])
+    @pytest.mark.parametrize("points", [harness.MAX_GRID_POINTS + 1,
+                                        100_000_000])
+    def test_oversized_grid_refused(self, capsys, tmp_path, command, points):
+        out_path = tmp_path / "x.csv"
+        out_flag = "--csv" if command == "figure" else "--out"
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--lambda-min", "5",
+                             "--lambda-max", "6", "--points", str(points),
+                             out_flag, str(out_path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == (f"error: a grid of {points} points exceeds "
+                       f"MAX_GRID_POINTS = {harness.MAX_GRID_POINTS}\n")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["figure", "sweep"])
+    def test_grid_at_the_cap_accepted(self, capsys, tmp_path, monkeypatch,
+                                      command):
+        # every point at unit cost: the test is of the grid, not the routes
+        monkeypatch.setattr(harness, "evaluate", lambda method, lam:
+                            EvalOutcome(0.0, 0.0, 1, "hankel"))
+        out_path = tmp_path / "x.csv"
+        out_flag = "--csv" if command == "figure" else "--out"
+        n = harness.MAX_GRID_POINTS
+        code, out, err = run(capsys, command, "--lambda-min", "5",
+                             "--lambda-max", "6", "--points", str(n),
+                             out_flag, str(out_path))
+        assert code == 0 and err == ""
+        assert out == f"wrote {n} rows to {out_path}\n"
+
 
 class TestPoles:
     def test_single_ordinate(self, capsys):
@@ -256,6 +289,22 @@ class TestPoles:
     def test_empty_grid_rejected(self, capsys):
         code, _, err = run(capsys, "poles", "--grid", "0")
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("points", [harness.MAX_GRID_POINTS + 1,
+                                        100_000_000])
+    def test_oversized_grid_refused(self, capsys, points):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "poles", "--grid", str(points))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == (f"error: a grid of {points} points exceeds "
+                       f"MAX_GRID_POINTS = {harness.MAX_GRID_POINTS}\n")
+
+    def test_grid_at_the_cap_accepted(self, capsys):
+        n = harness.MAX_GRID_POINTS
+        code, out, err = run(capsys, "poles", "--grid", str(n))
+        assert code == 0 and err == ""
+        assert out.count("\n") == n + 1
 
     @pytest.mark.parametrize("y", ["100", "150"])
     def test_large_ordinate(self, capsys, y):
@@ -362,6 +411,19 @@ class TestConfigFile:
                            "eval", "--lambda", "1")
         assert code == 2
         assert "unknown key" in err
+
+    @pytest.mark.parametrize("line,message", [
+        ("max_work=1e3", "max_work needs an int, got '1e3'"),
+        ("max_work=inf", "max_work needs an int, got 'inf'"),
+        ("abs_tol=abc", "abs_tol needs a float, got 'abc'"),
+    ])
+    def test_unparsable_value(self, capsys, tmp_path, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"rel_tol=1e-9\n{line}\n")
+        code, out, err = run(capsys, "--config", str(cfg),
+                             "eval", "--lambda", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: {cfg}:2: {message}\n"
 
     def test_malformed_line(self, capsys, tmp_path):
         cfg = tmp_path / "nokv.cfg"

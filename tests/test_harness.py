@@ -87,7 +87,7 @@ class TestCrossValidate:
         names = [c.name for c in report.checks]
         assert "t=1:series-vs-hankel" in " ".join(names) or \
             any("series" in n and "hankel" in n for n in names)
-        assert "kappa" in report.calibration
+        assert report.calibration == {}
 
     def test_t_zero_anchor(self):
         report = cross_validate([0.0])
@@ -387,11 +387,24 @@ def test_cross_validate_passes_t_to_the_series(monkeypatch):
     assert seen == [60.0]  # (2 sqrt(60))^2 / 4 != 60 in doubles
 
 
-@pytest.mark.parametrize("method", ["residue", "asym"])
-def test_evaluate_refuses_unmet_tolerance(method):
-    with pytest.raises(WorkLimitError) as ei:
-        evaluate(method, 30.0, ToleranceSpec(abs_tol=1e-30, rel_tol=1e-30))
-    assert ei.value.partial.value == evaluate(method, 30.0).value
+@pytest.mark.parametrize("method,lam", [
+    ("series", 10.0), ("hankel", 10.0), ("fourier2d", 10.0),
+    ("residue", 30.0), ("asym", 30.0),
+], ids=["series", "hankel", "fourier2d", "residue", "asym"])
+def test_evaluate_refuses_unmet_tolerance(method, lam):
+    """evaluate is the one place a tolerance is judged: on every route a
+    missed target is refused with the route's outcome as partial."""
+    tol = ToleranceSpec(abs_tol=1e-30, rel_tol=1e-30)
+    with pytest.raises(WorkLimitError,
+                       match="misses the requested tolerance") as ei:
+        evaluate(method, lam, tol)
+    partial = ei.value.partial
+    if method == "series":
+        # abs_tol sets the series' Euler target, so its partial is its
+        # outcome at that tolerance; the other routes never see tol
+        assert partial == harness.sum_alternating_s(lam * lam / 4.0, tol)
+    else:
+        assert partial == evaluate(method, lam)
 
 
 def test_asymptotic_route_answers_to_both_names():

@@ -156,9 +156,11 @@ class TestScaledEvaluation:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_scaled_unscaled_consistency(self):
+        # scaled_value is -e^(lambda sqrt(pi/2)) * value, the sign of
+        # AsymptoticTerm.scaled_value
         r = s_star_via_residue(12.0)
         assert r.unscaled_value == pytest.approx(
-            r.scaled_value * math.exp(-12.0 * SQRT_HALF_PI), rel=1e-14)
+            -r.scaled_value * math.exp(-12.0 * SQRT_HALF_PI), rel=1e-14)
 
     def test_far_beyond_the_double_wall(self):
         # lambda = 50: |S*| ~ 3e-28 is unreachable by direct quadrature,
@@ -213,7 +215,7 @@ class TestScaledEvaluation:
         for lam in (12.0, 14.0, 20.0):
             base = s_star_via_residue(lam)
             a_plus, a_minus, *_ = _scaled_saddle(lam, strip_width_b(1.97))
-            other = -(a_plus + a_minus).real
+            other = (a_plus + a_minus).real
             assert abs(base.scaled_value - other) <= base.neglected_bound, lam
 
 
@@ -224,7 +226,7 @@ class TestResidueResult:
         scale = residue._decay(lam)
         assert isinstance(r, EvalOutcome)
         assert r.method == "residue"
-        assert r.value == r.scaled_value * scale
+        assert r.value == -r.scaled_value * scale
         assert r.error_estimate == r.neglected_bound * scale
         assert r.unscaled_value == r.value
 
@@ -259,9 +261,11 @@ class TestResidueResult:
 
 
 class TestTolerance:
+    """The route takes no tolerance; ``evaluate`` judges its result."""
+
     def test_unmet_tolerance_refused_with_partial(self):
         with pytest.raises(WorkLimitError) as ei:
-            s_star_via_residue(30.0, tol=ToleranceSpec(1e-30, 1e-30))
+            harness.evaluate("residue", 30.0, ToleranceSpec(1e-30, 1e-30))
         partial = ei.value.partial
         assert isinstance(partial, ResidueResult)
         assert partial == s_star_via_residue(30.0)
@@ -269,22 +273,8 @@ class TestTolerance:
 
     def test_met_tolerance_returns_the_same_result(self):
         loose = ToleranceSpec(abs_tol=1e-20, rel_tol=1e-3)
-        assert s_star_via_residue(30.0, tol=loose) == s_star_via_residue(30.0)
-
-    def test_routes_table_passes_the_tolerance(self, monkeypatch):
-        seen = []
-        original = harness.s_star_via_residue
-
-        def recorded(lam, tol=None):
-            seen.append(tol)
-            return original(lam, tol)
-
-        monkeypatch.setattr(harness, "s_star_via_residue", recorded)
-        tight = ToleranceSpec(1e-30, 1e-30)
-        with pytest.raises(WorkLimitError):
-            harness.evaluate("residue", 30.0, tight)
-        harness.evaluate("residue", 30.0)
-        assert seen == [tight, None]
+        assert (harness.evaluate("residue", 30.0, loose)
+                == s_star_via_residue(30.0))
 
 
 class TestKappaCalibration:

@@ -13,6 +13,9 @@ output:
   ``eval --lambda 3 --method residue``, ``eval --t -1``,
   ``eval --lambda 1e308 --method hankel``, ``poles --y 1e200`` and
   ``poles --y 1e154``;
+* the tolerance refusal ``eval --lambda 10 --method M --tol 1e-30`` for
+  every method, a ``--config`` value that does not parse, and a grid one
+  point past ``MAX_GRID_POINTS`` for ``figure`` and ``poles --grid``;
 * value, error_estimate and work of ``fourier2d_s_star``, ``hankel_s_star``
   and ``s_star_via_residue`` at lambda in {0, 0.5, 1, 3, 8, 10, 12, 24, 30,
   100, 1000}, which ``eval --json`` does not show;
@@ -182,9 +185,16 @@ def main() -> int:
                  ["eval", "--lambda", "1e308", "--method", "hankel"],
                  ["poles", "--y", "1e200"],
                  ["poles", "--y", "1e154"]]
+    refusals += [["eval", "--lambda", "10", "--method", method, "--tol",
+                  "1e-30"] for method in EVAL_METHODS]
+    refusals += [["--config", "bad.cfg", "eval", "--lambda", "10"],
+                 ["figure", "--lambda-min", "5", "--lambda-max", "25",
+                  "--points", "10001", "--csv", "big.csv"],
+                 ["poles", "--grid", "10001"]]
     jobs += [(" ".join(args), args, None) for args in refusals]
     # relative paths, so the temporary directory's name reaches no output
     with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "bad.cfg").write_text("max_work=1e3\n")
         for label, args, csv in jobs:
             digest = _run(["-m", "altseries.cli", *args], tmp, csv)
             print(f"{digest}  {label}", flush=True)
