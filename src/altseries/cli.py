@@ -3,8 +3,9 @@
 Exit codes: 0 success (and, for verify, all checks passing), 1 failed
 verification, 2 usage or domain errors.  All numeric output goes through
 the harness's repr-based formatting, so repeated runs with identical flags
-are byte-identical.  Configuration comes only from flags and an optional
-key=value file; no environment variables are consulted.
+are byte-identical.  Settings come only from flags: ``eval`` takes the
+fields of ``ToleranceSpec`` as ``--abs-tol``, ``--rel-tol`` and
+``--max-work``, and no environment variables are consulted.
 """
 
 from __future__ import annotations
@@ -14,36 +15,7 @@ import sys
 
 from . import harness
 from .core import (DomainError, RangeError, ToleranceSpec, WorkLimitError,
-                   lambda_of_t)
-
-_CONFIG_KEYS = {"abs_tol": float, "rel_tol": float, "max_work": int}
-
-
-def _load_config(path: str | None) -> ToleranceSpec | None:
-    """key=value file of tolerance keys -> ToleranceSpec | None.  An
-    unknown key or an unparsable value is an error, not a warning."""
-    if path is None:
-        return None
-    raw = {}
-    with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{ln}: expected key=value")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            kind = _CONFIG_KEYS.get(key)
-            if kind is None:
-                raise DomainError(f"{path}:{ln}: unknown key {key!r}")
-            try:
-                raw[key] = kind(val)
-            except ValueError:
-                noun = "an int" if kind is int else "a float"
-                raise DomainError(
-                    f"{path}:{ln}: {key} needs {noun}, got {val!r}") from None
-    return ToleranceSpec(**raw) if raw else None
+                   lambda_of_t, t_of_lambda)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,9 +23,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="altseries",
         description="Multi-method evaluation of the alternating series "
                     "S(t) and its scaled form S*(lambda).")
-    p.add_argument("--config", metavar="PATH",
-                   help="key=value file of tolerances for eval: abs_tol, "
-                        "rel_tol, max_work")
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate S at one point")
@@ -64,8 +33,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--method", default="auto",
                     choices=["series", "hankel", "fourier2d", "residue",
                              "asym", "auto"])
-    pe.add_argument("--tol", type=float, default=None,
-                    help="absolute and relative tolerance target")
+    # ToleranceSpec's fields; one not given keeps its default
+    pe.add_argument("--abs-tol", type=float, help="absolute error target")
+    pe.add_argument("--rel-tol", type=float, help="relative error target")
+    pe.add_argument("--max-work", type=int,
+                    help="budget of terms or quadrature nodes")
     pe.add_argument("--json", action="store_true",
                     help="emit the evaluation as JSON")
 
@@ -95,16 +67,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_eval(args) -> int:
     lam = args.lam
-    tol = _load_config(args.config)
-    if args.tol is not None:
-        tol = ToleranceSpec(abs_tol=args.tol, rel_tol=args.tol)
+    given = {k: v for k in ("abs_tol", "rel_tol", "max_work")
+             if (v := getattr(args, k)) is not None}
+    tol = ToleranceSpec(**given) if given else None
     out = harness.evaluate(args.method, lam, tol)
     row = harness.sweep_row(lam, {out.method: out}, out)
     if args.json:
         print(harness.sweep_row_json(row))
     else:
         print(f"lambda          {row.lam!r}")
-        print(f"t               {lam * lam / 4.0!r}")
+        print(f"t               {t_of_lambda(lam)!r}")
         print(f"method          {out.method}")
         print(f"value           {out.value!r}")
         print(f"error_estimate  {out.error_estimate!r}")
@@ -177,10 +149,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.config is not None and args.command != "eval":
-            raise DomainError(
-                f"{args.command} runs at the default settings and does not "
-                "take --config")
         if args.command == "eval":
             if args.lam is None:
                 args.lam = lambda_of_t(args.t)

@@ -28,6 +28,7 @@ from .core import (
     ToleranceSpec,
     WorkLimitError,
     lambda_of_t,
+    t_of_lambda,
 )
 
 # The route functions, each bound here on first use from its home module,
@@ -114,7 +115,7 @@ def _asymptotic(lam: float) -> EvalOutcome:
 # its route function up in this module when it runs, so rebinding e.g.
 # harness.hankel_s_star is seen.
 ROUTES = {
-    "series": (lambda lam, tol: _bound("sum_alternating_s")(lam * lam / 4.0,
+    "series": (lambda lam, tol: _bound("sum_alternating_s")(t_of_lambda(lam),
                                                             tol),
                (0.0, math.inf)),
     "hankel": (lambda lam, tol: _bound("hankel_s_star")(lam),

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -15,7 +16,12 @@ import oracle_values as ov
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """main's exit code, stdout and stderr; argparse's own refusals exit
+    through SystemExit, whose code is read the same way."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -125,15 +131,18 @@ class TestEval:
 
     def test_unreachable_tolerance_reports_partial(self, capsys):
         # past the precision wall the achievable error has a floor, so an
-        # absurd --tol must fail but still hand back the best value found
+        # absurd tolerance must fail but still hand back the best value found
         code, _, err = run(capsys, "eval", "--lambda", "40",
-                           "--method", "hankel", "--tol", "1e-30")
+                           "--method", "hankel", "--abs-tol", "1e-30",
+                           "--rel-tol", "1e-30")
         assert code == 2
         assert "partial value:" in err
 
     @pytest.mark.parametrize("argv", [
-        ("--lambda", "30", "--method", "residue", "--tol", "1e-30"),
-        ("--lambda", "30", "--method", "asym", "--tol", "1e-30"),
+        ("--lambda", "30", "--method", "residue", "--abs-tol", "1e-30",
+         "--rel-tol", "1e-30"),
+        ("--lambda", "30", "--method", "asym", "--abs-tol", "1e-30",
+         "--rel-tol", "1e-30"),
     ])
     def test_every_route_meets_or_refuses_tol(self, capsys, argv):
         code, out, err = run(capsys, "eval", *argv)
@@ -156,6 +165,20 @@ class TestEval:
         assert out == ""
         assert "error:" in err
 
+
+    @pytest.mark.parametrize("argv", [
+        ("--lambda", "-1"),
+        ("--t", "1e20"),
+        ("--t", "1e300"),
+        ("--t", repr(sys.float_info.max)),
+    ])
+    def test_series_refuses_negative_and_huge_input(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", *argv, "--method", "series")
+        assert time.perf_counter() - start < 5.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 200
 
     @pytest.mark.parametrize("lam", ["1e-300", "5e-324"])
     @pytest.mark.parametrize("method", ["series", "hankel", "fourier2d",
@@ -330,179 +353,89 @@ class TestPoles:
         assert err.count("\n") == 1 and "u*(y) overflows" in err
 
 
-class TestConfigFile:
-    def test_budget_keys_can_force_give_up(self, capsys, tmp_path):
-        cfg = tmp_path / "tight.cfg"
-        cfg.write_text("# a budget no route can keep\n"
-                       "abs_tol=1e-300\nrel_tol=1e-300  # absurd\nmax_work=64\n")
-        code, out, err = run(capsys, "--config", str(cfg),
-                             "eval", "--lambda", "10", "--method", "series")
-        assert code == 2
-        assert "error:" in err and "max_work" in err
+class TestToleranceFlags:
+    """eval's tolerance is ToleranceSpec's three fields, one flag each;
+    every other subcommand runs at fixed settings and has no such flag."""
 
     @pytest.mark.parametrize("method,lam", [
-        ("hankel", "10"), ("fourier2d", "10"), ("residue", "10"),
+        ("series", "16.4"), ("hankel", "10"), ("fourier2d", "10"),
+        ("residue", "10"),
     ])
-    def test_max_work_refused_on_every_route(self, capsys, tmp_path,
-                                             method, lam):
-        cfg = tmp_path / "budget.cfg"
-        cfg.write_text("abs_tol=1e-6\nmax_work=100\n")
-        code, out, err = run(capsys, "--config", str(cfg),
-                             "eval", "--lambda", lam, "--method", method)
+    def test_max_work_refused_on_every_route(self, capsys, method, lam):
+        code, out, err = run(capsys, "eval", "--lambda", lam,
+                             "--method", method, "--abs-tol", "1e-6",
+                             "--max-work", "100")
         assert code == 2 and out == ""
         assert "exceeds max_work 100" in err and "partial value" in err
 
-    @pytest.mark.parametrize("keys,argv,route", [
-        ("max_panels = 4\n", ("--lambda", "6", "--method", "fourier2d"),
-         "fourier2d"),
-        ("max_panels = 4\n", ("--lambda", "6", "--method", "series"),
-         "series"),
-        ("max_panels = 4\n", ("--lambda", "10", "--method", "asym"),
-         "asymptotic"),
-        ("max_panels = 4\n", ("--lambda", "30", "--method", "residue"),
-         "residue"),
-        ("max_panels = 4\n", ("--lambda", "30"), "residue"),
-        ("a = 2.1\n", ("--lambda", "6", "--method", "hankel"), "hankel"),
-        ("a = 2.1\n", ("--t", "9"), "hankel"),
-        ("a1 = 1.92\n", ("--lambda", "6", "--method", "fourier2d"),
-         "fourier2d"),
-        ("a2 = 2.05\n", ("--lambda", "6", "--method", "series"), "series"),
-        ("truncation_x = 9.0\n", ("--lambda", "6", "--method", "hankel"),
-         "hankel"),
-        ("panel_rule_order = 40\n", ("--lambda", "6"), "hankel"),
-        ("acceleration_depth = 0\n", ("--lambda", "30"), "residue"),
-    ])
-    def test_eval_refuses_keys_the_route_ignores(self, capsys, tmp_path,
-                                                 keys, argv, route):
-        """No route reads a strip or quadrature key, so each of the seven
-        is an unknown key, refused whichever route the flags pick."""
-        _, out, _ = run(capsys, "eval", *argv)
-        assert f"method          {route}" in out
-        cfg = tmp_path / "route.cfg"
-        cfg.write_text("abs_tol = 1e-6\n" + keys)
-        code, out, err = run(capsys, "--config", str(cfg), "eval", *argv)
-        assert code == 2
-        assert out == ""
-        key = keys.split("=")[0].strip()
-        assert f"{cfg}:2: unknown key {key!r}" in err
-
-    @pytest.mark.parametrize("keys,argv", [
-        ("abs_tol = 1e-9\n", ("--lambda", "6", "--method", "hankel")),
-        ("rel_tol = 1e-9\nabs_tol = 1e-9\n", ("--lambda", "6")),
-        ("rel_tol = 1e-3\n", ("--lambda", "30", "--method", "residue")),
-        ("rel_tol = 1e-3\nmax_work = 100000\n", ("--lambda", "30")),
-        ("abs_tol = 1e-6\nmax_work = 300000\n",
-         ("--lambda", "6", "--method", "fourier2d")),
-        ("rel_tol = 1e-6\n", ("--lambda", "6", "--method", "series")),
-        ("abs_tol = 1e-6\n", ("--lambda", "10", "--method", "asym")),
-    ])
-    def test_eval_accepts_keys_the_route_honours(self, capsys, tmp_path,
-                                                 keys, argv):
-        cfg = tmp_path / "route.cfg"
-        cfg.write_text(keys)
-        code, out, err = run(capsys, "--config", str(cfg), "eval", *argv)
-        assert code == 0, err
-        assert "value" in out
-
-    def test_unknown_key(self, capsys, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("panel_rule_orderr=40\n")
-        code, _, err = run(capsys, "--config", str(cfg),
-                           "eval", "--lambda", "1")
-        assert code == 2
-        assert "unknown key" in err
-
-    @pytest.mark.parametrize("line,message", [
-        ("max_work=1e3", "max_work needs an int, got '1e3'"),
-        ("max_work=inf", "max_work needs an int, got 'inf'"),
-        ("abs_tol=abc", "abs_tol needs a float, got 'abc'"),
-    ])
-    def test_unparsable_value(self, capsys, tmp_path, line, message):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"rel_tol=1e-9\n{line}\n")
-        code, out, err = run(capsys, "--config", str(cfg),
-                             "eval", "--lambda", "1")
+    def test_a_met_tolerance_keeps_its_budget(self, capsys):
+        # hankel meets 1e-3 at lambda = 10 but spends 962 nodes on it
+        code, out, err = run(capsys, "eval", "--lambda", "10",
+                             "--method", "hankel", "--abs-tol", "1e-3",
+                             "--max-work", "100")
         assert code == 2 and out == ""
-        assert err == f"error: {cfg}:2: {message}\n"
+        assert err.startswith("error: work 962 exceeds max_work 100\n"
+                              "partial value: ")
 
-    def test_malformed_line(self, capsys, tmp_path):
-        cfg = tmp_path / "nokv.cfg"
-        cfg.write_text("just some words\n")
-        code, _, err = run(capsys, "--config", str(cfg),
-                           "eval", "--lambda", "1")
-        assert code == 2
-        assert "expected key=value" in err
+    def test_unset_fields_keep_their_defaults(self, capsys):
+        # max_work alone keeps abs_tol = rel_tol = 1e-12, which residue
+        # misses at lambda = 10
+        code, out, err = run(capsys, "eval", "--lambda", "10",
+                             "--method", "residue", "--max-work", "1000")
+        assert code == 2 and out == ""
+        assert "misses the requested tolerance" in err
 
+    def test_relative_only_target(self, capsys):
+        # |S*(100)| ~ 1e-55, so only a relative target says anything here
+        argv = ("eval", "--lambda", "100", "--method", "residue",
+                "--abs-tol", "0")
+        code, out, err = run(capsys, *argv, "--rel-tol", "1e-8", "--json")
+        assert code == 0 and err == ""
+        got = json.loads(out)["methods"]["residue"]
+        assert float(got["error_estimate"]) <= 1e-8 * abs(float(got["value"]))
+        code, out, err = run(capsys, *argv, "--rel-tol", "1e-16")
+        assert code == 2 and out == ""
+        assert "misses the requested tolerance" in err
+
+    @pytest.mark.parametrize("flags", [
+        ("--max-work", "1e3"),
+        ("--max-work", "0"),
+        ("--abs-tol", "nan"),
+        ("--abs-tol", "-1"),
+        ("--abs-tol", "0", "--rel-tol", "0"),
+    ], ids=["max-work=1e3", "max-work=0", "abs-tol=nan", "abs-tol=-1",
+            "both-tols=0"])
+    def test_bad_values_refused(self, capsys, flags):
+        code, out, err = run(capsys, "eval", "--lambda", "10", *flags)
+        assert code == 2 and out == ""
+        assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--abs-tol", "--rel-tol", "--max-work"])
     @pytest.mark.parametrize("argv", [
-        ("sweep", "--lambda-min", "1", "--lambda-max", "2", "--points", "2"),
+        ("sweep", "--lambda-min", "1", "--lambda-max", "2", "--points", "2",
+         "--out", "out.csv"),
+        ("figure", "--lambda-min", "5", "--lambda-max", "6", "--points", "2",
+         "--csv", "out.csv"),
+        ("poles", "--y", "1.0"),
         ("verify", "--quick"),
-        ("figure", "--lambda-min", "5", "--lambda-max", "6", "--points", "2"),
-        ("poles", "--y", "1.0"),
-    ])
-    def test_rejected_where_not_honoured(self, capsys, tmp_path, argv):
-        cfg = tmp_path / "small.cfg"
-        cfg.write_text("abs_tol = 1e-9\n")
-        out_path = tmp_path / "out.csv"
-        if argv[0] == "sweep":
-            argv += ("--out", str(out_path))
-        if argv[0] == "figure":
-            argv += ("--csv", str(out_path))
-        start = time.perf_counter()
-        code, out, err = run(capsys, "--config", str(cfg), *argv)
-        assert time.perf_counter() - start < 5.0
-        assert code == 2
-        assert out == ""
-        assert f"{argv[0]} runs at the default settings" in err
-        assert not out_path.exists()
-
-    @pytest.mark.parametrize("argv,keys", [
-        (("figure", "--lambda-min", "5", "--lambda-max", "6", "--points", "2"),
-         "abs_tol=1e-300\nmax_work=64\n"),
-        (("figure", "--lambda-min", "5", "--lambda-max", "6", "--points", "2"),
-         "rel_tol=1e-3\n"),
-        (("poles", "--y", "1.0"), "max_panels=4\n"),
-        (("poles", "--grid", "3"), "abs_tol=1e-9\n"),
-    ])
-    def test_keys_refused_where_not_honoured(self, capsys, tmp_path, argv,
-                                             keys):
-        """figure and poles honour no key: a file is refused whatever it
-        names, tolerance keys and removed keys alike, before any output."""
-        cfg = tmp_path / "partly.cfg"
-        cfg.write_text("a = 2.0\n" + keys)
-        csv_path = tmp_path / "figure.csv"
-        if argv[0] == "figure":
-            argv += ("--csv", str(csv_path))
-        code, out, err = run(capsys, "--config", str(cfg), *argv)
-        assert code == 2
-        assert out == ""
-        assert (f"{argv[0]} runs at the default settings and does not "
-                "take --config") in err
-        assert not csv_path.exists()
+    ], ids=["sweep", "figure", "poles", "verify"])
+    def test_refused_on_other_subcommands(self, capsys, tmp_path,
+                                          monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, flag, "100")
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {flag} 100" in err
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("argv", [
-        ("figure", "--lambda-min", "5", "--lambda-max", "6", "--points", "2"),
-        ("poles", "--y", "1.0"),
-    ])
-    def test_honoured_keys_accepted(self, capsys, tmp_path, argv):
-        """figure and poles honour no key, so the run they accept is the
-        one without --config; it succeeds and writes its output."""
-        csv_path = tmp_path / "figure.csv"
-        if argv[0] == "figure":
-            argv += ("--csv", str(csv_path))
+        ("--config", "f", "eval", "--lambda", "10"),
+        ("eval", "--lambda", "10", "--config", "f"),
+        ("eval", "--lambda", "10", "--tol", "1e-9"),
+    ], ids=["config-first", "config-last", "tol"])
+    def test_removed_options_refused(self, capsys, argv):
         code, out, err = run(capsys, *argv)
-        assert code == 0, err
-        assert err == ""
-        if argv[0] == "figure":
-            assert out == f"wrote 2 rows to {csv_path}\n"
-            assert len(csv_path.read_text().strip().split("\n")) == 3
-        else:
-            assert out.startswith("y,x_star,u_star,q_residual\n1.0,")
-
-    def test_missing_file(self, capsys, tmp_path):
-        code, _, err = run(capsys, "--config", str(tmp_path / "absent.cfg"),
-                           "eval", "--lambda", "1")
-        assert code == 2
-        assert "error:" in err
+        assert code == 2 and out == ""
+        assert "error:" in err and "Traceback" not in err
 
 
 def test_verify_quick_passes(capsys):

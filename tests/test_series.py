@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altseries.core import DomainError, ToleranceSpec, WorkLimitError
+from altseries.harness import evaluate
 from altseries.acceptance import (SeriesParams, _sum_interior,
                                   derivative_residuals)
 from altseries.series import AlternatingOutcome, sum_alternating_s
@@ -237,10 +238,14 @@ def test_boundary_budget_counts_the_terms_spent():
     at_limit = sum_alternating_s(25.0, ToleranceSpec(1e-6, 0.0,
                                                      max_work=out.work))
     assert (at_limit.value, at_limit.work) == (out.value, out.work)
-    with pytest.raises(WorkLimitError) as exc:
-        sum_alternating_s(25.0, ToleranceSpec(1e-6, 0.0, max_work=out.work - 1))
-    partial = exc.value.partial
-    assert (partial.value, partial.work) == (out.value, out.work)
+    # past the bulk, max_work steers nothing here: evaluate alone refuses
+    # the work spent, with the whole outcome, cancellation included
+    tight = ToleranceSpec(1e-6, 0.0, max_work=out.work - 1)
+    assert sum_alternating_s(25.0, tight) == out
+    with pytest.raises(WorkLimitError,
+                       match=f"work {out.work} exceeds max_work") as exc:
+        evaluate("series", 10.0, tight)
+    assert exc.value.partial == out
 
 
 def test_bulk_holds_one_block_of_terms_at_a_time():

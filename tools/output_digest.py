@@ -11,11 +11,13 @@ output:
 * ``eval --json`` for every method at lambda in {0.5, 3, 10, 12, 30, 100};
 * the refusals ``eval --lambda nan`` for every method,
   ``eval --lambda 3 --method residue``, ``eval --t -1``,
-  ``eval --lambda 1e308 --method hankel``, ``poles --y 1e200`` and
+  ``eval --lambda 1e308 --method hankel``, ``eval --lambda -1`` and
+  ``eval --t 1e300`` on the series route, ``poles --y 1e200`` and
   ``poles --y 1e154``;
-* the tolerance refusal ``eval --lambda 10 --method M --tol 1e-30`` for
-  every method, a ``--config`` value that does not parse, and a grid one
-  point past ``MAX_GRID_POINTS`` for ``figure`` and ``poles --grid``;
+* the tolerance refusal ``eval --lambda 10 --method M --abs-tol 1e-30
+  --rel-tol 1e-30`` for every method, a ``--max-work`` that does not
+  parse, a budget kept beside a met tolerance, and a grid one point past
+  ``MAX_GRID_POINTS`` for ``figure`` and ``poles --grid``;
 * value, error_estimate and work of ``fourier2d_s_star``, ``hankel_s_star``
   and ``s_star_via_residue`` at lambda in {0, 0.5, 1, 3, 8, 10, 12, 24, 30,
   100, 1000}, which ``eval --json`` does not show;
@@ -183,18 +185,21 @@ def main() -> int:
     refusals += [["eval", "--lambda", "3", "--method", "residue"],
                  ["eval", "--t", "-1"],
                  ["eval", "--lambda", "1e308", "--method", "hankel"],
+                 ["eval", "--lambda", "-1", "--method", "series"],
+                 ["eval", "--t", "1e300", "--method", "series"],
                  ["poles", "--y", "1e200"],
                  ["poles", "--y", "1e154"]]
-    refusals += [["eval", "--lambda", "10", "--method", method, "--tol",
-                  "1e-30"] for method in EVAL_METHODS]
-    refusals += [["--config", "bad.cfg", "eval", "--lambda", "10"],
+    refusals += [["eval", "--lambda", "10", "--method", method, "--abs-tol",
+                  "1e-30", "--rel-tol", "1e-30"] for method in EVAL_METHODS]
+    refusals += [["eval", "--lambda", "10", "--max-work", "1e3"],
+                 ["eval", "--lambda", "10", "--method", "hankel",
+                  "--abs-tol", "1e-3", "--max-work", "100"],
                  ["figure", "--lambda-min", "5", "--lambda-max", "25",
                   "--points", "10001", "--csv", "big.csv"],
                  ["poles", "--grid", "10001"]]
     jobs += [(" ".join(args), args, None) for args in refusals]
     # relative paths, so the temporary directory's name reaches no output
     with tempfile.TemporaryDirectory() as tmp:
-        Path(tmp, "bad.cfg").write_text("max_work=1e3\n")
         for label, args, csv in jobs:
             digest = _run(["-m", "altseries.cli", *args], tmp, csv)
             print(f"{digest}  {label}", flush=True)
