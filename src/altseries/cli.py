@@ -70,13 +70,14 @@ def _cmd_eval(args) -> int:
     given = {k: v for k in ("abs_tol", "rel_tol", "max_work")
              if (v := getattr(args, k)) is not None}
     tol = ToleranceSpec(**given) if given else None
-    out = harness.evaluate(args.method, lam, tol)
+    out = harness.evaluate(args.method, lam, tol, args.t)
     row = harness.sweep_row(lam, {out.method: out}, out)
     if args.json:
         print(harness.sweep_row_json(row))
     else:
+        t = t_of_lambda(lam) if args.t is None else args.t
         print(f"lambda          {row.lam!r}")
-        print(f"t               {t_of_lambda(lam)!r}")
+        print(f"t               {t!r}")
         print(f"method          {out.method}")
         print(f"value           {out.value!r}")
         print(f"error_estimate  {out.error_estimate!r}")

@@ -5,17 +5,15 @@ S*(lambda) = -(1/pi) * double integral of e^(i lambda x) / (1 + e^(x^2+y^2)).
 
 The x-integral is a cosine transform T(y, lambda) handled with the same
 zero-partition panels as the Hankel route; the outer y-integral sees a
-smooth e^(-y^2)-type profile.  The x nodes, x^2 and cos(lambda x) do not
-depend on y, so each evaluation tabulates them once, shaped (panels, 37).
-Each call of the outer rule asks for T at all the y nodes of one panel,
-and those transforms run as one array expression on (rows, panels, 37),
-reduced by the panel kernel ``panel_quadrature`` uses.  T depends on y
-only through y^2, and the outer rule's nodes come in exact +-y pairs
-(symmetric edges, antisymmetric Gauss-Legendre nodes), so each evaluation
-keeps the rows it has computed, keyed by y^2, and serves the mirrored
-panels from them: every distinct transform runs once, in 12 blocks of at
-most 25 rows.  Two nested quadratures stack their error floors, so this
-route is a cross-check for lambda <= 12, not a production path.
+smooth e^(-y^2)-type profile.  T depends on y only through y^2, so it is
+even in y and the outer rule runs on the half-line 0 <= y <= Y alone, in
+12 panels, and doubles the result.  The x nodes, x^2 and cos(lambda x) do
+not depend on y, so each evaluation tabulates them once, shaped
+(panels, 37).  Each call of the outer rule asks for T at the 25 y nodes of
+one panel, and those transforms run as one array expression on
+(rows, panels, 37), reduced by the panel kernel ``panel_quadrature`` uses.
+Two nested quadratures stack their error floors, so this route is a
+cross-check for lambda <= 12, not a production path.
 """
 
 from __future__ import annotations
@@ -24,11 +22,13 @@ import math
 
 import numpy as np
 
-from .bessel import MAX_ZEROS, j0_zeros
+# not called here; the name stays bound because perfbench/tracer.py
+# wraps fourier2d.j0_zeros
+from .bessel import j0_zeros  # noqa: F401
 from .core import (LAMBDA_WALL, DomainError, EvalOutcome, RangeError,
                    ToleranceSpec, WorkLimitError)
-from .hankel import (MAX_PANELS, _panel_grid, _reduce_panels,
-                     oscillatory_edges, panel_quadrature)
+from .hankel import (MAX_PANELS, _j0_zero_edges, _panel_grid,
+                     _reduce_panels, oscillatory_edges, panel_quadrature)
 
 __all__ = [
     "LAMBDA_WALL",
@@ -116,26 +116,23 @@ def fourier2d_s_star(lam: float) -> EvalOutcome:
 
     y_up = _Y_TRUNCATION
     table = _x_table(lam)
-    # y^2 -> (T, error) of every transform this evaluation has run; local
-    # to the call, so nothing carries over to the next one
-    rows = {}
     work = 0
+    inner_err = 0.0
 
     def t_profile(ys):
-        nonlocal work
-        y2 = (ys * ys).tolist()
-        missing = [v for v in y2 if v not in rows]
-        if missing:
-            values, errs, w = _inner_t_impl(np.array(missing), table)
-            work += w
-            rows.update(zip(missing, zip(values.tolist(), errs.tolist())))
-        return np.array([rows[v][0] for v in y2])
+        nonlocal work, inner_err
+        values, errs, w = _inner_t_impl(ys * ys, table)
+        work += w
+        inner_err = max(inner_err, float(errs.max()))
+        return values
 
-    edges = [y_up * (k / 12.0) for k in range(-12, 13)]
-    value, refine, abs_int, _, _ = panel_quadrature(t_profile, edges, 16)
-    s_val = -float(value) / math.pi
+    edges = [y_up * (k / 12.0) for k in range(13)]
+    half, refine, abs_int, _, _ = panel_quadrature(t_profile, edges, 16)
+    # the full line is twice the half line: exactly so for the value and
+    # the |T| mass, which fsum rounds once
+    value, refine, abs_int = 2.0 * half, 2.0 * refine, 2.0 * abs_int
+    s_val = -value / math.pi
     trunc = math.exp(-y_up * y_up)  # T(y) <= sqrt(pi) e^(-y^2)
-    inner_err = max(e for _, e in rows.values())
     err = (refine + inner_err * 2.0 * y_up
            + 4.0 * _EPS * abs_int + trunc) / math.pi
     return EvalOutcome(s_val, err, work, "fourier2d")
@@ -196,18 +193,7 @@ def radial_transform(f, rho: float) -> float:
             break
     tail = abs(float(f(upper))) * (upper + 1.0) ** 2
 
-    if rho > 0:
-        # inf, not an exception, where rho * upper overflows
-        zeros_past = rho * upper / math.pi
-        if not zeros_past <= MAX_ZEROS - 2:
-            raise WorkLimitError(
-                f"rho = {rho:g} needs about {zeros_past:.3g} Bessel zeros, "
-                f"over the {MAX_ZEROS} j0_zeros serves")
-        k_need = int(math.ceil(zeros_past)) + 2
-        zeros = [z / rho for z in j0_zeros(k_need)]
-    else:
-        zeros = []
-    edges = oscillatory_edges(zeros, upper, base_step=0.75)
+    edges = _j0_zero_edges("rho", rho, upper, base_step=0.75)
 
     def g(r):
         return bessel_j0(rho * r) * np.asarray(f(r), dtype=float) * r

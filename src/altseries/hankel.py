@@ -158,21 +158,28 @@ def _s_star_weight(x: np.ndarray) -> np.ndarray:
     return 2.0 * x * e / (1.0 + e)
 
 
-def _s_star_panels(lam: float):
-    """Edges and panel sums of the S* integrand; shared by tests."""
+def _j0_zero_edges(name: str, scale: float, upper: float,
+                   base_step: float = 0.9):
+    """``oscillatory_edges`` on [0, upper] through the zeros of
+    J0(scale x), scale >= 0; ``name`` names scale in the refusal of more
+    zeros than ``j0_zeros`` serves."""
     from .bessel import MAX_ZEROS, j0_zeros
 
-    if lam > 0:
-        # inf, not an exception, where lam * TRUNCATION_X overflows
-        zeros_past = lam * TRUNCATION_X / math.pi
+    zeros = []
+    if scale > 0:
+        # inf, not an exception, where scale * upper overflows
+        zeros_past = scale * upper / math.pi
         if not zeros_past <= MAX_ZEROS - 2:
             raise WorkLimitError(
-                f"lambda = {lam:g} needs about {zeros_past:.3g} Bessel zeros, "
-                f"over the {MAX_ZEROS} j0_zeros serves")
-        zeros = [z / lam for z in j0_zeros(int(math.ceil(zeros_past)) + 2)]
-    else:
-        zeros = []
-    edges = oscillatory_edges(zeros, TRUNCATION_X)
+                f"{name} = {scale:g} needs about {zeros_past:.3g} Bessel "
+                f"zeros, over the {MAX_ZEROS} j0_zeros serves")
+        zeros = [z / scale for z in j0_zeros(int(math.ceil(zeros_past)) + 2)]
+    return oscillatory_edges(zeros, upper, base_step)
+
+
+def _s_star_panels(lam: float):
+    """Edges and panel sums of the S* integrand; shared by tests."""
+    edges = _j0_zero_edges("lambda", lam, TRUNCATION_X)
     if len(edges) - 1 > MAX_PANELS:
         raise WorkLimitError(
             f"{len(edges) - 1} panels exceed max_panels = {MAX_PANELS}")

@@ -110,21 +110,22 @@ def _asymptotic(lam: float) -> EvalOutcome:
                        "asymptotic")
 
 
-# route -> (evaluation(lam, tol), closed lambda window a sweep tabulates it
-# on).  Only series reads tol, to steer its own work.  Each evaluation looks
-# its route function up in this module when it runs, so rebinding e.g.
-# harness.hankel_s_star is seen.
+# route -> (evaluation(lam, tol, t), closed lambda window a sweep tabulates
+# it on).  Only series reads tol, to steer its own work, and t, the S(t)
+# argument lam was formed from when the caller has it: (lam/2)^2 need not
+# round back to t.  Each evaluation looks its route function up in this
+# module when it runs, so rebinding e.g. harness.hankel_s_star is seen.
 ROUTES = {
-    "series": (lambda lam, tol: _bound("sum_alternating_s")(t_of_lambda(lam),
-                                                            tol),
+    "series": (lambda lam, tol, t: _bound("sum_alternating_s")(
+                   t_of_lambda(lam) if t is None else t, tol),
                (0.0, math.inf)),
-    "hankel": (lambda lam, tol: _bound("hankel_s_star")(lam),
+    "hankel": (lambda lam, tol, t: _bound("hankel_s_star")(lam),
                (0.0, HANKEL_SWEEP_WALL)),
-    "fourier2d": (lambda lam, tol: _bound("fourier2d_s_star")(lam),
+    "fourier2d": (lambda lam, tol, t: _bound("fourier2d_s_star")(lam),
                   (0.0, FOURIER_WALL)),
-    "residue": (lambda lam, tol: _bound("s_star_via_residue")(lam),
+    "residue": (lambda lam, tol, t: _bound("s_star_via_residue")(lam),
                 (RESIDUE_MIN_LAMBDA, math.inf)),
-    "asymptotic": (lambda lam, tol: _asymptotic(lam),
+    "asymptotic": (lambda lam, tol, t: _asymptotic(lam),
                    (RESIDUE_MIN_LAMBDA, math.inf)),
 }
 # cross_validate compares hankel on a narrower window, which stops where it
@@ -195,13 +196,15 @@ def resolve_route(method: str, lam: float) -> str:
     return method
 
 
-def evaluate(method: str, lam: float,
-             tol: ToleranceSpec | None = None) -> EvalOutcome:
+def evaluate(method: str, lam: float, tol: ToleranceSpec | None = None,
+             t: float | None = None) -> EvalOutcome:
     """One S*(lambda) evaluation by the route ``resolve_route`` names.  A
     ``tol`` is met or refused with WorkLimitError (the result as its
     ``partial``), whichever route runs: both its accuracy targets and its
-    ``max_work`` budget.  No route function judges a tolerance itself."""
-    out = ROUTES[resolve_route(method, lam)][0](lam, tol)
+    ``max_work`` budget.  No route function judges a tolerance itself.
+    A ``t`` with lam = lambda_of_t(t) is the point S(t) the series route
+    sums at; the other routes take lam."""
+    out = ROUTES[resolve_route(method, lam)][0](lam, tol, t)
     if tol is None:
         return out
     if not tol.met_by(out.error_estimate, out.value):

@@ -44,6 +44,17 @@ class TestEval:
         _, out_l, _ = run(capsys, "eval", "--lambda", "10")
         assert out_t == out_l
 
+    def test_series_sums_at_the_given_t(self, capsys):
+        # (2 sqrt 2)^2 / 4 rounds to 2.0000000000000004, not to 2
+        from altseries.series import sum_alternating_s
+
+        code, out, err = run(capsys, "eval", "--t", "2", "--method",
+                             "series")
+        assert code == 0 and err == ""
+        lines = dict(ln.split(None, 1) for ln in out.strip().split("\n"))
+        assert lines["t"] == "2.0"
+        assert float(lines["value"]) == sum_alternating_s(2.0).value
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "eval", "--lambda", "10", "--json")
         assert code == 0

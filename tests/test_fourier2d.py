@@ -68,11 +68,14 @@ def _inner_t_unreduced(y: float, lam: float) -> complex:
     return complex(value)
 
 
-def _fourier2d_per_y(lam: float):
-    """(value, error_estimate, work) of fourier2d_s_star with one 1-D inner
-    transform per y node, the loop the stacked quadrature replaced.
+def _fourier2d_per_y(lam: float, half_line: bool = False):
+    """(value, error_estimate, work) of S*(lambda) with one 1-D inner
+    transform per y node: the outer rule over the full line -Y <= y <= Y,
+    or, with ``half_line``, twice the rule over 0 <= y <= Y as the route
+    forms it.
 
-    Exists so the stacked route can be held to it bit for bit.
+    Exists so the route can be held to the full-line loop, and its stacked
+    inner quadrature to the half-line loop bit for bit.
     """
     upper = fourier2d._X_TRUNCATION
     x_edges = _cos_edges(abs(lam), upper)
@@ -100,11 +103,29 @@ def _fourier2d_per_y(lam: float):
         return out
 
     y_up = fourier2d._Y_TRUNCATION
-    edges = [y_up * (k / 12.0) for k in range(-12, 13)]
+    first = 0 if half_line else -12
+    edges = [y_up * (k / 12.0) for k in range(first, 13)]
     value, refine, abs_int, _, _ = panel_quadrature(t_profile, edges, 16)
+    if half_line:
+        value, refine, abs_int = 2.0 * value, 2.0 * refine, 2.0 * abs_int
     err = (refine + inner_err * 2.0 * y_up + 4.0 * _EPS * abs_int
            + math.exp(-y_up * y_up)) / math.pi
     return -float(value) / math.pi, err, work
+
+
+def _assert_matches_per_y_loops(out, lam):
+    """The route against both loops: bit for bit against the half-line
+    loop, and against the full-line loop in value and in work, which that
+    loop spends twice.  Its error estimate differs from the full line's
+    only in rounding: the half-order sums of mirrored panels add the same
+    terms in another order, and their differences from the full-order sums
+    are rounding noise."""
+    assert (out.value, out.error_estimate, out.work) == _fourier2d_per_y(
+        lam, half_line=True)
+    ref_value, ref_err, ref_work = _fourier2d_per_y(lam)
+    assert out.value == ref_value
+    assert 2 * out.work == ref_work
+    assert out.error_estimate == pytest.approx(ref_err, rel=0.01)
 
 
 @pytest.mark.parametrize("key,expected", sorted(ov.T_INNER.items()))
@@ -131,10 +152,7 @@ def test_inner_transform_unreachable_tolerance():
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 3.0, 4.0, 8.0, 10.0, 12.0])
 def test_stacked_inner_quadrature_matches_per_y_loop(lam):
     out = fourier2d_s_star(lam)
-    ref_value, ref_err, ref_work = _fourier2d_per_y(lam)
-    assert (out.value, out.error_estimate) == (ref_value, ref_err)
-    # the reference runs every transform at +y and again at -y
-    assert 2 * out.work == ref_work
+    _assert_matches_per_y_loops(out, lam)
     # built-in types, so outcomes and the reports built on them serialize
     assert type(out.value) is float
     assert type(out.error_estimate) is float
@@ -144,13 +162,11 @@ def test_stacked_inner_quadrature_matches_per_y_loop(lam):
 @pytest.mark.parametrize("lam", [0.0, 3.0, 10.0])
 def test_mirrored_reuse_matches_per_y_loop_off_default_config(monkeypatch,
                                                             lam):
-    # other box half-widths give other edges; the pairing must still hold
+    # other box half-widths give other edges; the half line must still
+    # mirror the full line
     _set_truncations(monkeypatch,
                      {"_Y_TRUNCATION": 7.0, "_X_TRUNCATION": 6.5})
-    out = fourier2d_s_star(lam)
-    ref_value, ref_err, ref_work = _fourier2d_per_y(lam)
-    assert (out.value, out.error_estimate) == (ref_value, ref_err)
-    assert 2 * out.work == ref_work
+    _assert_matches_per_y_loops(fourier2d_s_star(lam), lam)
 
 
 def _nesting_spy(monkeypatch):
@@ -200,13 +216,14 @@ def test_one_evaluation_runs_each_inner_transform_once(monkeypatch, lam, cfg):
     calls = _inner_spy(monkeypatch)
     fourier2d_s_star(lam)
     # the outer rule is the only panel_quadrature; it asks for 25 y rows
-    # (16 full-order + 9 half-order nodes) per panel, and the 12 panels on
-    # the mirrored half are served from the rows of the first 12
+    # (16 full-order + 9 half-order nodes) in each of its 12 panels on
+    # 0 <= y <= Y, one inner call per panel
     assert [d for d, _ in outer] == [0]
     assert len(calls) == 12
-    first = [set((ys * ys).tolist()) for ys in outer[0][1][:12]]
-    assert [set(rows) for rows in calls] == first
+    assert calls == [(ys * ys).tolist() for ys in outer[0][1]]
     assert [len(rows) for rows in calls] == [25] * 12
+    nodes = np.concatenate(outer[0][1])
+    assert 0.0 < nodes.min() and nodes.max() < fourier2d._Y_TRUNCATION
     # every distinct transform runs once
     outer_y2 = {v for ys in outer[0][1] for v in (ys * ys).tolist()}
     assert sum(len(rows) for rows in calls) == len(outer_y2)
@@ -266,29 +283,14 @@ def test_no_integrand_array_is_wider_than_one_outer_panel(monkeypatch, lam,
 def test_tabulated_route_matches_per_y_loop_property(cfg, lam):
     with pytest.MonkeyPatch.context() as mp:
         _set_truncations(mp, cfg)
-        out = fourier2d_s_star(lam)
-        ref_value, ref_err, ref_work = _fourier2d_per_y(lam)
-    assert (out.value, out.error_estimate) == (ref_value, ref_err)
-    assert 2 * out.work == ref_work
-
-
-@pytest.mark.parametrize("cfg", [None, {"_Y_TRUNCATION": 7.5}])
-def test_outer_nodes_come_in_exact_pairs(monkeypatch, cfg):
-    _set_truncations(monkeypatch, cfg)
-    calls = _nesting_spy(monkeypatch)
-    fourier2d_s_star(3.0)
-    outer = calls[0][1]
-    # each of the 24 outer panels makes one call: 16 full-order nodes
-    # followed by 9 half-order nodes
-    assert [len(ys) for ys in outer] == [25] * 24
-    panels = [(ys[:16], ys[16:]) for ys in outer]
-    for (full, half), (m_full, m_half) in zip(panels, reversed(panels)):
-        assert np.array_equal(full, -m_full[::-1])
-        assert np.array_equal(half, -m_half[::-1])
+        _assert_matches_per_y_loops(fourier2d_s_star(lam), lam)
 
 
 @pytest.mark.parametrize("order", [9, 13, 16, 24])
 def test_gauss_legendre_nodes_exactly_antisymmetric(order):
+    # with the symmetric weights, this makes each full-order panel sum of
+    # the half line the bits of its mirror panel, so twice the half line
+    # is the full line's value exactly
     xs, ws = _gl_rule(order)
     assert np.array_equal(xs, -xs[::-1])
     assert np.array_equal(ws, ws[::-1])

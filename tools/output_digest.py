@@ -9,6 +9,8 @@ output:
 * the ``sweep`` CSV at lambda in [1, 30], 59 points;
 * ``poles --y 1.0`` and ``poles --grid 50``;
 * ``eval --json`` for every method at lambda in {0.5, 3, 10, 12, 30, 100};
+* ``eval --t 2 --method series`` and ``eval --t 2.5``, whose plain output
+  shows the t they ran at;
 * the refusals ``eval --lambda nan`` for every method,
   ``eval --lambda 3 --method residue``, ``eval --t -1``,
   ``eval --lambda 1e308 --method hankel``, ``eval --lambda -1`` and
@@ -180,6 +182,9 @@ def main() -> int:
         for method in EVAL_METHODS:
             args = ["eval", "--lambda", lam, "--method", method, "--json"]
             jobs.append((" ".join(args), args, None))
+    for args in (["eval", "--t", "2", "--method", "series"],
+                 ["eval", "--t", "2.5"]):
+        jobs.append((" ".join(args), args, None))
     refusals = [["eval", "--lambda", "nan", "--method", method]
                 for method in EVAL_METHODS]
     refusals += [["eval", "--lambda", "3", "--method", "residue"],
