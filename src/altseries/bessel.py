@@ -6,7 +6,7 @@ oscillations, so J0 must be trustworthy to ~1e-12 absolute over a wide range;
 its regimes run in plain doubles with a fixed amount of work per call:
 
 * below the cutoff, a piecewise Chebyshev expansion on the unit intervals
-  [k, k+1] of [0, 30], summed by Clenshaw's recurrence.  The coefficients
+  [k, k+1] of [0, 17], summed by Clenshaw's recurrence.  The coefficients
   in ``_j0_table`` are generated offline from mpmath at 40 digits by
   ``tools/gen_j0_table.py``;
 * above the cutoff, the large-argument Hankel expansion (DLMF 10.17.3) as
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,30 +26,19 @@ from ._j0_table import J0_CHEB
 from .core import DomainError, RangeError
 
 __all__ = [
-    "BesselEvalConfig",
     "bessel_j0",
     "j0_zeros",
 ]
 
 
-@dataclass(frozen=True)
-class BesselEvalConfig:
-    """Tuning knobs for J0 evaluation.
+# The |u| at which ``bessel_j0`` switches from the Chebyshev table to the
+# Hankel expansion.  The expansion's error at its smallest term shrinks like
+# e^(-2u), and 16 is where it reaches the rounding level.
+SERIES_CUTOFF = 16.0
 
-    ``series_cutoff`` is the |u| at which ``bessel_j0`` switches from the
-    Chebyshev table to the Hankel expansion; the table covers every legal
-    value.  The expansion's error at its smallest term shrinks like e^(-2u),
-    and 16 is where it reaches the rounding level.
-    """
-
-    series_cutoff: float = 16.0
-
-    def __post_init__(self):
-        if not 5.0 <= self.series_cutoff <= 30.0:
-            raise DomainError("series_cutoff must lie in [5, 30]")
-
-
-_DEFAULT_CFG = BesselEvalConfig()
+# kept only for perfbench/tracer.py, which counts the points at or below
+# the cutoff
+_DEFAULT_CFG = SimpleNamespace(series_cutoff=SERIES_CUTOFF)
 
 # pi/4 as an unevaluated double-double sum hi + lo.
 _PI4_HI = 7.853981633974482790e-01
@@ -62,7 +51,7 @@ _CHEB_LAST = _CHEB.shape[1] - 1
 
 
 def _j0_chebyshev(u):
-    """J0 at 0 <= u <= 30 from the piecewise Chebyshev table, in doubles."""
+    """J0 at 0 <= u <= 17 from the piecewise Chebyshev table, in doubles."""
     k = np.minimum(u.astype(np.intp), _CHEB_LAST)
     # t = 2 (u - k) - 1 on [-1, 1]; 2u - (2k + 1) is exact for k >= 1
     # (Sterbenz) and off by at most half an ulp of 1/2 on [0, 1/4].
@@ -156,14 +145,13 @@ def _j0_hankel(u, umin: float):
     return np.sqrt(2.0 / (np.pi * u)) * (p * cosw + q * inv * sinw)
 
 
-def bessel_j0(u, cfg: BesselEvalConfig | None = None):
+def bessel_j0(u):
     """J0(u) for finite real u (vectorized), absolute error <= 3e-16 on [0, 200].
 
-    Even symmetry is applied first.  |u| <= ``cfg.series_cutoff`` is summed
+    Even symmetry is applied first.  |u| <= ``SERIES_CUTOFF`` is summed
     from the Chebyshev table, larger |u| from the Hankel expansion.  Array
     input keeps its shape; scalar or 0-d input returns a float.
     """
-    cfg = cfg or _DEFAULT_CFG
     x = np.asarray(u, dtype=float)
     au = np.abs(x.ravel())
     if not au.size:
@@ -172,13 +160,12 @@ def bessel_j0(u, cfg: BesselEvalConfig | None = None):
     hi = float(au.max())  # NaN propagates, so this is the finiteness check
     if not hi < math.inf:
         raise DomainError("bessel_j0 requires finite real u")
-    cut = cfg.series_cutoff
-    if hi <= cut:
+    if hi <= SERIES_CUTOFF:
         out = _j0_chebyshev(au)
-    elif lo > cut:
+    elif lo > SERIES_CUTOFF:
         out = _j0_hankel(au, lo)
     else:
-        low = au <= cut
+        low = au <= SERIES_CUTOFF
         out = np.empty_like(au)
         out[low] = _j0_chebyshev(au[low])
         high = au[~low]

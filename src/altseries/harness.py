@@ -90,6 +90,9 @@ HANKEL_COMPARE_WALL = 24.0
 HANKEL_SWEEP_WALL = 28.0
 FOURIER_WALL = LAMBDA_WALL
 CANCELLATION_FLAG = 1e12
+# two routes agree when they differ by at most their summed error estimates,
+# or by this much, whichever is larger
+PAIR_ABS_TOL = 1e-11
 # the most points a figure, sweep or ``poles --grid`` grid may hold (50
 # times the figure's 200); a larger one is refused before it is built
 MAX_GRID_POINTS = 10_000
@@ -131,6 +134,7 @@ ROUTES = {
 # cross_validate compares hankel on a narrower window, which stops where it
 # is too noisy to judge the others by
 _COMPARE_WINDOWS = {
+    "series": ROUTES["series"][1],
     "hankel": (0.0, HANKEL_COMPARE_WALL),
     "fourier2d": ROUTES["fourier2d"][1],
     "residue": ROUTES["residue"][1],
@@ -239,12 +243,9 @@ def sweep_row(lam: float, outs: dict, numeric: EvalOutcome) -> SweepRow:
 
 
 def _pair_check(t: float, name_a: str, out_a: EvalOutcome,
-                name_b: str, out_b: EvalOutcome,
-                tol: ToleranceSpec) -> VerifyCheck:
+                name_b: str, out_b: EvalOutcome) -> VerifyCheck:
     diff = abs(out_a.value - out_b.value)
-    threshold = max(tol.abs_tol,
-                    out_a.error_estimate + out_b.error_estimate,
-                    tol.rel_tol * max(abs(out_a.value), abs(out_b.value)))
+    threshold = max(PAIR_ABS_TOL, out_a.error_estimate + out_b.error_estimate)
     return VerifyCheck(
         name=f"t={t:g}:{name_a}-vs-{name_b}",
         passed=diff <= threshold,
@@ -253,20 +254,21 @@ def _pair_check(t: float, name_a: str, out_a: EvalOutcome,
     )
 
 
-def cross_validate(points, tol: ToleranceSpec | None = None) -> VerifyReport:
+def cross_validate(points) -> VerifyReport:
     """Pairwise agreement of every method that admits each t.
 
     Out-of-range methods are skipped with a marker entry instead of being
     forced; a cancellation-dominated series result is compared like any
     other (its inflated error estimate is the point), but flagged.
     """
-    tol = tol or ToleranceSpec(abs_tol=1e-11, rel_tol=0.0)
     checks = []
     for t in points:
         lam = lambda_of_t(t)
-        # t itself: lambda^2/4 does not always give t back
-        series_out = _bound("sum_alternating_s")(t)
-        outs: dict[str, EvalOutcome] = {"series": series_out}
+        # the series sums at t itself: lambda^2/4 does not always give t back
+        outs: dict[str, EvalOutcome] = {
+            name: evaluate(name, lam, t=t)
+            for name, (lo, hi) in _COMPARE_WINDOWS.items() if lo <= lam <= hi}
+        series_out = outs["series"]
         if series_out.cancellation >= CANCELLATION_FLAG:
             checks.append(VerifyCheck(
                 name=f"t={t:g}:series-precision-limited",
@@ -281,16 +283,13 @@ def cross_validate(points, tol: ToleranceSpec | None = None) -> VerifyReport:
                 measured=lam,
                 threshold=HANKEL_COMPARE_WALL,
                 note="hankel floor exceeds |S*| here; method skipped"))
-        for name, (lo, hi) in _COMPARE_WINDOWS.items():
-            if lo <= lam <= hi:
-                outs[name] = evaluate(name, lam)
 
         names = sorted(outs)
         for i, na in enumerate(names):
             for nb in names[i + 1:]:
                 if {na, nb} == {"residue", "asymptotic"}:
                     continue  # compared in scaled mode below
-                checks.append(_pair_check(t, na, outs[na], nb, outs[nb], tol))
+                checks.append(_pair_check(t, na, outs[na], nb, outs[nb]))
         if "residue" in outs and "asymptotic" in outs:
             r = outs["residue"]
             diff = abs(r.scaled_value - asym_s_star(lam).scaled_value)
@@ -321,6 +320,11 @@ def _lambda_grid(lambda_min: float, lambda_max: float, n: int):
     step = (lambda_max - lambda_min) / (n - 1)
     grid = [lambda_min + step * i for i in range(n)]
     grid[-1] = lambda_max
+    # refused here, before any point runs, rather than by SweepTable after
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise DomainError(
+            f"{n} points between lambda_min = {lambda_min} and lambda_max = "
+            f"{lambda_max} do not ascend strictly in doubles")
     return grid
 
 

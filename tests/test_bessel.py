@@ -17,7 +17,7 @@ import pytest
 import scipy.special as sps
 
 from altseries import _j0_table, bessel
-from altseries.bessel import BesselEvalConfig, bessel_j0, j0_zeros
+from altseries.bessel import bessel_j0, j0_zeros
 from altseries.core import DomainError
 
 import oracle_values as ov
@@ -135,7 +135,7 @@ def test_j0_against_mpmath_dense(side):
     terms per call.
     """
     mp = pytest.importorskip("mpmath")
-    cut = BesselEvalConfig().series_cutoff
+    cut = bessel.SERIES_CUTOFF
     if side == "table":
         u = np.linspace(0.0, cut, 1601)
     else:
@@ -151,10 +151,16 @@ def test_j0_against_mpmath_dense(side):
 
 
 def test_j0_table_against_dd_series():
-    """The whole table, [0, 30], against the double-double power series."""
-    u = np.linspace(0.0, 30.0, 3001)
-    mine = bessel_j0(u, BesselEvalConfig(series_cutoff=30.0))
+    """The whole table, [0, 17], against the double-double power series."""
+    u = np.linspace(0.0, 17.0, 1701)
+    mine = bessel._j0_chebyshev(u)
     assert np.max(np.abs(mine - _j0_series_dd(u))) <= J0_AUDIT_BOUND
+
+
+def test_j0_table_covers_the_cutoff():
+    """One unit interval per integer up to the cutoff, the cutoff's own
+    included: u = 16 reads row 16 at t = -1."""
+    assert len(_j0_table.J0_CHEB) == int(bessel.SERIES_CUTOFF) + 1 == 17
 
 
 def test_j0_table_regenerates_bit_for_bit():
@@ -182,17 +188,17 @@ def test_j0_even_and_vectorized():
 
 
 def test_j0_series_asymptotic_overlap():
-    """The two evaluation regimes agree on a band around the switch point."""
-    cfg = BesselEvalConfig()
-    cut = cfg.series_cutoff
+    """The Hankel expansion agrees with the series on a band around the
+    switch point, below it too."""
+    cut = bessel.SERIES_CUTOFF
     for u in np.linspace(cut - 2.0, cut + 2.0, 81):
         s = float(_j0_series_dd(u))
-        a = bessel_j0(float(u), BesselEvalConfig(series_cutoff=5.0))
+        a = float(bessel._j0_hankel(np.array([u]), float(u))[0])
         assert abs(s - a) <= 1e-12, u
 
 
 def test_j0_switch_point_continuity():
-    cut = BesselEvalConfig().series_cutoff
+    cut = bessel.SERIES_CUTOFF
     below = bessel_j0(cut * (1.0 - 2e-16))
     above = bessel_j0(cut * (1.0 + 2e-16))
     assert abs(below - above) <= 1e-13
@@ -322,11 +328,3 @@ def test_j0_zeros_concurrent_fill(monkeypatch):
 def test_j0_zeros_rejects_bad_count(bad):
     with pytest.raises(DomainError):
         j0_zeros(bad)
-
-
-
-def test_bessel_config_validation():
-    with pytest.raises(DomainError):
-        BesselEvalConfig(series_cutoff=4.0)
-    with pytest.raises(DomainError):
-        BesselEvalConfig(series_cutoff=31.0)

@@ -387,6 +387,43 @@ def test_cross_validate_passes_t_to_the_series(monkeypatch):
     assert seen == [60.0]  # (2 sqrt(60))^2 / 4 != 60 in doubles
 
 
+def test_cross_validate_runs_every_route_through_evaluate(monkeypatch):
+    seen = []
+    original = harness.evaluate
+
+    def recorded(method, lam, *args, **kwargs):
+        seen.append(method)
+        return original(method, lam, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate", recorded)
+    cross_validate([16.0])
+    assert seen == ["series", "hankel", "fourier2d", "residue", "asymptotic"]
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0, 16.0])
+def test_pair_threshold_is_summed_estimates_or_the_floor(t):
+    lam = 2.0 * math.sqrt(t)
+    pairs = [c for c in cross_validate([t]).checks
+             if "-vs-" in c.name and not c.name.endswith("-scaled")]
+    assert pairs
+    for c in pairs:
+        na, nb = c.name.split(":", 1)[1].split("-vs-")
+        est = sum(evaluate(name, lam, t=t).error_estimate for name in (na, nb))
+        assert c.threshold == max(harness.PAIR_ABS_TOL, est), c.name
+
+
+@pytest.mark.parametrize("build", [figure_data, sweep_data])
+@pytest.mark.parametrize("lo,hi,n", [(1.0, math.nextafter(1.0, 2.0), 3),
+                                     (5.0, 5.0 + 1e-14, 200)])
+def test_grid_finer_than_doubles_refused_before_any_route_runs(
+        monkeypatch, build, lo, hi, n):
+    ran = []
+    monkeypatch.setattr(harness, "evaluate", lambda *a, **k: ran.append(a))
+    with pytest.raises(DomainError, match="do not ascend strictly"):
+        build(lo, hi, n)
+    assert ran == []
+
+
 @pytest.mark.parametrize("method,lam", [
     ("series", 10.0), ("hankel", 10.0), ("fourier2d", 10.0),
     ("residue", 30.0), ("asym", 30.0),

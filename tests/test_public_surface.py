@@ -59,5 +59,7 @@ def test_worker_reaches_only_existing_names(monkeypatch):
 
 
 def test_tracer_reads_the_j0_cutoff():
-    assert bessel._DEFAULT_CFG.series_cutoff > 0
+    # the tracer's bessel.j0.series_points counts |u| <= this cutoff, so it
+    # must be the switch bessel_j0 uses
+    assert bessel._DEFAULT_CFG.series_cutoff == bessel.SERIES_CUTOFF
 

@@ -1,12 +1,17 @@
 """Generate ``src/altseries/_j0_table.py``: Chebyshev coefficients of J0.
 
-J0 on [0, 30] is split into the unit intervals [k, k + 1]; on each one it is
+J0 on [0, 17] is split into the unit intervals [k, k + 1]; on each one it is
 expanded as sum_j c_j T_j(t) with t = 2 (u - k) - 1.  The coefficients come
 from interpolation at NODES Chebyshev points of the first kind, with J0 and
 all arithmetic in mpmath at 40 significant digits, and are rounded to
 doubles only at the end.  Interpolating at NODES points aliases c_j with
 c_(2 NODES - j) and beyond, which sit far below 1e-40 here, so the stored
 values are the expansion coefficients to full double precision.
+
+``bessel_j0`` reads the table up to its cutoff ``bessel.SERIES_CUTOFF``
+= 16.  INTERVALS is 17, not 16: at u = 16 exactly ``int(u)`` picks row 16
+and sums it at t = -1.  With 16 rows that point would be summed from row
+15 at t = +1 instead, other coefficients that need not round alike.
 
 TERMS is chosen so that the first dropped coefficient is below 1e-19 on
 every interval (it is ~2e-20 at worst); ``chebyshev_table`` refuses a
@@ -26,7 +31,7 @@ from pathlib import Path
 
 import mpmath as mp
 
-INTERVALS = 30
+INTERVALS = 17
 TERMS = 14
 NODES = 40
 DIGITS = 40

@@ -31,7 +31,10 @@ output:
   (z, nu, t) = (0.5, 1, 1), h in {1e-3, 1e-4};
 * on the crossval benchmark's lattice lambda = k/4, k = 4..48: value,
   error_estimate and work of ``fourier2d_s_star``, and every check of
-  ``cross_validate`` at t = lambda^2/4.
+  ``cross_validate`` at t = lambda^2/4;
+* ``bessel_j0`` on 200,001 points over [0, 250] plus u = 16 (the regime
+  switch), its two neighbouring doubles and 17, evaluated in one call, in
+  37-point chunks (one hankel panel) and point by point.
 
 Each digest covers the exit code, stdout and stderr (and the CSV for
 ``figure`` and ``sweep``), so a refusal is held to the same bytes as a
@@ -146,6 +149,25 @@ for k in range(4, 49):
         print(" ", c.name, c.passed, repr(c.measured), repr(c.threshold))
 """
 
+# bessel_j0 directly: the Hankel regime fixes its term count per call, so
+# the same points are hashed whole, chunked and one at a time
+J0 = """
+import hashlib
+import math
+import numpy as np
+from altseries.bessel import bessel_j0
+u = np.concatenate([np.linspace(0.0, 250.0, 200_001),
+                    [16.0, math.nextafter(16.0, 0.0),
+                     math.nextafter(16.0, 17.0), 17.0]])
+whole = bessel_j0(u)
+chunked = np.concatenate([bessel_j0(u[i:i + 37])
+                          for i in range(0, len(u), 37)])
+scalar = np.array([bessel_j0(x) for x in u.tolist()])
+for label, vals in (("whole", whole), ("chunked", chunked),
+                    ("scalar", scalar)):
+    print(label, hashlib.sha256(vals.tobytes()).hexdigest())
+"""
+
 
 def _run(argv, cwd: str, csv: str | None = None) -> str:
     env = dict(os.environ)
@@ -217,6 +239,8 @@ def main() -> int:
         digest = _run(["-c", CROSSVAL], tmp)
         print(f"{digest}  crossval lattice: fourier2d and cross_validate",
               flush=True)
+        digest = _run(["-c", J0], tmp)
+        print(f"{digest}  bessel_j0 whole, chunked and scalar", flush=True)
     return 0
 
 
