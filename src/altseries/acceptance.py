@@ -1,9 +1,6 @@
 """The acceptance checklist that ``altseries verify`` and the test suite run.
 
-Ten checks, each returning a ``harness.VerifyCheck``.  Every route
-function a check calls is reached through ``harness._bound``, and the
-harness's own study, figure and CSV functions through the module, so a
-function rebound on harness is the one a check calls.
+Ten checks, each returning a ``harness.VerifyCheck``.
 
 Check 9's general series S(z, nu, t) = sum z^n n^(-nu) exp(-t/n) at
 |z| < 1, and the derivative identities it is tested by, live here as
@@ -24,7 +21,7 @@ from .asymptotic import (SQRT_HALF_PI, asym_s_star, asym_s_t,
                          rough_bound_trace, saddle_rhs_closed)
 from .core import (DomainError, EvalOutcome, RangeError, ToleranceSpec,
                    WorkLimitError, lambda_of_t)
-from .harness import VerifyCheck, VerifyReport, _bound
+from .harness import VerifyCheck, VerifyReport, evaluate
 
 __all__ = [
     "SeriesParams",
@@ -164,27 +161,24 @@ def _check(name, measured, threshold, passed=None, note="") -> VerifyCheck:
 
 def check_closed_form_anchor() -> VerifyCheck:
     ln2 = math.log(2.0)
-    worst = max(abs(_bound("sum_alternating_s")(0.0).value + ln2),
-                abs(_bound("hankel_s_star")(0.0).value + ln2),
-                abs(_bound("fourier2d_s_star")(0.0).value + ln2))
+    worst = max(abs(evaluate(name, 0.0, t=0.0).value + ln2)
+                for name in ("series", "hankel", "fourier2d"))
     return _check("1-closed-form-anchor", worst, 1e-10)
 
 
 def check_cross_method_agreement(quick: bool = False) -> VerifyCheck:
-    sum_alternating_s = _bound("sum_alternating_s")
-    hankel_s_star = _bound("hankel_s_star")
-    fourier2d_s_star = _bound("fourier2d_s_star")
     ts = (1.0, 2.0, 5.0) if quick else (1.0, 2.0, 5.0, 10.0, 25.0, 50.0)
     worst_sh = 0.0
     for t in ts:
-        s = sum_alternating_s(t).value
-        h = hankel_s_star(lambda_of_t(t)).value
+        lam = lambda_of_t(t)
+        s = evaluate("series", lam, t=t).value
+        h = evaluate("hankel", lam).value
         worst_sh = max(worst_sh, abs(s - h))
     lams = (1.0, 2.0) if quick else (1.0, 2.0, 4.0, 8.0)
     worst_fh = 0.0
     for lam in lams:
-        worst_fh = max(worst_fh,
-                       abs(fourier2d_s_star(lam).value - hankel_s_star(lam).value))
+        worst_fh = max(worst_fh, abs(evaluate("fourier2d", lam).value
+                                     - evaluate("hankel", lam).value))
     passed = worst_sh <= 1e-11 and worst_fh <= 1e-8
     return _check("2-cross-method-agreement", worst_sh, 1e-11, passed=passed,
                   note=f"series-hankel {worst_sh:.3e} (<=1e-11), "
@@ -216,8 +210,8 @@ def check_pole_geometry() -> VerifyCheck:
 def check_residue_convergence() -> VerifyCheck:
     diffs = []
     for lam in (10.0, 12.0, 14.0, 16.0):
-        h = _bound("hankel_s_star")(lam).value
-        r = _bound("s_star_via_residue")(lam)
+        h = evaluate("hankel", lam).value
+        r = evaluate("residue", lam)
         diffs.append(abs(math.exp(lam * SQRT_HALF_PI) * h + r.scaled_value))
     decreasing = all(a > b for a, b in zip(diffs, diffs[1:]))
     passed = decreasing and diffs[2] <= 0.02
@@ -310,10 +304,10 @@ def check_structural_identities() -> VerifyCheck:
 
 
 def check_precision_honesty() -> VerifyCheck:
-    s = _bound("sum_alternating_s")(150.0)
+    s = evaluate("series", lambda_of_t(150.0), t=150.0)
     series_ok = s.error_estimate >= 1e-4 * abs(s.value)
     try:
-        h = _bound("hankel_s_star")(40.0)
+        h = evaluate("hankel", 40.0)
         hankel_ok = h.error_estimate >= abs(h.value)
     except RangeError:
         hankel_ok = True
@@ -341,7 +335,7 @@ def run_acceptance(quick: bool = False) -> VerifyReport:
         check_precision_honesty(),
     ]
     calibration = {
-        "kappa": _bound("calibrated_kappa")(),
+        "kappa": harness.calibrated_kappa(),
         "C_envelope": max(r["envelope_ratio"] for r in rows),
     }
     return VerifyReport(checks=checks, calibration=calibration)

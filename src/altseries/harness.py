@@ -33,9 +33,9 @@ from .core import (
 
 # The route functions, each bound here on first use from its home module,
 # so that a process imports only the routes it runs (the asymptotic and
-# series routes need no numpy).  Code in this module and in ``acceptance``
-# reaches them through _bound, which reads this module's own binding
-# first: a function rebound on harness is the one called.
+# series routes need no numpy).  ``ROUTES`` reaches them through _bound,
+# which reads this module's own binding first: a function rebound on
+# harness is the one called.
 _LAZY = {
     "fourier2d_s_star": "fourier2d",
     "hankel_s_star": "hankel",
