@@ -3,15 +3,17 @@
 The Hankel-quadrature route integrates J0 against a smooth weight over many
 oscillations, so J0 must be trustworthy to ~1e-12 absolute over a wide range;
 ``bessel_j0`` is held to 3e-16 against 40-digit mpmath on [0, 200].  Both of
-its regimes run in plain doubles with a fixed amount of work per call:
+its regimes run in plain doubles with a fixed amount of work per point, so
+J0(u) depends on u alone: a point gives the same bits whatever else is in
+the call.
 
-* below the cutoff, a piecewise Chebyshev expansion on the unit intervals
-  [k, k+1] of [0, 17], summed by Clenshaw's recurrence.  The coefficients
-  in ``_j0_table`` are generated offline from mpmath at 40 digits by
-  ``tools/gen_j0_table.py``;
-* above the cutoff, the large-argument Hankel expansion (DLMF 10.17.3) as
-  two polynomials P and Q in 1/u^2, summed in one stacked Horner pass,
-  with the number of terms fixed per call from the smallest argument in it.
+* up to the cutoff |u| = 30, a piecewise Chebyshev expansion on the unit
+  intervals [k, k+1] of [0, 31], summed by Clenshaw's recurrence.  The
+  coefficients in ``_j0_table`` are generated offline from mpmath at 40
+  digits by ``tools/gen_j0_table.py``;
+* above it, the large-argument Hankel expansion (DLMF 10.17.3) as two
+  polynomials P and Q in 1/u^2 with 20 terms between them, summed in one
+  stacked Horner pass.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ __all__ = [
 
 # The |u| at which ``bessel_j0`` switches from the Chebyshev table to the
 # Hankel expansion.  The expansion's error at its smallest term shrinks like
-# e^(-2u), and 16 is where it reaches the rounding level.
-SERIES_CUTOFF = 16.0
+# e^(-2u) and reaches the rounding level near 16, but there it needs 33
+# terms; from 30 on, 20 terms reach 1e-18, and one count serves every u.
+SERIES_CUTOFF = 30.0
 
 # kept only for perfbench/tracer.py, which counts the points at or below
 # the cutoff
@@ -51,7 +54,8 @@ _CHEB_LAST = _CHEB.shape[1] - 1
 
 
 def _j0_chebyshev(u):
-    """J0 at 0 <= u <= 17 from the piecewise Chebyshev table, in doubles."""
+    """J0 at 0 <= u <= 31 from the piecewise Chebyshev table, in doubles
+    (``bessel_j0`` reads it up to ``SERIES_CUTOFF``, which is in row 30)."""
     k = np.minimum(u.astype(np.intp), _CHEB_LAST)
     # t = 2 (u - k) - 1 on [-1, 1]; 2u - (2k + 1) is exact for k >= 1
     # (Sterbenz) and off by at most half an ulp of 1/2 on [0, 1/4].
@@ -82,8 +86,9 @@ def _hankel_term_count(umin: float) -> int:
 
     Stops after the first term below 1e-18, or before the first term that
     no longer shrinks (the expansion diverges past its smallest term).
-    Each term A_k / u^k only shrinks as u grows, so the count chosen at the
-    smallest u of a call is good for all of them.
+    Each term A_k / u^k only shrinks as u grows, so the count chosen at
+    umin is good for every larger u.  It is taken once, at import, at
+    umin = ``SERIES_CUTOFF``, where it is 20.
     """
     mag = 1.0
     for n in range(1, _MAX_ASYM_TERMS):
@@ -103,9 +108,10 @@ def _pq_rows(n: int):
     P takes (n+1)//2 terms and Q n//2, each followed by half its first
     omitted term: the terms alternate in sign and barely change in size
     near the smallest one, where the remainder is about half the first
-    omitted term; adding that half takes the error at u = 16 from ~3e-16
-    to ~6e-17.  The shorter row is padded with leading zeros, and
-    0 * v + c is exactly c, so each row rounds as its own Horner pass would.
+    omitted term.  With 20 terms past u = 30 that half is below 1.1e-19,
+    so it moves a value by one rounding at most.  The shorter row (odd n)
+    is padded with leading zeros, and 0 * v + c is exactly c, so each row
+    rounds as its own Horner pass would.
     """
     p = _P_COEF[:(n + 1) // 2] + [0.5 * _P_COEF[(n + 1) // 2]]
     q = _Q_COEF[:n // 2] + [0.5 * _Q_COEF[n // 2]]
@@ -113,21 +119,22 @@ def _pq_rows(n: int):
     return [np.array([[cp], [cq]]) for cp, cq in zip(p[::-1], q[::-1])]
 
 
-_PQ_ROWS = [None] + [_pq_rows(n) for n in range(1, _MAX_ASYM_TERMS + 1)]
+# every |u| > SERIES_CUTOFF is summed with this many terms
+_HANKEL_TERMS = _hankel_term_count(SERIES_CUTOFF)
+_PQ_ROWS = _pq_rows(_HANKEL_TERMS)
 
 
-def _pq_horner(n: int, v):
-    """P and Q of n terms at v = 1/u^2, in one Horner pass over [P; Q]."""
-    rows = _PQ_ROWS[n]
-    acc = rows[0]
-    for coef in rows[1:]:
+def _pq_horner(v):
+    """P and Q at v = 1/u^2, in one Horner pass over [P; Q]."""
+    acc = _PQ_ROWS[0]
+    for coef in _PQ_ROWS[1:]:
         acc = acc * v + coef
     return acc[0], acc[1]
 
 
-def _j0_hankel(u, umin: float):
-    """J0 at 1-D u >= umin >= 5 from the Hankel expansion in 1/u^2."""
-    n = _hankel_term_count(umin)
+def _j0_hankel(u):
+    """J0 at 1-D u > ``SERIES_CUTOFF`` from the Hankel expansion in 1/u^2,
+    with the term count fixed for the cutoff: the same sum at every u."""
     # omega = u - pi/4 carried as a double-double so the phase stays exact:
     # Knuth's two-sum gives wh + we == u - _PI4_HI exactly.
     wh = u - _PI4_HI
@@ -141,7 +148,7 @@ def _j0_hankel(u, umin: float):
 
     inv = 1.0 / u
     v = inv * inv
-    p, q = _pq_horner(n, v)
+    p, q = _pq_horner(v)
     return np.sqrt(2.0 / (np.pi * u)) * (p * cosw + q * inv * sinw)
 
 
@@ -149,27 +156,27 @@ def bessel_j0(u):
     """J0(u) for finite real u (vectorized), absolute error <= 3e-16 on [0, 200].
 
     Even symmetry is applied first.  |u| <= ``SERIES_CUTOFF`` is summed
-    from the Chebyshev table, larger |u| from the Hankel expansion.  Array
-    input keeps its shape; scalar or 0-d input returns a float.
+    from the Chebyshev table, larger |u| from the Hankel expansion; each
+    point's value depends on that point alone.  Array input keeps its
+    shape; scalar or 0-d input returns a float.
     """
     x = np.asarray(u, dtype=float)
     au = np.abs(x.ravel())
     if not au.size:
         return au.reshape(x.shape)
-    lo = float(au.min())
     hi = float(au.max())  # NaN propagates, so this is the finiteness check
     if not hi < math.inf:
         raise DomainError("bessel_j0 requires finite real u")
     if hi <= SERIES_CUTOFF:
         out = _j0_chebyshev(au)
-    elif lo > SERIES_CUTOFF:
-        out = _j0_hankel(au, lo)
     else:
         low = au <= SERIES_CUTOFF
-        out = np.empty_like(au)
-        out[low] = _j0_chebyshev(au[low])
-        high = au[~low]
-        out[~low] = _j0_hankel(high, float(high.min()))
+        if not low.any():  # most quadrature panels lie past the cutoff
+            out = _j0_hankel(au)
+        else:
+            out = np.empty_like(au)
+            out[low] = _j0_chebyshev(au[low])
+            out[~low] = _j0_hankel(au[~low])
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 

@@ -31,8 +31,8 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _LN2 = math.log(2.0)
-# Absolute error model for one J0 evaluation (measured 9.4e-17 worst against
-# 40-digit mpmath on [0, 200]; claimed with margin).
+# Absolute error model for one J0 evaluation (measured 9.3e-17 worst against
+# 40-digit mpmath at 20,001 points on [0, 200]; claimed with margin).
 _J0_MODEL_ERR = 1e-15
 
 

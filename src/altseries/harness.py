@@ -261,6 +261,11 @@ def cross_validate(points) -> VerifyReport:
     forced; a cancellation-dominated series result is compared like any
     other (its inflated error estimate is the point), but flagged.
     """
+    points = list(points)
+    # the whole input is checked before any point runs
+    for t in points:
+        if not 0.0 <= t < math.inf:
+            raise DomainError(f"cross_validate needs finite t >= 0, got {t}")
     checks = []
     for t in points:
         lam = lambda_of_t(t)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from altseries import harness
 from altseries.asymptotic import (
     FRONT_CONSTANT,
     SQRT_HALF_PI,
@@ -164,3 +165,12 @@ class TestRoughBoundTrace:
     def test_rejects_bad_grid(self):
         with pytest.raises(DomainError):
             rough_bound_trace(1.0, [10.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_grid_refused_before_any_point_runs(self, monkeypatch, bad):
+        ran = []
+        monkeypatch.setattr(harness, "evaluate",
+                            lambda *a, **k: ran.append(a))
+        with pytest.raises(DomainError):
+            rough_bound_trace(1.0, [10.0, bad])
+        assert ran == []

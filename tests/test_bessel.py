@@ -91,7 +91,7 @@ def dd_div_d(xh, xl, d):
 
 
 def _j0_series_dd(u):
-    """Power series for J0 at |u| <= 30, double-double throughout."""
+    """Power series for J0 at |u| <= 31, double-double throughout."""
     u = np.asarray(u, dtype=float)
     qh, ql = two_prod(u, u)
     qh, ql = dd_mul_d(qh, ql, 0.25)  # u^2/4
@@ -131,8 +131,8 @@ def test_j0_against_mpmath_dense(side):
     """Absolute error against 40-digit mpmath, below and above the cutoff.
 
     Each grid is evaluated in one call and again in 24-point chunks, the
-    size of one quadrature panel, since the Hankel side fixes its number of
-    terms per call.
+    size of one quadrature panel; the two must agree bit for bit, since a
+    point's value may not depend on the other points in its call.
     """
     mp = pytest.importorskip("mpmath")
     cut = bessel.SERIES_CUTOFF
@@ -143,6 +143,7 @@ def test_j0_against_mpmath_dense(side):
     whole = bessel_j0(u)
     chunked = np.concatenate([bessel_j0(u[i:i + 24])
                               for i in range(0, len(u), 24)])
+    assert np.array_equal(whole, chunked), side
     with mp.workdps(40):
         ref = [mp.besselj(0, mp.mpf(x)) for x in u]
         for vals in (whole, chunked):
@@ -151,16 +152,16 @@ def test_j0_against_mpmath_dense(side):
 
 
 def test_j0_table_against_dd_series():
-    """The whole table, [0, 17], against the double-double power series."""
-    u = np.linspace(0.0, 17.0, 1701)
+    """The whole table, [0, 31], against the double-double power series."""
+    u = np.linspace(0.0, 31.0, 3101)
     mine = bessel._j0_chebyshev(u)
     assert np.max(np.abs(mine - _j0_series_dd(u))) <= J0_AUDIT_BOUND
 
 
 def test_j0_table_covers_the_cutoff():
     """One unit interval per integer up to the cutoff, the cutoff's own
-    included: u = 16 reads row 16 at t = -1."""
-    assert len(_j0_table.J0_CHEB) == int(bessel.SERIES_CUTOFF) + 1 == 17
+    included: u = 30 reads row 30 at t = -1."""
+    assert len(_j0_table.J0_CHEB) == int(bessel.SERIES_CUTOFF) + 1 == 31
 
 
 def test_j0_table_regenerates_bit_for_bit():
@@ -193,7 +194,7 @@ def test_j0_series_asymptotic_overlap():
     cut = bessel.SERIES_CUTOFF
     for u in np.linspace(cut - 2.0, cut + 2.0, 81):
         s = float(_j0_series_dd(u))
-        a = float(bessel._j0_hankel(np.array([u]), float(u))[0])
+        a = float(bessel._j0_hankel(np.array([u]))[0])
         assert abs(s - a) <= 1e-12, u
 
 
@@ -220,7 +221,7 @@ def test_j0_rejects_infinite(bad):
 @pytest.mark.parametrize("bad", [
     np.array([1.0, math.nan, 50.0]),    # between a table and a Hankel point
     np.array([50.0, math.nan, 1.0]),
-    np.array([20.0, math.nan, 30.0]),   # among Hankel points only
+    np.array([40.0, math.nan, 50.0]),   # among Hankel points only
 ])
 def test_j0_rejects_nan_inside_an_array(bad):
     with pytest.raises(DomainError):
@@ -238,7 +239,7 @@ _GRID = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
 
 
 @pytest.mark.parametrize("u", [3.0 * _GRID,                         # table
-                               np.sign(_GRID) * (np.abs(_GRID) + 17.0),  # Hankel
+                               np.sign(_GRID) * (np.abs(_GRID) + 31.0),  # Hankel
                                200.0 * _GRID],                      # both
                          ids=["table", "hankel", "mixed"])
 def test_j0_2d_input_keeps_shape(u):
@@ -265,16 +266,29 @@ def _horner_half_tail(coefs, m, v):
 
 
 def test_stacked_pq_horner_matches_separate_passes_bit_for_bit():
-    u = np.concatenate([np.linspace(5.0, 30.0, 2001),
-                        np.geomspace(30.0, 1e4, 2001)])
+    """The one pass every |u| > SERIES_CUTOFF takes: the term count set
+    at the cutoff, 10 terms of P and 10 of Q, in 11 Horner rows."""
+    n = bessel._HANKEL_TERMS
+    assert n == bessel._hankel_term_count(bessel.SERIES_CUTOFF) == 20
+    assert len(bessel._PQ_ROWS) == 11
+    u = np.concatenate([np.linspace(bessel.SERIES_CUTOFF, 40.0, 2001),
+                        np.geomspace(40.0, 1e4, 2001)])
     inv = 1.0 / u
     v = inv * inv
-    for n in range(1, bessel._MAX_ASYM_TERMS + 1):
-        p, q = bessel._pq_horner(n, v)
-        p_ref = _horner_half_tail(bessel._P_COEF, (n + 1) // 2, v)
-        q_ref = _horner_half_tail(bessel._Q_COEF, n // 2, v)
-        assert np.array_equal(p, np.broadcast_to(p_ref, v.shape)), n
-        assert np.array_equal(q, np.broadcast_to(q_ref, v.shape)), n
+    p, q = bessel._pq_horner(v)
+    p_ref = _horner_half_tail(bessel._P_COEF, (n + 1) // 2, v)
+    q_ref = _horner_half_tail(bessel._Q_COEF, n // 2, v)
+    assert np.array_equal(p, p_ref)
+    assert np.array_equal(q, q_ref)
+
+
+def test_j0_depends_on_u_alone():
+    """Above the cutoff too, one call and one call per point give the same
+    bits: no term count or other choice depends on the rest of the call."""
+    u = np.random.default_rng(20261019).uniform(16.01, 40.0, 20_000)
+    whole = bessel_j0(u)
+    one_by_one = np.array([bessel_j0(x) for x in u.tolist()])
+    assert np.array_equal(whole, one_by_one)
 
 
 def test_j0_zeros_frozen():

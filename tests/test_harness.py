@@ -424,6 +424,18 @@ def test_grid_finer_than_doubles_refused_before_any_route_runs(
     assert ran == []
 
 
+@pytest.mark.parametrize("points", [[1.0, -1.0], [1.0, math.nan],
+                                    [1.0, math.inf]],
+                         ids=["negative", "nan", "inf"])
+def test_cross_validate_refuses_a_bad_t_before_any_route_runs(
+        monkeypatch, points):
+    ran = []
+    monkeypatch.setattr(harness, "evaluate", lambda *a, **k: ran.append(a))
+    with pytest.raises(DomainError):
+        cross_validate(points)
+    assert ran == []
+
+
 @pytest.mark.parametrize("method,lam", [
     ("series", 10.0), ("hankel", 10.0), ("fourier2d", 10.0),
     ("residue", 30.0), ("asym", 30.0),

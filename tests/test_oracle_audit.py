@@ -132,3 +132,18 @@ def test_estimate_bounds_the_error_past_underflow(method, lam):
         err = abs(mpmath.mpf(out.value) - _pole_expansion(lam))
     assert out.error_estimate > 0.0
     assert err <= out.error_estimate
+
+
+# A known miss, pinned: just above RESIDUE_MIN_LAMBDA, residue's estimate
+# rests on kappa, fitted against hankel at lambda in {10, 12, 14, 16} and
+# extrapolated below it, and the true error exceeds it by 2.40x, 2.80x and
+# 1.53x at lambda = 8, 8.5 and 9.  Strict, so the run fails as soon as the
+# estimate holds here and this mark must go.
+@pytest.mark.xfail(strict=True, reason="kappa, fitted at lambda >= 10, "
+                   "underestimates residue's error at 8 <= lambda <= 9")
+@pytest.mark.parametrize("lam", [8.0, 8.5, 9.0])
+def test_residue_estimate_in_the_kappa_band(lam):
+    out = evaluate("residue", lam)
+    with mpmath.workdps(40):
+        err = abs(mpmath.mpf(out.value) - _oracle(lam))
+    assert err <= out.error_estimate

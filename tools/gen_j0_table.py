@@ -1,6 +1,6 @@
 """Generate ``src/altseries/_j0_table.py``: Chebyshev coefficients of J0.
 
-J0 on [0, 17] is split into the unit intervals [k, k + 1]; on each one it is
+J0 on [0, 31] is split into the unit intervals [k, k + 1]; on each one it is
 expanded as sum_j c_j T_j(t) with t = 2 (u - k) - 1.  The coefficients come
 from interpolation at NODES Chebyshev points of the first kind, with J0 and
 all arithmetic in mpmath at 40 significant digits, and are rounded to
@@ -9,9 +9,19 @@ c_(2 NODES - j) and beyond, which sit far below 1e-40 here, so the stored
 values are the expansion coefficients to full double precision.
 
 ``bessel_j0`` reads the table up to its cutoff ``bessel.SERIES_CUTOFF``
-= 16.  INTERVALS is 17, not 16: at u = 16 exactly ``int(u)`` picks row 16
-and sums it at t = -1.  With 16 rows that point would be summed from row
-15 at t = +1 instead, other coefficients that need not round alike.
+= 30 and sums the Hankel expansion beyond it.  The cutoff is 30, not the
+16 where that expansion first reaches the rounding level, because the
+expansion's term count is fixed once for every u past the cutoff: 20
+terms at 30, against 33 at 16, which every Hankel point would pay.  A
+cutoff of 40 takes fewer terms still, but the double-double power series
+that tests/test_bessel.py audits the table with reads errors of about
+2.4e-16 that far out, too close to the 3e-16 bound.
+
+INTERVALS is 31, not 30: at u = 30 exactly ``int(u)`` picks row 30 and
+sums it at t = -1.  With 30 rows that point would be summed from row 29
+at t = +1 instead, other coefficients that need not round alike.  Each
+row depends on its k alone, so a longer table keeps the shorter one's
+rows bit for bit.
 
 TERMS is chosen so that the first dropped coefficient is below 1e-19 on
 every interval (it is ~2e-20 at worst); ``chebyshev_table`` refuses a
@@ -31,7 +41,7 @@ from pathlib import Path
 
 import mpmath as mp
 
-INTERVALS = 17
+INTERVALS = 31
 TERMS = 14
 NODES = 40
 DIGITS = 40

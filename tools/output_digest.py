@@ -32,9 +32,12 @@ output:
 * on the crossval benchmark's lattice lambda = k/4, k = 4..48: value,
   error_estimate and work of ``fourier2d_s_star``, and every check of
   ``cross_validate`` at t = lambda^2/4;
-* ``bessel_j0`` on 200,001 points over [0, 250] plus u = 16 (the regime
-  switch), its two neighbouring doubles and 17, evaluated in one call, in
-  37-point chunks (one hankel panel) and point by point.
+* ``bessel_j0`` on 200,001 points over [0, 250] plus u = 16 (where the
+  Hankel expansion first reaches the rounding level) and u = 30 (the
+  regime switch), the two neighbouring doubles of each, 17 and 31,
+  evaluated in one call, in 37-point chunks (one hankel panel) and point
+  by point; one more line, with no digest, says whether the three agree
+  bit for bit.
 
 Each digest covers the exit code, stdout and stderr (and the CSV for
 ``figure`` and ``sweep``), so a refusal is held to the same bytes as a
@@ -149,8 +152,8 @@ for k in range(4, 49):
         print(" ", c.name, c.passed, repr(c.measured), repr(c.threshold))
 """
 
-# bessel_j0 directly: the Hankel regime fixes its term count per call, so
-# the same points are hashed whole, chunked and one at a time
+# bessel_j0 directly: a point's value may not depend on the rest of its
+# call, so the same points are hashed whole, chunked and one at a time
 J0 = """
 import hashlib
 import math
@@ -158,7 +161,9 @@ import numpy as np
 from altseries.bessel import bessel_j0
 u = np.concatenate([np.linspace(0.0, 250.0, 200_001),
                     [16.0, math.nextafter(16.0, 0.0),
-                     math.nextafter(16.0, 17.0), 17.0]])
+                     math.nextafter(16.0, 17.0), 17.0,
+                     30.0, math.nextafter(30.0, 0.0),
+                     math.nextafter(30.0, 31.0), 31.0]])
 whole = bessel_j0(u)
 chunked = np.concatenate([bessel_j0(u[i:i + 37])
                           for i in range(0, len(u), 37)])
@@ -169,7 +174,8 @@ for label, vals in (("whole", whole), ("chunked", chunked),
 """
 
 
-def _run(argv, cwd: str, csv: str | None = None) -> str:
+def _run(argv, cwd: str, csv: str | None = None) -> tuple[str, bytes]:
+    """The digest of one fresh process, and its stdout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
@@ -184,7 +190,7 @@ def _run(argv, cwd: str, csv: str | None = None) -> str:
         h.update(b"\0csv\0")
         path = Path(cwd, csv)
         h.update(path.read_bytes() if path.exists() else b"missing")
-    return h.hexdigest()
+    return h.hexdigest(), proc.stdout
 
 
 def main() -> int:
@@ -228,19 +234,22 @@ def main() -> int:
     # relative paths, so the temporary directory's name reaches no output
     with tempfile.TemporaryDirectory() as tmp:
         for label, args, csv in jobs:
-            digest = _run(["-m", "altseries.cli", *args], tmp, csv)
+            digest, _ = _run(["-m", "altseries.cli", *args], tmp, csv)
             print(f"{digest}  {label}", flush=True)
-        digest = _run(["-c", OUTCOMES], tmp)
+        digest, _ = _run(["-c", OUTCOMES], tmp)
         print(f"{digest}  route outcomes with work", flush=True)
-        digest = _run(["-c", CALLERS], tmp)
+        digest, _ = _run(["-c", CALLERS], tmp)
         print(f"{digest}  other panel_quadrature callers", flush=True)
-        digest = _run(["-c", SERIES], tmp)
+        digest, _ = _run(["-c", SERIES], tmp)
         print(f"{digest}  series outcomes", flush=True)
-        digest = _run(["-c", CROSSVAL], tmp)
+        digest, _ = _run(["-c", CROSSVAL], tmp)
         print(f"{digest}  crossval lattice: fourier2d and cross_validate",
               flush=True)
-        digest = _run(["-c", J0], tmp)
+        digest, out = _run(["-c", J0], tmp)
         print(f"{digest}  bessel_j0 whole, chunked and scalar", flush=True)
+        hashes = {line.split()[-1] for line in out.decode().splitlines()}
+        print(f"bessel_j0 whole, chunked and scalar agree: "
+              f"{len(hashes) == 1}", flush=True)
     return 0
 
 
