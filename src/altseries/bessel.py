@@ -72,56 +72,21 @@ def _j0_chebyshev(u):
 # Hankel expansion (DLMF 10.17.3 at nu = 0) with A_k = ((2k-1)!!)^2/(k! 8^k):
 # J0(u) ~ sqrt(2/(pi u)) (P cos w + Q sin w / u), w = u - pi/4, where
 # P = sum_m (-1)^m A_2m v^m and Q = sum_m (-1)^m A_(2m+1) v^m in v = 1/u^2.
-# Two spare coefficients hold the first omitted terms of P and Q.
-_MAX_ASYM_TERMS = 40
+# Every |u| > SERIES_CUTOFF takes the same 20 terms, A_0..A_19: at the
+# cutoff the terms A_k / u^k still shrink through k = 20, and each only
+# shrinks as u grows.  P and Q each add half their first omitted term,
+# A_20 and A_21: the terms alternate in sign and barely change in size
+# near the smallest one, where the remainder is about half the first
+# omitted term.  Past u = 30 that half is below 1.1e-19, so it moves a
+# value by one rounding at most.
 _HANKEL_A = [1.0]
-for _k in range(1, _MAX_ASYM_TERMS + 2):
+for _k in range(1, 22):
     _HANKEL_A.append(_HANKEL_A[-1] * (2 * _k - 1) ** 2 / (8.0 * _k))
-_P_COEF = [(-1) ** m * a for m, a in enumerate(_HANKEL_A[0::2])]
-_Q_COEF = [(-1) ** m * a for m, a in enumerate(_HANKEL_A[1::2])]
-
-
-def _hankel_term_count(umin: float) -> int:
-    """Terms A_0..A_(n-1) to sum for every u >= umin.
-
-    Stops after the first term below 1e-18, or before the first term that
-    no longer shrinks (the expansion diverges past its smallest term).
-    Each term A_k / u^k only shrinks as u grows, so the count chosen at
-    umin is good for every larger u.  It is taken once, at import, at
-    umin = ``SERIES_CUTOFF``, where it is 20.
-    """
-    mag = 1.0
-    for n in range(1, _MAX_ASYM_TERMS):
-        nxt = _HANKEL_A[n] / umin ** n
-        if nxt >= mag:
-            return n
-        mag = nxt
-        if mag <= 1e-18:
-            return n + 1
-    return _MAX_ASYM_TERMS
-
-
-def _pq_rows(n: int):
-    """Horner coefficients of P and Q for n terms, highest degree first,
-    each a (2, 1) column [P; Q].
-
-    P takes (n+1)//2 terms and Q n//2, each followed by half its first
-    omitted term: the terms alternate in sign and barely change in size
-    near the smallest one, where the remainder is about half the first
-    omitted term.  With 20 terms past u = 30 that half is below 1.1e-19,
-    so it moves a value by one rounding at most.  The shorter row (odd n)
-    is padded with leading zeros, and 0 * v + c is exactly c, so each row
-    rounds as its own Horner pass would.
-    """
-    p = _P_COEF[:(n + 1) // 2] + [0.5 * _P_COEF[(n + 1) // 2]]
-    q = _Q_COEF[:n // 2] + [0.5 * _Q_COEF[n // 2]]
-    q += [0.0] * (len(p) - len(q))
-    return [np.array([[cp], [cq]]) for cp, cq in zip(p[::-1], q[::-1])]
-
-
-# every |u| > SERIES_CUTOFF is summed with this many terms
-_HANKEL_TERMS = _hankel_term_count(SERIES_CUTOFF)
-_PQ_ROWS = _pq_rows(_HANKEL_TERMS)
+# the Horner rows of P and Q, highest degree first, each a (2, 1) column
+# [P; Q]: the two half terms, then the coefficients of v^9 down to v^0
+_PQ_ROWS = [np.array([[0.5 * _HANKEL_A[20]], [0.5 * _HANKEL_A[21]]])] + [
+    np.array([[(-1) ** m * _HANKEL_A[2 * m]],
+              [(-1) ** m * _HANKEL_A[2 * m + 1]]]) for m in range(9, -1, -1)]
 
 
 def _pq_horner(v):

@@ -60,8 +60,10 @@ class ToleranceSpec:
 
     Both tolerances must be non-negative numbers (not NaN), and at least one
     of them positive.  ``max_work``, positive and finite, caps the number of
-    elementary operations (terms, quadrature nodes) a routine may spend
-    before raising :class:`WorkLimitError`.
+    elementary operations (terms, quadrature nodes) an evaluation may spend.
+    ``harness.evaluate`` is the one reader: it judges a route's outcome
+    against all three fields once the route has returned, and refuses a
+    miss with :class:`WorkLimitError`.
     """
 
     abs_tol: float = 1e-12

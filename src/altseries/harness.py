@@ -113,22 +113,23 @@ def _asymptotic(lam: float) -> EvalOutcome:
                        "asymptotic")
 
 
-# route -> (evaluation(lam, tol, t), closed lambda window a sweep tabulates
-# it on).  Only series reads tol, to steer its own work, and t, the S(t)
-# argument lam was formed from when the caller has it: (lam/2)^2 need not
-# round back to t.  Each evaluation looks its route function up in this
-# module when it runs, so rebinding e.g. harness.hankel_s_star is seen.
+# route -> (evaluation(lam, t), closed lambda window a sweep tabulates it
+# on).  Only series reads t, the S(t) argument lam was formed from when
+# the caller has it: (lam/2)^2 need not round back to t.  No route reads a
+# tolerance; evaluate judges every outcome.  Each evaluation looks its
+# route function up in this module when it runs, so rebinding e.g.
+# harness.hankel_s_star is seen.
 ROUTES = {
-    "series": (lambda lam, tol, t: _bound("sum_alternating_s")(
-                   t_of_lambda(lam) if t is None else t, tol),
+    "series": (lambda lam, t: _bound("sum_alternating_s")(
+                   t_of_lambda(lam) if t is None else t),
                (0.0, math.inf)),
-    "hankel": (lambda lam, tol, t: _bound("hankel_s_star")(lam),
+    "hankel": (lambda lam, t: _bound("hankel_s_star")(lam),
                (0.0, HANKEL_SWEEP_WALL)),
-    "fourier2d": (lambda lam, tol, t: _bound("fourier2d_s_star")(lam),
+    "fourier2d": (lambda lam, t: _bound("fourier2d_s_star")(lam),
                   (0.0, FOURIER_WALL)),
-    "residue": (lambda lam, tol, t: _bound("s_star_via_residue")(lam),
+    "residue": (lambda lam, t: _bound("s_star_via_residue")(lam),
                 (RESIDUE_MIN_LAMBDA, math.inf)),
-    "asymptotic": (lambda lam, tol, t: _asymptotic(lam),
+    "asymptotic": (lambda lam, t: _asymptotic(lam),
                    (RESIDUE_MIN_LAMBDA, math.inf)),
 }
 # cross_validate compares hankel on a narrower window, which stops where it
@@ -205,10 +206,11 @@ def evaluate(method: str, lam: float, tol: ToleranceSpec | None = None,
     """One S*(lambda) evaluation by the route ``resolve_route`` names.  A
     ``tol`` is met or refused with WorkLimitError (the result as its
     ``partial``), whichever route runs: both its accuracy targets and its
-    ``max_work`` budget.  No route function judges a tolerance itself.
+    ``max_work`` budget, judged once the route has returned.  This is the
+    one place a ``ToleranceSpec`` is read; no route function sees it.
     A ``t`` with lam = lambda_of_t(t) is the point S(t) the series route
     sums at; the other routes take lam."""
-    out = ROUTES[resolve_route(method, lam)][0](lam, tol, t)
+    out = ROUTES[resolve_route(method, lam)][0](lam, t)
     if tol is None:
         return out
     if not tol.met_by(out.error_estimate, out.value):
@@ -226,10 +228,14 @@ def sweep_row(lam: float, outs: dict, numeric: EvalOutcome) -> SweepRow:
 
     The numeric curve is the figure's -e^(lambda sqrt(pi/2)) * value of
     ``numeric``, read off its ``scaled_value`` when it carries one (a
-    ``ResidueResult``) and inf where the factor overflows a double.
+    ``ResidueResult``), equal to the scaled law when ``numeric`` is the
+    asymptotic route, and inf where the factor overflows a double.
     """
+    scaled_asym = asym_s_star(lam).scaled_value if lam > 0 else 0.0
     if hasattr(numeric, "scaled_value"):
         scaled = numeric.scaled_value
+    elif numeric.method == "asymptotic":
+        scaled = scaled_asym
     elif lam * SQRT_HALF_PI < 709.0:
         scaled = -math.exp(lam * SQRT_HALF_PI) * numeric.value
     else:
@@ -238,7 +244,7 @@ def sweep_row(lam: float, outs: dict, numeric: EvalOutcome) -> SweepRow:
         lam=lam,
         methods={k: (v.value, v.error_estimate) for k, v in outs.items()},
         scaled_numeric=scaled,
-        scaled_asym=asym_s_star(lam).scaled_value if lam > 0 else 0.0,
+        scaled_asym=scaled_asym,
     )
 
 
@@ -357,6 +363,16 @@ def sweep_data(lambda_min: float, lambda_max: float, n: int) -> SweepTable:
 def error_scaling_study(lambda_grid) -> list:
     """Scaled residual of the closed-form asymptotics against the residue
     route, with the lambda^(3/2) envelope ratio per point."""
+    lambda_grid = list(lambda_grid)
+    # the whole grid is checked before any point runs
+    for lam in lambda_grid:
+        if not 0.0 < lam < math.inf:
+            raise DomainError(
+                f"error_scaling_study needs finite lambda > 0, got {lam}")
+        if lam < RESIDUE_MIN_LAMBDA:
+            raise RangeError(
+                f"lambda = {lam} is below the residue route's window "
+                f"lambda >= {RESIDUE_MIN_LAMBDA:g}")
     rows = []
     for lam in lambda_grid:
         r = evaluate("residue", lam)

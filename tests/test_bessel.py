@@ -266,20 +266,25 @@ def _horner_half_tail(coefs, m, v):
 
 
 def test_stacked_pq_horner_matches_separate_passes_bit_for_bit():
-    """The one pass every |u| > SERIES_CUTOFF takes: the term count set
-    at the cutoff, 10 terms of P and 10 of Q, in 11 Horner rows."""
-    n = bessel._HANKEL_TERMS
-    assert n == bessel._hankel_term_count(bessel.SERIES_CUTOFF) == 20
+    """The one pass every |u| > SERIES_CUTOFF takes: 10 terms of P and 10
+    of Q, each with half its first omitted term, in 11 Horner rows.
+    Twenty terms suffice: at the cutoff the terms A_k / u^k shrink through
+    k = 20, and A_20 / 30^20 (1.05e-19) is below 1e-18."""
+    a = bessel._HANKEL_A
+    cut = bessel.SERIES_CUTOFF
+    terms = [a[k] / cut ** k for k in range(21)]
+    assert all(x > y for x, y in zip(terms, terms[1:]))
+    assert terms[20] < 1e-18
     assert len(bessel._PQ_ROWS) == 11
-    u = np.concatenate([np.linspace(bessel.SERIES_CUTOFF, 40.0, 2001),
+    p_coef = [(-1) ** m * x for m, x in enumerate(a[0::2])]
+    q_coef = [(-1) ** m * x for m, x in enumerate(a[1::2])]
+    u = np.concatenate([np.linspace(cut, 40.0, 2001),
                         np.geomspace(40.0, 1e4, 2001)])
     inv = 1.0 / u
     v = inv * inv
     p, q = bessel._pq_horner(v)
-    p_ref = _horner_half_tail(bessel._P_COEF, (n + 1) // 2, v)
-    q_ref = _horner_half_tail(bessel._Q_COEF, n // 2, v)
-    assert np.array_equal(p, p_ref)
-    assert np.array_equal(q, q_ref)
+    assert np.array_equal(p, _horner_half_tail(p_coef, 10, v))
+    assert np.array_equal(q, _horner_half_tail(q_coef, 10, v))
 
 
 def test_j0_depends_on_u_alone():

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from altseries import harness
+from altseries.asymptotic import asym_s_star
 from altseries.cli import main
 from altseries.core import EvalOutcome
 
@@ -98,11 +99,23 @@ class TestEval:
         assert "method          residue" in out
 
     def test_scaled_overflow_reported_as_inf(self, capsys):
-        # e^(lambda c) overflows a double well before lambda = 600
+        # e^(lambda c) overflows a double well before lambda = 600, and
+        # the series outcome carries no scaled value of its own
+        code, out, _ = run(capsys, "eval", "--lambda", "600",
+                           "--method", "series")
+        assert code == 0
+        assert "scaled_numeric  inf" in out
+
+    def test_asym_scaled_numeric_is_the_law_past_overflow(self, capsys):
+        # the asymptotic route is the law, so its scaled value is the
+        # law's at any lambda, where the factor overflows too
         code, out, _ = run(capsys, "eval", "--lambda", "600",
                            "--method", "asym")
         assert code == 0
-        assert "scaled_numeric  inf" in out
+        lines = dict(line.split(None, 1) for line in out.splitlines())
+        assert lines["scaled_numeric"] == lines["scaled_asym"]
+        assert float(lines["scaled_numeric"]) == (
+            asym_s_star(600.0).scaled_value)
 
     def test_bad_method_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as ei:

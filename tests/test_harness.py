@@ -194,6 +194,19 @@ class TestErrorScalingStudy:
         with pytest.raises(RangeError):
             error_scaling_study([10.0, 7.9])
 
+    @pytest.mark.parametrize("grid,error", [
+        ([15.0, 3.0], RangeError), ([15.0, math.nan], DomainError),
+        ([15.0, math.inf], DomainError), ([15.0, -1.0], DomainError),
+    ], ids=["below-window", "nan", "inf", "negative"])
+    def test_bad_grid_refused_before_any_point_runs(self, monkeypatch,
+                                                     grid, error):
+        ran = []
+        monkeypatch.setattr(harness, "evaluate",
+                            lambda *a, **k: ran.append(a))
+        with pytest.raises(error):
+            error_scaling_study(grid)
+        assert ran == []
+
     def test_verify_runs_the_study_once(self, monkeypatch):
         # check 6 and the C_envelope calibration share one study
         grids = []
@@ -447,13 +460,7 @@ def test_evaluate_refuses_unmet_tolerance(method, lam):
     with pytest.raises(WorkLimitError,
                        match="misses the requested tolerance") as ei:
         evaluate(method, lam, tol)
-    partial = ei.value.partial
-    if method == "series":
-        # abs_tol sets the series' Euler target, so its partial is its
-        # outcome at that tolerance; the other routes never see tol
-        assert partial == harness.sum_alternating_s(lam * lam / 4.0, tol)
-    else:
-        assert partial == evaluate(method, lam)
+    assert ei.value.partial == evaluate(method, lam)
 
 
 def test_asymptotic_route_answers_to_both_names():

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altseries.core import DomainError, ToleranceSpec, WorkLimitError
+from altseries.core import (DomainError, ToleranceSpec, WorkLimitError,
+                            lambda_of_t)
+from altseries import acceptance
 from altseries.harness import evaluate
 from altseries.acceptance import (SeriesParams, _sum_interior,
                                   derivative_residuals)
@@ -26,7 +28,7 @@ def radial_limit_probe(z: complex, nu: float, t: float, rho_list):
     for rho in rho_list:
         if not 0.0 <= rho < 1.0:
             raise DomainError(f"rho must lie in [0, 1), got {rho}")
-        out.append(_sum_interior(z * rho, nu, t, ToleranceSpec())[0])
+        out.append(_sum_interior(z * rho, nu, t)[0])
     return out
 
 
@@ -90,13 +92,13 @@ INTERIOR_PINS = sorted(
 
 @pytest.mark.parametrize("key,expected", INTERIOR_PINS)
 def test_general_sum_frozen_values(key, expected):
-    value, err, _ = _sum_interior(*key, ToleranceSpec())
+    value, err, _ = _sum_interior(*key)
     assert abs(value - expected) <= 1e-15
     assert abs(value - expected) <= err + 1e-16
 
 
 def test_general_real_z_returns_real_value():
-    value, _, _ = _sum_interior(0.5, 2.0, 0.5, ToleranceSpec())
+    value, _, _ = _sum_interior(0.5, 2.0, 0.5)
     assert value.imag == 0.0
 
 
@@ -158,7 +160,7 @@ def test_alternating_remainder_bounded_by_next_term(t, n_cut):
 )
 def test_interior_sum_dominated_by_geometric_bound(r, theta, nu, t):
     z = r * cmath.exp(1j * theta)
-    value, _, _ = _sum_interior(z, nu, t, ToleranceSpec())
+    value, _, _ = _sum_interior(z, nu, t)
     assert abs(value) <= r / (1.0 - r) + 1e-12
 
 
@@ -219,29 +221,34 @@ def test_derivative_residuals_validation():
             derivative_residuals(SeriesParams(z, 1.0, 1.0), h)
 
 
-def test_interior_budget_exhaustion():
-    tol = ToleranceSpec(abs_tol=1e-300, rel_tol=1e-300, max_work=3)
-    with pytest.raises(WorkLimitError) as exc:
-        _sum_interior(0.5, 1.0, 1.0, tol)
-    partial = exc.value.partial
-    assert partial is not None
-    assert abs(partial.value - ov.S_GENERAL[(0.5, 1.0, 1.0)]) <= 1e-12
+def test_interior_budget_exhaustion(monkeypatch):
+    # |z| = 1 - 1e-9 needs about 5.7e10 terms: refused before any is formed
+    formed = []
+    monkeypatch.setattr(acceptance, "_term_block",
+                        lambda *a: formed.append(a))
+    with pytest.raises(WorkLimitError, match="over the cap"):
+        _sum_interior(1.0 - 1e-9, 1.0, 1.0)
+    assert formed == []
 
 
 def test_boundary_budget_exhaustion():
-    with pytest.raises(WorkLimitError):
-        sum_alternating_s(50.0, tol=ToleranceSpec(max_work=64))
+    # the series route sums whatever the budget; evaluate refuses the work
+    # spent, with the whole outcome as partial
+    tol = ToleranceSpec(max_work=64)
+    with pytest.raises(WorkLimitError, match="exceeds max_work 64") as exc:
+        evaluate("series", lambda_of_t(50.0), tol, t=50.0)
+    assert exc.value.partial == sum_alternating_s(50.0)
 
 
 def test_boundary_budget_counts_the_terms_spent():
-    out = sum_alternating_s(25.0, ToleranceSpec(1e-6, 0.0))
-    at_limit = sum_alternating_s(25.0, ToleranceSpec(1e-6, 0.0,
-                                                     max_work=out.work))
-    assert (at_limit.value, at_limit.work) == (out.value, out.work)
-    # past the bulk, max_work steers nothing here: evaluate alone refuses
-    # the work spent, with the whole outcome, cancellation included
-    tight = ToleranceSpec(1e-6, 0.0, max_work=out.work - 1)
-    assert sum_alternating_s(25.0, tight) == out
+    out = sum_alternating_s(25.0)
+    loose = dict(abs_tol=1e-6, rel_tol=0.0)
+    at_limit = evaluate("series", 10.0, ToleranceSpec(**loose,
+                                                      max_work=out.work))
+    assert at_limit == out
+    # one term short, evaluate refuses with the whole outcome,
+    # cancellation included
+    tight = ToleranceSpec(**loose, max_work=out.work - 1)
     with pytest.raises(WorkLimitError,
                        match=f"work {out.work} exceeds max_work") as exc:
         evaluate("series", 10.0, tight)

@@ -10,7 +10,8 @@ output:
 * ``poles --y 1.0`` and ``poles --grid 50``;
 * ``eval --json`` for every method at lambda in {0.5, 3, 10, 12, 30, 100};
 * ``eval --t 2 --method series`` and ``eval --t 2.5``, whose plain output
-  shows the t they ran at;
+  shows the t they ran at, and ``eval --lambda 600 --method asym``, whose
+  scaled numeric value is the law's past the overflow of its factor;
 * the refusals ``eval --lambda nan`` for every method,
   ``eval --lambda 3 --method residue``, ``eval --t -1``,
   ``eval --lambda 1e308 --method hankel``, ``eval --lambda -1`` and
@@ -26,9 +27,11 @@ output:
 * the other callers of ``panel_quadrature``: ``radial_transform``,
   ``gaussian_term_identity`` and ``saddle_lhs_numeric``;
 * value, error_estimate, work and cancellation of ``sum_alternating_s`` at
-  t from 0 to 1e5 under three tolerances, its refusals of a small budget,
-  a huge t and an infinite t, and ``derivative_residuals`` at
-  (z, nu, t) = (0.5, 1, 1), h in {1e-3, 1e-4};
+  t from 0 to 1e5; apart from them, its refusals of a huge t and an
+  infinite t; apart again, ``evaluate("series", ...)`` at the same t under
+  three tolerances and its refusal of a small budget; and
+  ``derivative_residuals`` at (z, nu, t) = (0.5, 1, 1), h in {1e-3, 1e-4}
+  on a line of its own;
 * on the crossval benchmark's lattice lambda = k/4, k = 4..48: value,
   error_estimate and work of ``fourier2d_s_star``, and every check of
   ``cross_validate`` at t = lambda^2/4;
@@ -105,11 +108,14 @@ for lam in (8.0, 10.0, 30.0, 300.0, 500.0):
     show(f"saddle_lhs_numeric {lam}", lambda: saddle_lhs_numeric(lam))
 """
 
-# the series route, each result printed by repr
+# the series route, each result printed by repr; SERIES_JOBS names which
+# part of it one process prints
 SERIES = """
 import math
-from altseries import ToleranceSpec
+import sys
+from altseries import ToleranceSpec, lambda_of_t
 from altseries.acceptance import SeriesParams, derivative_residuals
+from altseries.harness import evaluate
 from altseries.series import sum_alternating_s
 
 
@@ -120,24 +126,38 @@ def show(label, call):
         print(label, type(exc).__name__, exc)
 
 
-def outcome(t, tol):
-    r = sum_alternating_s(t, tol)
+def outcome(r):
     return (repr(r.value), repr(r.error_estimate), r.work,
             repr(r.cancellation))
 
 
-tols = (None, ToleranceSpec(1e-6, 0.0), ToleranceSpec(1e-300, 1e-300))
-for t in (0.0, 0.1, 1.0, 9.0, 25.0, 36.0, 50.0, 67.0, 68.0, 69.0, 100.0,
-          150.0, 225.0, 400.0, 2500.0, 1e4, 1e5):
-    for tol in tols:
-        show(f"sum_alternating_s {t} {tol}", lambda: outcome(t, tol))
-for t, tol in ((50.0, ToleranceSpec(max_work=64)), (1e7, None),
-               (math.inf, None)):
-    show(f"sum_alternating_s {t} {tol}", lambda: outcome(t, tol))
-for h in (1e-3, 1e-4):
-    show(f"derivative_residuals {h}", lambda: tuple(
-        map(repr, derivative_residuals(SeriesParams(0.5, 1.0, 1.0), h))))
+TS = (0.0, 0.1, 1.0, 9.0, 25.0, 36.0, 50.0, 67.0, 68.0, 69.0, 100.0,
+      150.0, 225.0, 400.0, 2500.0, 1e4, 1e5)
+part = sys.argv[1]
+if part == "default":
+    for t in TS:
+        show(f"sum_alternating_s {t}", lambda: outcome(sum_alternating_s(t)))
+elif part == "refusals":
+    for t in (1e7, math.inf):
+        show(f"sum_alternating_s {t}", lambda: outcome(sum_alternating_s(t)))
+elif part == "tolerances":
+    tols = (None, ToleranceSpec(1e-6, 0.0), ToleranceSpec(1e-300, 1e-300))
+    for t in TS:
+        for tol in tols:
+            show(f"evaluate series {t} {tol}", lambda: outcome(
+                evaluate("series", lambda_of_t(t), tol, t=t)))
+    tol = ToleranceSpec(max_work=64)
+    show(f"evaluate series 50.0 {tol}", lambda: outcome(
+        evaluate("series", lambda_of_t(50.0), tol, t=50.0)))
+else:
+    for h in (1e-3, 1e-4):
+        show(f"derivative_residuals {h}", lambda: tuple(
+            map(repr, derivative_residuals(SeriesParams(0.5, 1.0, 1.0), h))))
 """
+SERIES_JOBS = (("default", "series outcomes"),
+               ("refusals", "series refusals of a huge and an infinite t"),
+               ("tolerances", "series through evaluate under tolerances"),
+               ("derivatives", "derivative_residuals"))
 
 
 # the crossval workload's inputs, formed as perfbench/workloads.py forms them
@@ -211,7 +231,8 @@ def main() -> int:
             args = ["eval", "--lambda", lam, "--method", method, "--json"]
             jobs.append((" ".join(args), args, None))
     for args in (["eval", "--t", "2", "--method", "series"],
-                 ["eval", "--t", "2.5"]):
+                 ["eval", "--t", "2.5"],
+                 ["eval", "--lambda", "600", "--method", "asym"]):
         jobs.append((" ".join(args), args, None))
     refusals = [["eval", "--lambda", "nan", "--method", method]
                 for method in EVAL_METHODS]
@@ -240,8 +261,9 @@ def main() -> int:
         print(f"{digest}  route outcomes with work", flush=True)
         digest, _ = _run(["-c", CALLERS], tmp)
         print(f"{digest}  other panel_quadrature callers", flush=True)
-        digest, _ = _run(["-c", SERIES], tmp)
-        print(f"{digest}  series outcomes", flush=True)
+        for part, label in SERIES_JOBS:
+            digest, _ = _run(["-c", SERIES, part], tmp)
+            print(f"{digest}  {label}", flush=True)
         digest, _ = _run(["-c", CROSSVAL], tmp)
         print(f"{digest}  crossval lattice: fourier2d and cross_validate",
               flush=True)
