@@ -2,7 +2,9 @@
 checkouts.
 
 Each sample is one fresh ``python -m altseries.cli eval --lambda 10
---method M --json`` process, started in the benchmark's environment:
+--method M --json`` process, or for the ``auto@30`` row the default
+``eval --lambda 30 --json`` (auto runs residue there, as the benchmark's
+tail workload does in its set-up), started in the benchmark's environment:
 ``PYTHONDONTWRITEBYTECODE=1`` (so every process compiles what it imports)
 and one BLAS/OpenMP thread.  The samples are interleaved: every round runs
 each route once in each checkout, and the checkout that goes first
@@ -37,10 +39,13 @@ from pathlib import Path
 
 ROUTES = ("series", "hankel", "fourier2d", "residue", "asym")
 BARE = "python -c pass"
-# lambda of every eval: 10 lies inside all five routes' windows.  residue
-# and asym refuse below 8, and past about 24 the series and hankel values
-# sink below their own error estimates.
-LAMBDA = 10.0
+# each row's eval arguments.  lambda = 10 lies inside all five routes'
+# windows: residue and asym refuse below 8, and past about 24 the series
+# and hankel values sink below their own error estimates.  The last row
+# is the default call past auto's switch to residue.
+EVALS = {**{route: ["--lambda", "10.0", "--method", route]
+            for route in ROUTES},
+         "auto@30": ["--lambda", "30.0"]}
 # the benchmark's child environment
 BENCH_ENV = {"PYTHONDONTWRITEBYTECODE": "1", "OMP_NUM_THREADS": "1",
              "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -59,8 +64,8 @@ def child_env(checkout: Path) -> dict:
     return {**os.environ, **BENCH_ENV, "PYTHONPATH": str(checkout / "src")}
 
 
-def eval_argv(route: str) -> list:
-    return ["eval", "--lambda", repr(LAMBDA), "--method", route, "--json"]
+def eval_argv(row: str) -> list:
+    return ["eval", *EVALS[row], "--json"]
 
 
 def timed(cmd: list, env: dict) -> tuple:
@@ -118,7 +123,7 @@ def main(argv=None) -> int:
             p.error(f"{spec!r} is not LABEL=CHECKOUT with a src/altseries")
         checkouts[label] = Path(path).resolve()
 
-    rows = (BARE,) + ROUTES
+    rows = (BARE, *EVALS)
     walls = {(r, c): [] for r in rows for c in checkouts}
     cpus = {(r, c): [] for r in rows for c in checkouts}
     printed = {}
@@ -137,13 +142,13 @@ def main(argv=None) -> int:
                     printed.setdefault((row, label), json.loads(out))
 
     report = {
-        "what": "cold `altseries eval --lambda 10 --method M --json`, one "
-                "fresh process per sample, interleaved across checkouts",
+        "what": "cold `altseries eval ... --json`, one fresh process per "
+                "sample, interleaved across checkouts",
         "env": BENCH_ENV,
         "machine": {"cpu": cpu_model(), "cpus": os.cpu_count(),
                     "python": platform.python_version()},
         "runs": args.runs,
-        "lambda": LAMBDA,
+        "evals": {row: eval_argv(row) for row in EVALS},
         "checkouts": {label: git_rev(path) for label, path in checkouts.items()},
         "rows": {},
     }
