@@ -11,7 +11,6 @@ Run:  python3 demos/cross_validation_walk.py
 """
 
 from altseries.harness import cross_validate
-from altseries.residue import calibrated_kappa
 
 
 def main():
@@ -22,8 +21,6 @@ def main():
               f"measured={c.measured:.3e}  threshold={c.threshold:.3e}")
     print()
     print(f"all passed: {report.all_passed}")
-    print(f"calibrated kappa for the residue error model: "
-          f"{calibrated_kappa():.6f}")
 
 
 if __name__ == "__main__":

@@ -4,23 +4,30 @@ Ten checks, each returning a ``harness.VerifyCheck``.
 
 Check 9's general series S(z, nu, t) = sum z^n n^(-nu) exp(-t/n) at
 |z| < 1, and the derivative identities it is tested by, live here as
-well: nothing else sums it.  Only ``verify`` imports this module, so a
-cold ``eval`` never compiles it.
+well: nothing else sums it.  So do the lemmas checks 5-9 compare the
+routes against (the saddle integral and its closed form, the envelope
+study, the rough bound, the Gaussian term identity and the radial
+transform); no route calls them, and each takes only the constants its
+check passes.  Only ``verify`` imports this module, so a cold ``eval``
+never compiles it.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import harness
-from .asymptotic import (SQRT_HALF_PI, asym_s_star, asym_s_t,
-                         rough_bound_trace, saddle_rhs_closed)
+from .asymptotic import SQRT_HALF_PI, asym_s_star
+from .bessel import bessel_j0
 from .core import DomainError, WorkLimitError, lambda_of_t
+from .fourier2d import _cos_edges
+from .hankel import _j0_zero_edges, panel_quadrature
 from .harness import VerifyCheck, VerifyReport, evaluate
+from .residue import _decay, _scaled_saddle
 
 __all__ = [
     "SeriesParams",
@@ -74,8 +81,9 @@ def _sum_interior(z: complex, nu: float, t: float, weight=None):
     """S(z, nu, t) [with weight(n) on each term] at |z| < 1.
 
     Sums the first N terms, N the least count whose geometric majorant
-    |z|^(N+1) / (1 - |z|) of the tail is below eps/8, ascending in blocks
-    of _CHUNK.  Returns (value, error_estimate, work).  The error estimate
+    |z|^(N+1) / (1 - |z|) of the tail is below eps/8 of |z|, the size of
+    the first term's power, ascending in blocks of _CHUNK.  Returns
+    (value, error_estimate, work).  The error estimate
     is that majorant times the largest remaining term factor, plus the
     roundoff floor 4 eps sum|terms|.  An N past _MAX_INTERIOR_TERMS
     raises WorkLimitError before any term is formed.
@@ -84,9 +92,10 @@ def _sum_interior(z: complex, nu: float, t: float, weight=None):
     if z_abs == 0.0:  # every term vanishes
         n_terms = 0
     else:
-        # the least N with (N + 1) log|z| < log(eps/8 (1 - |z|)); the
-        # estimate below is formed from the N taken, whatever it is
-        target = math.log(_EPS / 8.0 * (1.0 - z_abs))
+        # the least N with (N + 1) log|z| < log(eps/8 (1 - |z|) |z|), the
+        # log taken apart so that no tiny |z| underflows it; the estimate
+        # below is formed from the N taken, whatever it is
+        target = math.log(_EPS / 8.0 * (1.0 - z_abs)) + math.log(z_abs)
         n_terms = max(0, math.ceil(target / math.log(z_abs)) - 1)
     if n_terms > _MAX_INTERIOR_TERMS:
         raise WorkLimitError(
@@ -148,6 +157,137 @@ def derivative_residuals(p: SeriesParams, h: float) -> tuple[float, float, float
     dtz = (sval(z + h, nu, sinh_w) - sval(z - h, nu, sinh_w)) / (2.0 * h)
     r3 = abs(dtz + s_nu / z)
     return float(r1), float(r2), float(r3)
+
+
+# ---------------------------------------------------------------------------
+# the lemmas checks 5-9 compare against
+
+
+def _saddle_lhs_numeric(lam: float) -> complex:
+    """integral_{-b}^{b} e^(i lambda z_+(y))/(i z_+(y)) dy, lambda > 0.
+
+    The value returned is the true integral; only the final multiplication
+    by e^(-lambda sqrt(pi/2)) can underflow (at lambda beyond ~560), every
+    intermediate stays comfortably normal.  A quadrature estimate that
+    misses 1e-12, absolute or relative, raises WorkLimitError.
+    """
+    a_plus, _, refine, _ = _scaled_saddle(lam)
+    scale = _decay(lam)
+    if not refine * scale <= 1e-12 * max(1.0, abs(a_plus) * scale):
+        raise WorkLimitError(
+            f"quadrature estimate {refine * scale:.3e} misses the tolerance")
+    return a_plus * scale
+
+
+def _saddle_rhs_closed(lam: float) -> complex:
+    """Closed form of the saddle-point integral over the pole line.
+
+    Returns -sqrt(2) pi^(1/4) lambda^(-1/2) e^(-lambda sqrt(pi/2))
+    * e^(i (lambda sqrt(pi/2) + pi/8)).  It carries an extra lambda^(-1/2)
+    relative to the leading constant of the law: the stationary-phase
+    width of the saddle contributes sqrt(2 pi / (lambda * second
+    derivative)) ~ lambda^(-1/2).
+    """
+    theta = lam * SQRT_HALF_PI + math.pi / 8.0
+    mag = (math.sqrt(2.0) * math.pi ** 0.25 / math.sqrt(lam)
+           * math.exp(-lam * SQRT_HALF_PI))
+    return -mag * cmath.exp(1j * theta)
+
+
+def _error_scaling_study(lambda_grid) -> list:
+    """Scaled residual of the closed-form asymptotics against the residue
+    route, with the lambda^(3/2) envelope ratio per point."""
+    rows = []
+    for lam in lambda_grid:
+        r = evaluate("residue", lam)
+        # both scaled values are formed without the overflow-prone factor
+        scaled_error = abs(r.scaled_value - asym_s_star(lam).scaled_value)
+        rows.append({
+            "lambda": lam,
+            "scaled_error": scaled_error,
+            "envelope_ratio": scaled_error * lam ** 1.5,
+        })
+    return rows
+
+
+def _rough_bound_trace(a: float, lambda_grid) -> list[float]:
+    """e^(a lambda) |S*(lambda)| along a grid, for 0 <= a < sqrt(pi/2).
+
+    Since |S*| decays like e^(-lambda sqrt(pi/2)) (times algebraic factors),
+    any a below sqrt(pi/2) must send the trace to zero; check 7 asserts the
+    downward trend.  a = 0 degenerates to |S*| itself.  The numeric value
+    comes from ``evaluate('auto')``: the Hankel route up to its switch and
+    the residue route beyond, read at the scale where plain doubles would
+    otherwise underflow.
+    """
+    out = []
+    for lam in lambda_grid:
+        res = evaluate("auto", lam)
+        if res.method == "residue":
+            val = abs(res.scaled_value) * math.exp((a - SQRT_HALF_PI) * lam)
+        else:
+            val = abs(res.value) * math.exp(a * lam)
+        out.append(float(val))
+    return out
+
+
+def _gaussian_term_complex(m: int, lam: float) -> complex:
+    """Quadrature value of the double integral e^(i lam x - m(x^2+y^2))."""
+    width = 6.0 / math.sqrt(m)
+    step = 0.75 / math.sqrt(m)
+    pos = _cos_edges(lam, width, step)
+    x_edges = [-e for e in reversed(pos)] + pos[1:]
+
+    def fx(x):
+        return np.exp(1j * lam * x - m * x * x)
+
+    ix, _, _, _, _ = panel_quadrature(fx, x_edges, 24)
+
+    def fy(y):
+        return np.exp(-m * y * y)
+
+    iy, _, _, _, _ = panel_quadrature(fy, x_edges, 24)
+    return complex(ix) * float(np.real(iy))
+
+
+def _gaussian_term_identity(m: int, lam: float):
+    """One term of the geometric expansion under the 2D Fourier map.
+
+    Returns (numeric, closed_form) for the pair
+    numeric = Re double-quadrature of e^(i lam x - m(x^2+y^2)),
+    closed_form = (pi/m) e^(-lam^2/(4m)).
+    """
+    numeric = _gaussian_term_complex(m, lam).real
+    closed = (math.pi / m) * math.exp(-lam * lam / (4.0 * m))
+    return numeric, closed
+
+
+def _radial_transform(f, rho: float) -> float:
+    """2 pi int_0^inf J0(rho r) f(r) r dr, the radial form of the 2D
+    Fourier transform of a circularly symmetric function.
+
+    The caller asserts integrability of |f(r)| r; the truncation radius is
+    probed from the decay of f itself.  A result whose error estimate
+    misses 1e-11, absolute or relative, raises WorkLimitError.
+    """
+    # the first radius where f has decayed, else the last one tried
+    for upper in (8.0, 12.0, 16.0, 24.0, 32.0):
+        if abs(float(f(upper))) * (upper + 1.0) ** 2 <= 1e-18:
+            break
+    tail = abs(float(f(upper))) * (upper + 1.0) ** 2
+
+    edges = _j0_zero_edges("rho", rho, upper, base_step=0.75)
+
+    def g(r):
+        return bessel_j0(rho * r) * np.asarray(f(r), dtype=float) * r
+
+    value, refine, abs_int, _, work = panel_quadrature(g, edges, 24)
+    err = 2.0 * math.pi * (refine + (1e-15 + 4.0 * _EPS) * abs_int + tail)
+    result = 2.0 * math.pi * float(value)
+    if not err <= 1e-11 * max(1.0, abs(result)):
+        raise WorkLimitError(
+            f"error estimate {err:.3e} misses the requested tolerance")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +366,9 @@ def check_residue_convergence() -> VerifyCheck:
 
 
 def check_saddle_lemma() -> VerifyCheck:
-    from .residue import saddle_lhs_numeric
-
     def reldev(lam):
-        lhs = saddle_lhs_numeric(lam)
-        rhs = saddle_rhs_closed(lam)
+        lhs = _saddle_lhs_numeric(lam)
+        rhs = _saddle_rhs_closed(lam)
         return abs(lhs - rhs) / abs(rhs)
 
     r30 = reldev(30.0)
@@ -241,31 +379,17 @@ def check_saddle_lemma() -> VerifyCheck:
                   note=f"lambda*reldev spread {spread:.3f} (<3)")
 
 
-def check_asymptotic_law(quick: bool = False, rows=None) -> VerifyCheck:
-    """Check 6 on ``rows``, the envelope study on ``_ENVELOPE_GRID`` (run
-    here when not given)."""
-    if rows is None:
-        rows = harness.error_scaling_study(_ENVELOPE_GRID)
+def check_asymptotic_law() -> VerifyCheck:
+    rows = _error_scaling_study(_ENVELOPE_GRID)
     ratios = sorted(r["envelope_ratio"] for r in rows)
     median = 0.5 * (ratios[len(ratios) // 2] + ratios[(len(ratios) - 1) // 2])
     ratio = max(ratios) / median
-    rng = random.Random(20260814)
-    n_pts = 20 if quick else 100
-    worst_ulp = 0.0
-    for _ in range(n_pts):
-        t = math.exp(rng.uniform(math.log(1.0), math.log(900.0)))
-        a = asym_s_t(t).value
-        b = asym_s_star(2.0 * math.sqrt(t)).value
-        ulp = math.ulp(max(abs(a), abs(b), 5e-324))
-        worst_ulp = max(worst_ulp, abs(a - b) / ulp)
-    passed = ratio <= 10.0 and worst_ulp <= 4.0
-    return _check("6-asymptotic-law", ratio, 10.0, passed=passed,
-                  note=f"envelope max/median {ratio:.3f}, "
-                       f"lambda-t worst ulp {worst_ulp:.1f} (<=4)")
+    return _check("6-asymptotic-law", ratio, 10.0,
+                  note=f"envelope max/median {ratio:.3f}")
 
 
 def check_rough_bound() -> VerifyCheck:
-    vals = rough_bound_trace(1.2, [10.0, 15.0, 20.0, 25.0])
+    vals = _rough_bound_trace(1.2, [10.0, 15.0, 20.0, 25.0])
     decreasing = all(a > b for a, b in zip(vals, vals[1:]))
     measured = max(b / a for a, b in zip(vals, vals[1:]))
     return _check("7-rough-bound", measured, 1.0, passed=decreasing,
@@ -289,17 +413,15 @@ def check_figure_reproduction(quick: bool = False) -> VerifyCheck:
 
 
 def check_structural_identities() -> VerifyCheck:
-    from .fourier2d import gaussian_term_identity, radial_transform
-
     res = derivative_residuals(SeriesParams(0.5, 1.0, 1.0), 1e-4)
     worst_res = max(res)
     worst_gauss = 0.0
     for m in range(1, 7):
         for lam in (0.0, 1.0, 3.0):
-            num, clo = gaussian_term_identity(m, lam)
+            num, clo = _gaussian_term_identity(m, lam)
             worst_gauss = max(worst_gauss, abs(num - clo))
-    g0 = abs(radial_transform(lambda r: np.exp(-r * r), 0.0) - math.pi)
-    g2 = abs(radial_transform(lambda r: np.exp(-r * r), 2.0)
+    g0 = abs(_radial_transform(lambda r: np.exp(-r * r), 0.0) - math.pi)
+    g2 = abs(_radial_transform(lambda r: np.exp(-r * r), 2.0)
              - math.pi * math.exp(-1.0))
     worst_radial = max(g0, g2)
     passed = worst_res <= 1e-6 and worst_gauss <= 1e-9 and worst_radial <= 1e-10
@@ -321,23 +443,16 @@ def check_precision_honesty() -> VerifyCheck:
 
 
 def run_acceptance(quick: bool = False) -> VerifyReport:
-    """All ten acceptance checks, in order, with calibration constants."""
-    # check 6's envelope study, which also gives C_envelope
-    rows = harness.error_scaling_study(_ENVELOPE_GRID)
-    checks = [
+    """All ten acceptance checks, in order."""
+    return VerifyReport(checks=[
         check_closed_form_anchor(),
         check_cross_method_agreement(quick),
         check_pole_geometry(),
         check_residue_convergence(),
         check_saddle_lemma(),
-        check_asymptotic_law(quick, rows),
+        check_asymptotic_law(),
         check_rough_bound(),
         check_figure_reproduction(quick),
         check_structural_identities(),
         check_precision_honesty(),
-    ]
-    calibration = {
-        "kappa": harness.calibrated_kappa(),
-        "C_envelope": max(r["envelope_ratio"] for r in rows),
-    }
-    return VerifyReport(checks=checks, calibration=calibration)
+    ])

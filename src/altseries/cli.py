@@ -138,9 +138,6 @@ def _cmd_verify(args) -> int:
         if c.note:
             line += f"  [{c.note}]"
         print(line)
-    kappa = report.calibration["kappa"]
-    cenv = report.calibration["C_envelope"]
-    print(f"calibration: kappa={kappa!r} C_envelope={cenv!r}")
     n_pass = sum(c.passed for c in report.checks)
     print(f"{n_pass}/{len(report.checks)} checks passed")
     return 0 if report.all_passed else 1

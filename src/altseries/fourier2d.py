@@ -1,5 +1,4 @@
-"""Two-dimensional Fourier route for S*(lambda), plus the radial-transform
-lemma and the term-wise Gaussian identity it rests on.
+"""Two-dimensional Fourier route for S*(lambda).
 
 S*(lambda) = -(1/pi) * double integral of e^(i lambda x) / (1 + e^(x^2+y^2)).
 
@@ -27,14 +26,12 @@ import numpy as np
 from .bessel import j0_zeros  # noqa: F401
 from .core import (LAMBDA_WALL, DomainError, EvalOutcome, RangeError,
                    WorkLimitError)
-from .hankel import (MAX_PANELS, _j0_zero_edges, _panel_grid,
-                     _reduce_panels, oscillatory_edges, panel_quadrature)
+from .hankel import (MAX_PANELS, _panel_grid, _reduce_panels,
+                     oscillatory_edges, panel_quadrature)
 
 __all__ = [
     "LAMBDA_WALL",
     "fourier2d_s_star",
-    "gaussian_term_identity",
-    "radial_transform",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -136,72 +133,3 @@ def fourier2d_s_star(lam: float) -> EvalOutcome:
     err = (refine + inner_err * 2.0 * y_up
            + 4.0 * _EPS * abs_int + trunc) / math.pi
     return EvalOutcome(s_val, err, work, "fourier2d")
-
-
-def _gaussian_term_complex(m: int, lam: float) -> complex:
-    """Quadrature value of the double integral e^(i lam x - m(x^2+y^2))."""
-    width = 6.0 / math.sqrt(m)
-    step = 0.75 / math.sqrt(m)
-    pos = _cos_edges(lam, width, step)
-    x_edges = [-e for e in reversed(pos)] + pos[1:]
-
-    def fx(x):
-        return np.exp(1j * lam * x - m * x * x)
-
-    ix, _, _, _, _ = panel_quadrature(fx, x_edges, 24)
-
-    def fy(y):
-        return np.exp(-m * y * y)
-
-    iy, _, _, _, _ = panel_quadrature(fy, x_edges, 24)
-    return complex(ix) * float(np.real(iy))
-
-
-def gaussian_term_identity(m: int, lam: float):
-    """One term of the geometric expansion under the 2D Fourier map.
-
-    Returns (numeric, closed_form) for the pair
-    numeric = Re double-quadrature of e^(i lam x - m(x^2+y^2)),
-    closed_form = (pi/m) e^(-lam^2/(4m)).
-    """
-    # NaN fails the first test, so int() sees only finite m
-    if not 1 <= m < math.inf or m != int(m):
-        raise DomainError(f"need integer m >= 1, got {m}")
-    if not 0.0 <= lam < math.inf:
-        raise DomainError(f"need finite lambda >= 0, got {lam}")
-    numeric = _gaussian_term_complex(int(m), float(lam)).real
-    closed = (math.pi / m) * math.exp(-lam * lam / (4.0 * m))
-    return numeric, closed
-
-
-def radial_transform(f, rho: float) -> float:
-    """2 pi int_0^inf J0(rho r) f(r) r dr, the radial form of the 2D
-    Fourier transform of a circularly symmetric function.
-
-    The caller asserts integrability of |f(r)| r; the truncation radius is
-    probed from the decay of f itself.  A result whose error estimate
-    misses 1e-11, absolute or relative, raises WorkLimitError.
-    """
-    from .bessel import bessel_j0
-
-    if not 0.0 <= rho < math.inf:
-        raise DomainError(f"need finite rho >= 0, got {rho}")
-
-    # the first radius where f has decayed, else the last one tried
-    for upper in (8.0, 12.0, 16.0, 24.0, 32.0):
-        if abs(float(f(upper))) * (upper + 1.0) ** 2 <= 1e-18:
-            break
-    tail = abs(float(f(upper))) * (upper + 1.0) ** 2
-
-    edges = _j0_zero_edges("rho", rho, upper, base_step=0.75)
-
-    def g(r):
-        return bessel_j0(rho * r) * np.asarray(f(r), dtype=float) * r
-
-    value, refine, abs_int, _, work = panel_quadrature(g, edges, 24)
-    err = 2.0 * math.pi * (refine + (1e-15 + 4.0 * _EPS) * abs_int + tail)
-    result = 2.0 * math.pi * float(value)
-    if not err <= 1e-11 * max(1.0, abs(result)):
-        raise WorkLimitError(
-            f"error estimate {err:.3e} misses the requested tolerance")
-    return result

@@ -16,7 +16,7 @@ import importlib
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .asymptotic import SQRT_HALF_PI, asym_s_star, error_envelope
 from .core import (
@@ -39,6 +39,7 @@ from .core import (
 _LAZY = {
     "fourier2d_s_star": "fourier2d",
     "hankel_s_star": "hankel",
+    # nothing here calls it; perfbench's tracer wraps harness.calibrated_kappa
     "calibrated_kappa": "residue",
     "s_star_via_residue": "residue",
     "sum_alternating_s": "series",
@@ -72,7 +73,6 @@ __all__ = [
     "cross_validate",
     "figure_data",
     "sweep_data",
-    "error_scaling_study",
     "write_csv",
     "sweep_row_json",
     "write_svg",
@@ -177,7 +177,6 @@ class VerifyCheck:
 @dataclass(frozen=True)
 class VerifyReport:
     checks: list
-    calibration: dict = field(default_factory=dict)
 
     @property
     def all_passed(self) -> bool:
@@ -358,32 +357,6 @@ def sweep_data(lambda_min: float, lambda_max: float, n: int) -> SweepTable:
                 for name, (_, (lo, hi)) in ROUTES.items() if lo <= lam <= hi}
         rows.append(sweep_row(lam, outs, outs[_auto_route(lam)]))
     return SweepTable(rows=rows)
-
-
-def error_scaling_study(lambda_grid) -> list:
-    """Scaled residual of the closed-form asymptotics against the residue
-    route, with the lambda^(3/2) envelope ratio per point."""
-    lambda_grid = list(lambda_grid)
-    # the whole grid is checked before any point runs
-    for lam in lambda_grid:
-        if not 0.0 < lam < math.inf:
-            raise DomainError(
-                f"error_scaling_study needs finite lambda > 0, got {lam}")
-        if lam < RESIDUE_MIN_LAMBDA:
-            raise RangeError(
-                f"lambda = {lam} is below the residue route's window "
-                f"lambda >= {RESIDUE_MIN_LAMBDA:g}")
-    rows = []
-    for lam in lambda_grid:
-        r = evaluate("residue", lam)
-        # both scaled values are formed without the overflow-prone factor
-        scaled_error = abs(r.scaled_value - asym_s_star(lam).scaled_value)
-        rows.append({
-            "lambda": lam,
-            "scaled_error": scaled_error,
-            "envelope_ratio": scaled_error * lam ** 1.5,
-        })
-    return rows
 
 
 # ---------------------------------------------------------------------------

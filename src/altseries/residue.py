@@ -36,7 +36,6 @@ __all__ = [
     "KAPPA",
     "RESIDUE_MIN_LAMBDA",
     "ResidueResult",
-    "saddle_lhs_numeric",
     "s_star_via_residue",
     "calibrated_kappa",
 ]
@@ -176,24 +175,6 @@ def _scaled_saddle(lam: float):
     a_minus, r2, ai2, _, w2 = panel_quadrature(make_integrand(-1), edges, 16)
     refine = r1 + r2 + 4.0 * _EPS * (ai1 + ai2)
     return complex(a_plus), complex(a_minus), refine, w1 + w2
-
-
-def saddle_lhs_numeric(lam: float) -> complex:
-    """integral_{-b}^{b} e^(i lambda z_+(y))/(i z_+(y)) dy, lambda > 0.
-
-    The value returned is the true integral; only the final multiplication
-    by e^(-lambda sqrt(pi/2)) can underflow (at lambda beyond ~560), every
-    intermediate stays comfortably normal.  A quadrature estimate that
-    misses 1e-12, absolute or relative, raises WorkLimitError.
-    """
-    if not 0.0 < lam < math.inf:
-        raise DomainError(f"need finite lambda > 0, got {lam}")
-    a_plus, _, refine, _ = _scaled_saddle(lam)
-    scale = _decay(lam)
-    if not refine * scale <= 1e-12 * max(1.0, abs(a_plus) * scale):
-        raise WorkLimitError(
-            f"quadrature estimate {refine * scale:.3e} misses the tolerance")
-    return a_plus * scale
 
 
 def calibrated_kappa() -> float:

@@ -53,9 +53,8 @@ def test_05_saddle_lemma():
 
 
 def test_06_asymptotic_law():
-    """Envelope ratios stay within a factor 10 of their median, and the
-    two closed forms agree at ulp scale under t = lambda^2/4."""
-    _run(acceptance.check_asymptotic_law, 60.0, False)
+    """Envelope ratios stay within a factor 10 of their median."""
+    _run(acceptance.check_asymptotic_law, 60.0)
 
 
 def test_07_rough_bound():

@@ -471,4 +471,5 @@ def test_verify_quick_passes(capsys):
     check_lines = [ln for ln in lines if ln.startswith(("PASS", "FAIL"))]
     assert len(check_lines) == 10
     assert all(ln.startswith("PASS") for ln in check_lines)
-    assert any(ln.startswith("calibration: kappa=") for ln in lines)
+    # the ten check lines and the count, nothing else
+    assert len(lines) == 11

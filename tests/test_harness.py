@@ -20,7 +20,6 @@ from altseries.harness import (
     VerifyCheck,
     VerifyReport,
     cross_validate,
-    error_scaling_study,
     evaluate,
     figure_data,
     render_csv,
@@ -87,7 +86,6 @@ class TestCrossValidate:
         names = [c.name for c in report.checks]
         assert "t=1:series-vs-hankel" in " ".join(names) or \
             any("series" in n and "hankel" in n for n in names)
-        assert report.calibration == {}
 
     def test_t_zero_anchor(self):
         report = cross_validate([0.0])
@@ -174,53 +172,41 @@ class TestSweepData:
 
 
 class TestErrorScalingStudy:
+    """Check 6's envelope study, which lives in ``acceptance``."""
+
     def test_frozen_envelope_points(self):
         # the reference errors are measured against the true limit; the
         # study measures against its own numeric route, which carries an
         # exponentially small defect of its own near the window's low end
         grid = sorted(ov.ENVELOPE)
-        rows = error_scaling_study(grid)
+        rows = acceptance._error_scaling_study(grid)
         for row, lam in zip(rows, grid):
             err_ref, ratio_ref = ov.ENVELOPE[lam]
             assert row["scaled_error"] == pytest.approx(err_ref, rel=2e-3)
             assert row["envelope_ratio"] == pytest.approx(ratio_ref, rel=2e-3)
 
     def test_ratio_is_error_times_lambda_cubed_halves(self):
-        row = error_scaling_study([20.0])[0]
+        row = acceptance._error_scaling_study([20.0])[0]
         assert row["envelope_ratio"] == pytest.approx(
             row["scaled_error"] * 20.0 ** 1.5, rel=1e-15)
 
     def test_rejects_lambda_below_window(self):
+        # the residue route's own refusal
         with pytest.raises(RangeError):
-            error_scaling_study([10.0, 7.9])
-
-    @pytest.mark.parametrize("grid,error", [
-        ([15.0, 3.0], RangeError), ([15.0, math.nan], DomainError),
-        ([15.0, math.inf], DomainError), ([15.0, -1.0], DomainError),
-    ], ids=["below-window", "nan", "inf", "negative"])
-    def test_bad_grid_refused_before_any_point_runs(self, monkeypatch,
-                                                     grid, error):
-        ran = []
-        monkeypatch.setattr(harness, "evaluate",
-                            lambda *a, **k: ran.append(a))
-        with pytest.raises(error):
-            error_scaling_study(grid)
-        assert ran == []
+            acceptance._error_scaling_study([10.0, 7.9])
 
     def test_verify_runs_the_study_once(self, monkeypatch):
-        # check 6 and the C_envelope calibration share one study
+        # check 6 is the study's one caller
         grids = []
+        study = acceptance._error_scaling_study
 
         def spy(grid):
             grids.append(tuple(grid))
-            return error_scaling_study(grid)
+            return study(grid)
 
-        monkeypatch.setattr(harness, "error_scaling_study", spy)
-        report = acceptance.run_acceptance(quick=True)
+        monkeypatch.setattr(acceptance, "_error_scaling_study", spy)
+        acceptance.run_acceptance(quick=True)
         assert grids == [(15.0, 20.0, 25.0, 30.0, 35.0, 40.0)]
-        rows = error_scaling_study(grids[0])
-        assert report.calibration["C_envelope"] == max(
-            r["envelope_ratio"] for r in rows)
 
 
 class TestTableTypes:

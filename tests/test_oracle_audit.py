@@ -184,3 +184,25 @@ def test_residue_misses_in_the_tail_window_are_the_known_three():
         if err > out.error_estimate:
             misses.add(round(lam, 2))
     assert misses == {169.42, 158.75, 151.20}
+
+
+# Residue over its window past lambda = 60, scaled: 60 log-uniform draws in
+# [60, 2.5e5], where the true-size value underflows but scaled_value and
+# neglected_bound do not.  Two of them are known misses, by 1.56x at
+# lambda = 6200.1 and 1.13x at 1896.18 (likely because the phase
+# lambda x*(y) is rounded at every saddle node and the roundoff floor does
+# not grow with it); the set of misses must stay exactly these two, so a
+# new miss fails and so does a mended one.
+def test_residue_scaled_misses_past_sixty_are_the_known_two():
+    rng = random.Random(1)
+    draws = [math.exp(rng.uniform(math.log(60.0), math.log(2.5e5)))
+             for _ in range(60)]
+    misses = set()
+    for lam in draws:
+        out = evaluate("residue", lam)
+        with mpmath.workdps(40):
+            exact = -mpmath.exp(lam * mpmath.sqrt(mpmath.pi / 2)) * _k0_sum(lam)
+            err = abs(mpmath.mpf(out.scaled_value) - exact)
+        if err > out.neglected_bound:
+            misses.add(round(lam, 2))
+    assert misses == {6200.1, 1896.18}

@@ -102,6 +102,22 @@ def test_general_real_z_returns_real_value():
     assert value.imag == 0.0
 
 
+@pytest.mark.parametrize("z", [1e-10, 1e-3])
+def test_general_sum_keeps_full_relative_accuracy_at_small_z(z):
+    # the stop is relative to |z|: a target of eps/8 absolute summed one
+    # term at z = 1e-10 and left a relative error of 8e-11
+    mpmath = pytest.importorskip("mpmath")
+    value, err, _ = _sum_interior(z, 1.0, 1.0)
+    with mpmath.workdps(40):
+        exact = mpmath.nsum(
+            lambda n: mpmath.mpf(z) ** n / n * mpmath.exp(-1 / n),
+            [1, mpmath.inf])
+        error = abs(mpmath.mpf(value.real) - exact)
+        assert value.imag == 0.0
+        assert error <= 1e-15 * abs(exact)
+        assert err >= error
+
+
 def test_lambda_identity_with_s_star_table():
     # S*(lam) is the same series at t = lam^2/4
     for lam, expected in sorted(ov.S_STAR.items()):

@@ -24,8 +24,10 @@ output:
 * value, error_estimate and work of ``fourier2d_s_star``, ``hankel_s_star``
   and ``s_star_via_residue`` at lambda in {0, 0.5, 1, 3, 8, 10, 12, 24, 30,
   100, 1000}, which ``eval --json`` does not show;
-* the other callers of ``panel_quadrature``: ``radial_transform``,
-  ``gaussian_term_identity`` and ``saddle_lhs_numeric``;
+* the other callers of ``panel_quadrature``, the verify-only helpers
+  ``acceptance._radial_transform``, ``_gaussian_term_identity`` and
+  ``_saddle_lhs_numeric``, each printed under its name without the
+  leading underscore;
 * value, error_estimate, work and cancellation of ``sum_alternating_s`` at
   t from 0 to 1e5; apart from them, its refusals of a huge t and an
   infinite t; apart again, ``evaluate("series", ...)`` at the same t under
@@ -83,8 +85,8 @@ for fn in (fourier2d_s_star, hankel_s_star, s_star_via_residue):
 # the remaining panel_quadrature callers, each result printed by repr
 CALLERS = """
 import numpy as np
-from altseries.fourier2d import gaussian_term_identity, radial_transform
-from altseries.residue import saddle_lhs_numeric
+from altseries.acceptance import (_gaussian_term_identity,
+                                  _radial_transform, _saddle_lhs_numeric)
 
 
 def show(label, call):
@@ -99,13 +101,13 @@ profiles = {"gaussian": lambda r: np.exp(-r * r),
 for name, prof in profiles.items():
     for rho in (0.0, 0.5, 3.0, 10.0):
         show(f"radial_transform {name} {rho}",
-             lambda: radial_transform(prof, rho))
+             lambda: _radial_transform(prof, rho))
 for m in (1, 2, 5):
     for lam in (0.0, 1.0, 4.0, 10.0):
         show(f"gaussian_term_identity {m} {lam}",
-             lambda: gaussian_term_identity(m, lam))
+             lambda: _gaussian_term_identity(m, lam))
 for lam in (8.0, 10.0, 30.0, 300.0, 500.0):
-    show(f"saddle_lhs_numeric {lam}", lambda: saddle_lhs_numeric(lam))
+    show(f"saddle_lhs_numeric {lam}", lambda: _saddle_lhs_numeric(lam))
 """
 
 # the series route, each result printed by repr; SERIES_JOBS names which
