@@ -6,12 +6,14 @@ The x-integral is a cosine transform T(y, lambda) handled with the same
 zero-partition panels as the Hankel route; the outer y-integral sees a
 smooth e^(-y^2)-type profile.  T depends on y only through y^2, so it is
 even in y and the outer rule runs on the half-line 0 <= y <= Y alone, in
-12 panels, and doubles the result.  The x nodes, x^2 and cos(lambda x) do
-not depend on y, so each evaluation tabulates them once, shaped
-(panels, 37).  Each call of the outer rule asks for T at the 25 y nodes of
-one panel, and those transforms run as one array expression on
-(rows, panels, 37), reduced by the panel kernel ``panel_quadrature`` uses.
-Two nested quadratures stack their error floors, so this route is a
+12 panels, and doubles the result.  The integrand's Fermi factor
+1/(1 + e^(x^2+y^2)) is q/(1 + q) with q = e^(-x^2) e^(-y^2), which
+separates: each evaluation tabulates e^(-x^2), cos(lambda x) and the panel
+half-widths once on its x nodes, shaped (panels, 37).  Each call of the
+outer rule asks for T at the 25 y nodes of one panel; those transforms run
+as one (rows, panels, 37) array expression that takes one exp per y row,
+none per node, and are reduced by the panel kernel ``panel_quadrature``
+uses.  Two nested quadratures stack their error floors, so this route is a
 cross-check for lambda <= 12, not a production path.
 """
 
@@ -41,13 +43,6 @@ _X_TRUNCATION = 6.0
 _Y_TRUNCATION = 6.0
 
 
-def _fermi(s: np.ndarray) -> np.ndarray:
-    """1/(1+e^s) for s >= 0 without overflow, written over the float array
-    ``s``, which is returned."""
-    e = np.exp(np.negative(s, out=s), out=s)
-    return np.divide(e, 1.0 + e, out=e)
-
-
 def _cos_edges(lam: float, upper: float, base_step: float = 0.75):
     if lam <= 0:
         return oscillatory_edges([], upper, base_step)
@@ -69,31 +64,34 @@ def _cos_edges(lam: float, upper: float, base_step: float = 0.75):
 
 
 def _x_table(lam: float):
-    """(x^2, cos(lam x), hw) on the nodes of every x panel of
+    """(e^(-x^2), cos(lam x), hw) on the nodes of every x panel of
     ``_cos_edges(|lam|, _X_TRUNCATION)``, each node array shaped
     (panels, 37): what every inner transform at this lambda shares."""
     edges = np.asarray(_cos_edges(abs(lam), _X_TRUNCATION))
     grid, hw = _panel_grid(edges, 24)
-    return grid * grid, np.cos(lam * grid), hw
+    return np.exp(-grid * grid), np.cos(lam * grid), hw
 
 
 def _inner_t_impl(y2: np.ndarray, table):
     """(values, errors, work) for T(y, lambda) = 2 int_0^X cos(lam x) w dx
     at every y^2 of ``y2``, from the x table ``_x_table(lam)``.
 
-    The integrand of every row is one (rows, panels, 37) array, built in
-    place from x^2 + y^2 and reduced panel by panel exactly as
-    ``panel_quadrature`` reduces a stack.
+    The integrand of every row is one (rows, panels, 37) array: the
+    product q = e^(-y^2) e^(-x^2), turned in place into the Fermi factor
+    w = q/(1 + q) = 1/(1 + e^(x^2+y^2)) and multiplied by cos(lam x), so
+    the block takes one exp per row.  It is reduced panel by panel exactly
+    as ``panel_quadrature`` reduces a stack.  The same e^(-y^2) gives each
+    row's truncation term sqrt(pi) e^(-X^2) e^(-y^2).
     """
-    x2, cos_x, hw = table
-    fx = _fermi(x2 + y2[:, None, None])
+    gx, cos_x, hw = table
+    gy = np.exp(-y2)
+    q = gy[:, None, None] * gx
+    fx = np.divide(q, 1.0 + q, out=q)
     fx *= cos_x
     half, refine, abs_int, _, work = _reduce_panels(fx, hw, 24)
     values = 2.0 * half
     upper = _X_TRUNCATION
-    # math.exp per y, not np.exp: the two may differ in the last bit
-    trunc = math.sqrt(math.pi) * np.array(
-        [math.exp(-upper * upper - v) for v in y2.tolist()])
+    trunc = math.sqrt(math.pi) * math.exp(-upper * upper) * gy
     errs = 2.0 * (refine + 4.0 * _EPS * abs_int) + trunc
     return values, errs, work
 
@@ -125,8 +123,9 @@ def fourier2d_s_star(lam: float) -> EvalOutcome:
 
     edges = [y_up * (k / 12.0) for k in range(13)]
     half, refine, abs_int, _, _ = panel_quadrature(t_profile, edges, 16)
-    # the full line is twice the half line: exactly so for the value and
-    # the |T| mass, which fsum rounds once
+    # the full line is twice the half line, for the value exactly so:
+    # fsum rounds the mirrored panel sums once (the |T| mass, a pairwise
+    # sum, only to its last bits)
     value, refine, abs_int = 2.0 * half, 2.0 * refine, 2.0 * abs_int
     s_val = -value / math.pi
     trunc = math.exp(-y_up * y_up)  # T(y) <= sqrt(pi) e^(-y^2)

@@ -76,7 +76,11 @@ def panel_quadrature(f, edges, order: int):
     stack is summed exactly as its own 1-D call would sum it.
 
     Returns (value, refine_diff, abs_integral, panel_sums, work); value is
-    complex when f returns complex values.  For a stack the first three are
+    complex when f returns complex values.  The value is the exactly
+    rounded (fsum) total of the panel sums.  abs_integral, the |f| mass
+    that roundoff floors scale, totals the panels' |f| integrals
+    pairwise (np.sum), so it may be off by a few ulps.  For a stack the
+    first three are
     arrays of shape (m,), panel_sums is (m, panels), and work counts the
     nodes of every row.  Fewer than two edges make no panel: f is not
     called and the result is (0.0, 0.0, 0.0, empty panel_sums, 0).
@@ -102,7 +106,12 @@ def _panel_grid(edges: np.ndarray, order: int):
 
 def _reduce_panels(fx: np.ndarray, hw: np.ndarray, order: int):
     """The five results of :func:`panel_quadrature` from the integrand
-    values ``fx`` on :func:`_panel_grid`'s nodes, panels on axis -2."""
+    values ``fx`` on :func:`_panel_grid`'s nodes, panels on axis -2.
+
+    Each row's value is one ``math.fsum`` over its panels; the |f| masses
+    are one ``np.sum`` along the panel axis, not exactly rounded, since
+    only the 4 eps int|f| roundoff floors read them.
+    """
     _, ws, wh = _gl_pair(order)
     n = len(ws)
     # each panel is a C-ordered row, so np.sum runs its pairwise sum per row
@@ -118,11 +127,11 @@ def _reduce_panels(fx: np.ndarray, hw: np.ndarray, order: int):
     if np.iscomplexobj(sums):
         value = [complex(re, math.fsum(im))
                  for re, im in zip(value, rows.imag.tolist())]
-    abs_int = [math.fsum(r) for r in np.atleast_2d(abs_parts).tolist()]
+    abs_int = np.sum(abs_parts, axis=-1)
     work = fx.shape[-1] * sums.size
     if sums.ndim == 1:
-        return value[0], float(refine), abs_int[0], sums, work
-    return np.array(value), refine, np.array(abs_int), sums, work
+        return value[0], float(refine), float(abs_int), sums, work
+    return np.array(value), refine, abs_int, sums, work
 
 
 def oscillatory_edges(zeros, upper: float, base_step: float = 0.9):

@@ -5,6 +5,7 @@ import math
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +14,11 @@ from hypothesis import strategies as st
 from altseries.acceptance import _gaussian_term_identity, _radial_transform
 from altseries.core import DomainError, RangeError, ToleranceSpec, WorkLimitError
 from altseries.fourier2d import fourier2d_s_star
-from altseries.fourier2d import (_EPS, _cos_edges, _fermi, _inner_t_impl,
-                                 _x_table)
+from altseries.fourier2d import _EPS, _cos_edges, _inner_t_impl, _x_table
 from altseries import fourier2d
 from altseries.harness import cross_validate, evaluate
-from altseries.hankel import (MAX_PANELS, _gl_rule, hankel_s_star,
-                              panel_quadrature)
+from altseries.hankel import (MAX_PANELS, _gl_rule, _panel_grid,
+                              hankel_s_star, panel_quadrature)
 
 import oracle_values as ov
 
@@ -48,6 +48,19 @@ def _set_truncations(monkeypatch, cfg):
         monkeypatch.setattr(fourier2d, name, value)
 
 
+def _direct_fermi(s: np.ndarray) -> np.ndarray:
+    """1/(1+e^s) for s >= 0 without overflow, straight from s."""
+    e = np.exp(-s)
+    return e / (1.0 + e)
+
+
+def _separable_fermi(gy, gx):
+    """1/(1+e^(x^2+y^2)) from gy = e^(-y^2) and gx = e^(-x^2), formed as
+    the route forms it: q/(1+q) with q = gy gx."""
+    q = gy * gx
+    return q / (1.0 + q)
+
+
 def _inner_t_unreduced(y: float, lam: float) -> complex:
     """T(y, lambda) over the full line without the cosine reduction.
 
@@ -60,7 +73,7 @@ def _inner_t_unreduced(y: float, lam: float) -> complex:
     edges = [-e for e in reversed(pos)] + pos[1:]
 
     def f(x):
-        return np.exp(1j * lam * x) * _fermi(x * x + y2)
+        return np.exp(1j * lam * x) * _direct_fermi(x * x + y2)
 
     value, _, _, _, _ = panel_quadrature(f, edges, 24)
     return complex(value)
@@ -80,22 +93,21 @@ def _fourier2d_per_y(lam: float, half_line: bool = False):
     work = 0
     inner_err = 0.0
 
-    def inner(y):
-        y2 = y * y
-
+    def inner(gy):
         def f(x):
-            return np.cos(lam * x) * _fermi(x * x + y2)
+            return np.cos(lam * x) * _separable_fermi(gy, np.exp(-x * x))
 
         half, refine, abs_int, _, w = panel_quadrature(f, x_edges, 24)
-        trunc = math.sqrt(math.pi) * math.exp(-upper * upper - y2)
+        trunc = math.sqrt(math.pi) * math.exp(-upper * upper) * gy
         err = 2.0 * (refine + 4.0 * _EPS * abs_int) + trunc
         return 2.0 * float(half), err, w
 
     def t_profile(ys):
         nonlocal work, inner_err
         out = np.empty_like(ys)
-        for i, y in enumerate(ys):
-            out[i], e, w = inner(float(y))
+        # e^(-y^2) of every row at once, as the route takes it
+        for i, gy in enumerate(np.exp(-(ys * ys))):
+            out[i], e, w = inner(gy)
             work += w
             inner_err = max(inner_err, e)
         return out
@@ -165,6 +177,38 @@ def test_mirrored_reuse_matches_per_y_loop_off_default_config(monkeypatch,
     _set_truncations(monkeypatch,
                      {"_Y_TRUNCATION": 7.0, "_X_TRUNCATION": 6.5})
     _assert_matches_per_y_loops(fourier2d_s_star(lam), lam)
+
+
+def _mp_exp_neg_square(v: float):
+    """e^(-v^2) at 30 digits, as the exact binary fraction (m, e) whose
+    value is m 2^e."""
+    with mpmath.workdps(30):
+        return mpmath.exp(-mpmath.mpf(v) ** 2).man_exp
+
+
+@pytest.mark.parametrize("lam", [0.0, 3.0, 12.0])
+def test_separable_factor_matches_mpmath(lam):
+    # the Fermi factor built from the tabulated e^(-x^2) and the rows'
+    # e^(-y^2), at every node of the x table and the 300 outer y nodes,
+    # against 1/(1+e^(x^2+y^2)) = m/(2^-e + m), m 2^e = e^(-x^2) e^(-y^2)
+    # from 30-digit exponentials, one correctly rounded integer division.
+    # Rounding x^2 and y^2 costs (x^2+y^2)/2 eps, the two exps, the
+    # product, the sum and the quotient a few eps more
+    gx = _x_table(lam)[0].ravel()
+    xs, _ = _panel_grid(
+        np.asarray(_cos_edges(lam, fourier2d._X_TRUNCATION)), 24)
+    y_up = fourier2d._Y_TRUNCATION
+    ys, _ = _panel_grid(np.array([y_up * (k / 12.0) for k in range(13)]), 16)
+    ys = ys.ravel()
+    assert ys.size == 300
+    got = _separable_fermi(np.exp(-(ys * ys))[:, None], gx[None, :])
+    x_fracs = [_mp_exp_neg_square(x) for x in xs.ravel().tolist()]
+    ref = np.array([[mx * my / ((1 << -(ex + ey)) + mx * my)
+                     for mx, ex in x_fracs]
+                    for my, ey in map(_mp_exp_neg_square, ys.tolist())])
+    rel = np.abs(got - ref) / ref
+    bound = ((xs * xs).ravel()[None, :] + (ys * ys)[:, None] + 4.0) * _EPS
+    assert np.all(rel <= bound)
 
 
 def _nesting_spy(monkeypatch):
@@ -310,8 +354,8 @@ def test_stacked_panel_quadrature_rows_match_1d_calls(complex_rows):
 
     def row(s):
         if complex_rows:
-            return lambda x: np.exp(1j * lam * x) * _fermi(x * x + s)
-        return lambda x: np.cos(lam * x) * _fermi(x * x + s)
+            return lambda x: np.exp(1j * lam * x) * _direct_fermi(x * x + s)
+        return lambda x: np.cos(lam * x) * _direct_fermi(x * x + s)
 
     stacked = panel_quadrature(
         lambda x: np.stack([row(s)(x) for s in shifts]), edges, 24)

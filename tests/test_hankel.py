@@ -71,12 +71,12 @@ def _two_call_reference(f, edges, order):
     if np.iscomplexobj(sums):
         value = [complex(re, math.fsum(im))
                  for re, im in zip(value, rows.imag.tolist())]
-    abs_int = [math.fsum(r)
-               for r in np.atleast_2d(np.array(abs_parts).T).tolist()]
+    # the |f| mass is one pairwise sum per row along the panel axis
+    abs_int = np.sum(np.ascontiguousarray(np.array(abs_parts).T), axis=-1)
     work = (len(xs) + len(xh)) * sums.size
     if sums.ndim == 1:
-        return value[0], float(refine), abs_int[0], sums, work
-    return np.array(value), refine, np.array(abs_int), sums, work
+        return value[0], float(refine), float(abs_int), sums, work
+    return np.array(value), refine, abs_int, sums, work
 
 
 def _assert_same_quadrature(got, ref):
