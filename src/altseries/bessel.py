@@ -74,19 +74,16 @@ def _j0_chebyshev(u):
 # P = sum_m (-1)^m A_2m v^m and Q = sum_m (-1)^m A_(2m+1) v^m in v = 1/u^2.
 # Every |u| > SERIES_CUTOFF takes the same 20 terms, A_0..A_19: at the
 # cutoff the terms A_k / u^k still shrink through k = 20, and each only
-# shrinks as u grows.  P and Q each add half their first omitted term,
-# A_20 and A_21: the terms alternate in sign and barely change in size
-# near the smallest one, where the remainder is about half the first
-# omitted term.  Past u = 30 that half is below 1.1e-19, so it moves a
-# value by one rounding at most.
+# shrinks as u grows.  Past u = 30 the remainder is below the first omitted
+# term, A_20 / u^20 < 1.1e-19, under 1e-3 of an ulp of P ~ 1.
 _HANKEL_A = [1.0]
-for _k in range(1, 22):
+for _k in range(1, 20):
     _HANKEL_A.append(_HANKEL_A[-1] * (2 * _k - 1) ** 2 / (8.0 * _k))
 # the Horner rows of P and Q, highest degree first, each a (2, 1) column
-# [P; Q]: the two half terms, then the coefficients of v^9 down to v^0
-_PQ_ROWS = [np.array([[0.5 * _HANKEL_A[20]], [0.5 * _HANKEL_A[21]]])] + [
-    np.array([[(-1) ** m * _HANKEL_A[2 * m]],
-              [(-1) ** m * _HANKEL_A[2 * m + 1]]]) for m in range(9, -1, -1)]
+# [P; Q]: the coefficients of v^9 down to v^0
+_PQ_ROWS = [np.array([[(-1) ** m * _HANKEL_A[2 * m]],
+                      [(-1) ** m * _HANKEL_A[2 * m + 1]]])
+            for m in range(9, -1, -1)]
 
 
 def _pq_horner(v):

@@ -26,6 +26,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate S at one point")
+    pe.set_defaults(run=_cmd_eval)
     g = pe.add_mutually_exclusive_group(required=True)
     g.add_argument("--t", type=float, help="t argument of S(t)")
     g.add_argument("--lambda", dest="lam", type=float,
@@ -42,12 +43,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="emit the evaluation as JSON")
 
     ps = sub.add_parser("sweep", help="tabulate every method over a lambda grid")
+    ps.set_defaults(run=_cmd_sweep)
     ps.add_argument("--lambda-min", type=float, required=True)
     ps.add_argument("--lambda-max", type=float, required=True)
     ps.add_argument("--points", type=int, required=True)
     ps.add_argument("--out", required=True, metavar="PATH.CSV")
 
     pf = sub.add_parser("figure", help="reproduce the scaled-decay figure data")
+    pf.set_defaults(run=_cmd_figure)
     pf.add_argument("--lambda-min", type=float, required=True)
     pf.add_argument("--lambda-max", type=float, required=True)
     pf.add_argument("--points", type=int, required=True)
@@ -55,18 +58,20 @@ def _build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--svg", default=None, metavar="PATH")
 
     pp = sub.add_parser("poles", help="pole locations of 1/(1+e^(z^2+y^2))")
+    pp.set_defaults(run=_cmd_poles)
     g = pp.add_mutually_exclusive_group(required=True)
     g.add_argument("--y", type=float, help="single ordinate")
     g.add_argument("--grid", type=int, help="N interior samples of (-b, b)")
 
     pv = sub.add_parser("verify", help="run the acceptance checklist")
+    pv.set_defaults(run=_cmd_verify)
     pv.add_argument("--quick", action="store_true",
                     help="reduced grids; same checks")
     return p
 
 
 def _cmd_eval(args) -> int:
-    lam = args.lam
+    lam = lambda_of_t(args.t) if args.lam is None else args.lam
     given = {k: v for k in ("abs_tol", "rel_tol", "max_work")
              if (v := getattr(args, k)) is not None}
     tol = ToleranceSpec(**given) if given else None
@@ -144,34 +149,16 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "eval":
-            if args.lam is None:
-                args.lam = lambda_of_t(args.t)
-            return _cmd_eval(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "figure":
-            return _cmd_figure(args)
-        if args.command == "poles":
-            return _cmd_poles(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        parser.error(f"unknown command {args.command!r}")
-    except (DomainError, RangeError) as exc:
+        return args.run(args)
+    except (DomainError, RangeError, WorkLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except WorkLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.partial is not None:
-            print(f"partial value: {exc.partial.value!r} "
-                  f"(error estimate {exc.partial.error_estimate!r})",
+        partial = getattr(exc, "partial", None)
+        if partial is not None:
+            print(f"partial value: {partial.value!r} "
+                  f"(error estimate {partial.error_estimate!r})",
                   file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

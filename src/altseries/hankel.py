@@ -46,10 +46,8 @@ MAX_PANELS = 600
 ACCELERATION_DEPTH = 2
 
 
-@lru_cache(maxsize=32)
 def _gl_rule(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    return np.polynomial.legendre.leggauss(order)
 
 
 @lru_cache(maxsize=32)
@@ -152,12 +150,11 @@ def oscillatory_edges(zeros, upper: float, base_step: float = 0.9):
 
 
 def _accelerated_tail(panel_sums: np.ndarray, depth: int) -> float:
-    """Iterated averaging of the trailing partial sums (alternating panels)."""
+    """Iterated averaging of the trailing partial sums (alternating panels);
+    needs more than ``depth`` panels."""
     partials = np.cumsum(panel_sums.real)
     tail = partials[-min(8, len(partials)):]
     for _ in range(depth):
-        if len(tail) < 2:
-            break
         tail = 0.5 * (tail[1:] + tail[:-1])
     return float(tail[-1])
 
@@ -213,9 +210,8 @@ def hankel_s_star(lam: float) -> EvalOutcome:
     _, (value, refine, _, panel_sums, work) = _s_star_panels(lam)
     trunc = math.exp(-TRUNCATION_X ** 2)
     floor = (_J0_MODEL_ERR + 4.0 * _EPS) * _LN2
-    err = trunc + refine + floor
-    if len(panel_sums) >= 6:
-        accel = _accelerated_tail(panel_sums, ACCELERATION_DEPTH)
-        err += abs(accel - float(value))
+    # the base step of 0.9 cuts [0, TRUNCATION_X] into 9 panels at least
+    accel = _accelerated_tail(panel_sums, ACCELERATION_DEPTH)
+    err = trunc + refine + floor + abs(accel - float(value))
     return EvalOutcome(float(value), err, work, "hankel")
 

@@ -147,8 +147,6 @@ def _saddle_edges(lam: float):
     while yv < b:
         yv = min(yv + 2.0 * sigma, b)
         half.append(yv)
-    if half[-1] != b:
-        half.append(b)
     return [-e for e in reversed(half)] + half[1:]
 
 

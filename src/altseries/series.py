@@ -88,8 +88,8 @@ def _bulk(t: float, n0: int) -> tuple:
 def sum_alternating_s(t: float) -> AlternatingOutcome:
     """S(t) = sum (-1)^n n^-1 exp(-t/n), with a cancellation diagnostic.
 
-    The bulk n <= N0 is summed directly and the tail by the Euler transform;
-    N0 doubles until the transform converges, with four tries at most.
+    The bulk n <= N0 is summed directly and the tail by the Euler transform,
+    refused with WorkLimitError if it does not converge in _EULER_COLUMNS.
     The error estimate adds the truncation of the transform, the roundoff
     of its k-fold difference table and the floor
     4 eps sum|bulk terms| + eps (sum|tail terms| + |bulk|).
@@ -101,54 +101,49 @@ def sum_alternating_s(t: float) -> AlternatingOutcome:
     if not 0.0 <= t < math.inf:
         raise DomainError(f"need finite t >= 0, got {t}")
     n0 = int(max(64, math.ceil(t) + 32))
+    if n0 > MAX_TERMS:
+        # .3g: a huge t's bulk is named by its size, not its 300 digits
+        raise WorkLimitError(
+            f"bulk stage of {n0:.3g} terms exceeds MAX_TERMS {MAX_TERMS}")
+    bulk, absum_bulk = _bulk(t, n0)
 
-    for _ in range(4):
-        if n0 > MAX_TERMS:
-            # .3g: a huge t's bulk is named by its size, not its 300 digits
-            raise WorkLimitError(
-                f"bulk stage of {n0:.3g} terms exceeds MAX_TERMS {MAX_TERMS}")
-        bulk, absum_bulk = _bulk(t, n0)
+    b = _abs_terms(t, n0 + 1, n0 + _EULER_COLUMNS + 1)
+    # Euler weight of column k: (-1)^(n0+1)/2 * (-1/2)^k
+    wk = 0.5 if n0 % 2 else -0.5
 
-        b = _abs_terms(t, n0 + 1, n0 + _EULER_COLUMNS + 1)
-        # Euler weight of column k: (-1)^(n0+1)/2 * (-1/2)^k
-        wk = 0.5 if n0 % 2 else -0.5
+    tail = 0.0
+    abs_tail = 0.0
+    diag = []
+    t_prev = math.inf
+    target = 1e-3 * max(1e-12, _EPS * absum_bulk)
+    for k, delta in enumerate(b):
+        # diag[j] becomes Delta^j b_(n0+1+k-j), and delta Delta^k b_(n0+1):
+        # the difference table is formed only as far as the transform
+        # reads it
+        for j, d in enumerate(diag):
+            diag[j], delta = delta, delta - d
+        diag.append(delta)
+        term = wk * delta
+        tail += term
+        abs_tail += abs(term)
+        small_enough = abs(term) <= target and abs(term) <= t_prev
+        plateaued = k >= 8 and abs(term) >= t_prev
+        if small_enough or plateaued:
+            break
+        t_prev = abs(term)
+        wk *= -0.5
+    else:
+        raise WorkLimitError("Euler tail failed to converge", partial=None)
 
-        tail = 0.0
-        abs_tail = 0.0
-        diag = []
-        t_prev = math.inf
-        target = 1e-3 * max(1e-12, _EPS * absum_bulk)
-        for k, delta in enumerate(b):
-            # diag[j] becomes Delta^j b_(n0+1+k-j), and delta Delta^k
-            # b_(n0+1): the difference table is formed only as far as the
-            # transform reads it
-            for j, d in enumerate(diag):
-                diag[j], delta = delta, delta - d
-            diag.append(delta)
-            term = wk * delta
-            tail += term
-            abs_tail += abs(term)
-            small_enough = abs(term) <= target and abs(term) <= t_prev
-            plateaued = k >= 8 and abs(term) >= t_prev
-            if small_enough or plateaued:
-                break
-            t_prev = abs(term)
-            wk *= -0.5
-        else:
-            n0 *= 2
-            continue
-
-        trunc = 2.0 * max(abs(term), min(t_prev, abs(term) * 4.0))
-        # Roundoff amplification of the k-fold difference table: with
-        # Euler ratio 1/2 each of the k + 1 columns adds eps * b_0 / 2.
-        table_noise = _EPS * 0.5 * b[0] * (k + 1.0)
-        floor = 4.0 * _EPS * absum_bulk + _EPS * (abs_tail + abs(bulk))
-        err = trunc + table_noise + floor
-        value = bulk + tail
-        work = n0 + k + 1
-        absum = absum_bulk + abs_tail
-        cancel = absum / abs(value) if value != 0 else math.inf
-        return AlternatingOutcome(value=value, error_estimate=err, work=work,
-                                  method="series", cancellation=cancel)
-
-    raise WorkLimitError("Euler tail failed to converge", partial=None)
+    trunc = 2.0 * max(abs(term), min(t_prev, abs(term) * 4.0))
+    # Roundoff amplification of the k-fold difference table: with Euler
+    # ratio 1/2 each of the k + 1 columns adds eps * b_0 / 2.
+    table_noise = _EPS * 0.5 * b[0] * (k + 1.0)
+    floor = 4.0 * _EPS * absum_bulk + _EPS * (abs_tail + abs(bulk))
+    err = trunc + table_noise + floor
+    value = bulk + tail
+    work = n0 + k + 1
+    absum = absum_bulk + abs_tail
+    cancel = absum / abs(value) if value != 0 else math.inf
+    return AlternatingOutcome(value=value, error_estimate=err, work=work,
+                              method="series", cancellation=cancel)

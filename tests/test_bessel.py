@@ -256,26 +256,28 @@ def test_j0_scalar_and_0d_input_give_float(u):
     assert out == float(bessel_j0(np.array([float(u)]))[0])
 
 
-def _horner_half_tail(coefs, m, v):
-    """sum_(j < m) coefs[j] v^j + coefs[m] v^m / 2, by its own Horner pass:
-    the reference the stacked P/Q pass in ``bessel`` is held to."""
-    acc = 0.5 * coefs[m]
-    for c in reversed(coefs[:m]):
+def _horner(coefs, v):
+    """sum_j coefs[j] v^j by its own Horner pass: the reference the stacked
+    P/Q pass in ``bessel`` is held to."""
+    acc = coefs[-1]
+    for c in reversed(coefs[:-1]):
         acc = acc * v + c
     return acc
 
 
 def test_stacked_pq_horner_matches_separate_passes_bit_for_bit():
     """The one pass every |u| > SERIES_CUTOFF takes: 10 terms of P and 10
-    of Q, each with half its first omitted term, in 11 Horner rows.
-    Twenty terms suffice: at the cutoff the terms A_k / u^k shrink through
-    k = 20, and A_20 / 30^20 (1.05e-19) is below 1e-18."""
+    of Q in 10 plain Horner rows.  Twenty terms suffice: at the cutoff the
+    terms A_k / u^k shrink through k = 20, and the first omitted one,
+    A_20 / 30^20 (1.05e-19), is below 1e-18."""
     a = bessel._HANKEL_A
+    assert len(a) == 20
+    a_20 = a[-1] * 39 ** 2 / (8.0 * 20)
     cut = bessel.SERIES_CUTOFF
-    terms = [a[k] / cut ** k for k in range(21)]
+    terms = [x / cut ** k for k, x in enumerate([*a, a_20])]
     assert all(x > y for x, y in zip(terms, terms[1:]))
     assert terms[20] < 1e-18
-    assert len(bessel._PQ_ROWS) == 11
+    assert len(bessel._PQ_ROWS) == 10
     p_coef = [(-1) ** m * x for m, x in enumerate(a[0::2])]
     q_coef = [(-1) ** m * x for m, x in enumerate(a[1::2])]
     u = np.concatenate([np.linspace(cut, 40.0, 2001),
@@ -283,8 +285,8 @@ def test_stacked_pq_horner_matches_separate_passes_bit_for_bit():
     inv = 1.0 / u
     v = inv * inv
     p, q = bessel._pq_horner(v)
-    assert np.array_equal(p, _horner_half_tail(p_coef, 10, v))
-    assert np.array_equal(q, _horner_half_tail(q_coef, 10, v))
+    assert np.array_equal(p, _horner(p_coef, v))
+    assert np.array_equal(q, _horner(q_coef, v))
 
 
 def test_j0_depends_on_u_alone():

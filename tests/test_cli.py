@@ -250,6 +250,14 @@ class TestSweepAndFigure:
         assert code == 0
         assert "wrote figure to" not in out
 
+    def test_unwritable_csv_is_one_error_line(self, capsys, tmp_path):
+        code, out, err = run(capsys, "figure", "--lambda-min", "5",
+                             "--lambda-max", "8", "--points", "4",
+                             "--csv", str(tmp_path / "missing" / "f.csv"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit) as ei:
             main(["sweep", "--lambda-min", "1", "--lambda-max", "2"])

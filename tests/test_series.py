@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from altseries.core import (DomainError, ToleranceSpec, WorkLimitError,
                             lambda_of_t)
-from altseries import acceptance
+from altseries import acceptance, series
 from altseries.harness import evaluate
 from altseries.acceptance import (SeriesParams, _sum_interior,
                                   derivative_residuals)
@@ -269,6 +269,16 @@ def test_boundary_budget_counts_the_terms_spent():
                        match=f"work {out.work} exceeds max_work") as exc:
         evaluate("series", 10.0, tight)
     assert exc.value.partial == out
+
+
+def test_unconverged_euler_tail_is_refused(monkeypatch):
+    # three columns are too few for the transform at t = 25: the sum is
+    # refused, not retried with a larger bulk
+    monkeypatch.setattr(series, "_EULER_COLUMNS", 3)
+    with pytest.raises(WorkLimitError,
+                       match="Euler tail failed to converge") as exc:
+        sum_alternating_s(25.0)
+    assert exc.value.partial is None
 
 
 def test_bulk_holds_one_block_of_terms_at_a_time():

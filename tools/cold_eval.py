@@ -106,10 +106,18 @@ def cpu_model() -> str:
     return platform.processor() or platform.machine()
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--runs", type=int, default=25,
-                   help="processes per route and checkout (default 25)")
+def parse_cli(doc: str, runs: int, per: str, argv) -> tuple:
+    """(args, checkouts) from the command line both timing scripts share:
+    ``[--runs N] [--out FILE.json] [LABEL=CHECKOUT ...]``.
+
+    ``doc``'s first paragraph describes the script, ``runs`` is the
+    default of --runs (processes per ``per`` and checkout), and checkouts
+    maps each label to its resolved path, or ``this`` to the checkout
+    these scripts sit in when none is given.
+    """
+    p = argparse.ArgumentParser(description=doc.split("\n\n")[0])
+    p.add_argument("--runs", type=int, default=runs,
+                   help=f"processes per {per} and checkout (default {runs})")
     p.add_argument("--out", metavar="FILE.json",
                    help="also write the report here as JSON")
     p.add_argument("checkouts", nargs="*", metavar="LABEL=CHECKOUT")
@@ -122,6 +130,11 @@ def main(argv=None) -> int:
         if not sep or not (Path(path) / "src" / "altseries").is_dir():
             p.error(f"{spec!r} is not LABEL=CHECKOUT with a src/altseries")
         checkouts[label] = Path(path).resolve()
+    return args, checkouts
+
+
+def main(argv=None) -> int:
+    args, checkouts = parse_cli(__doc__, 25, "route", argv)
 
     rows = (BARE, *EVALS)
     walls = {(r, c): [] for r in rows for c in checkouts}

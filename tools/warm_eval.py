@@ -31,7 +31,6 @@ Without a LABEL=CHECKOUT argument it times the checkout this file sits in.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
@@ -40,7 +39,8 @@ import sys
 from pathlib import Path
 
 # this file's own directory is on sys.path when it runs as a script
-from cold_eval import BENCH_ENV, child_env, cpu_model, git_rev, quartiles
+from cold_eval import (BENCH_ENV, child_env, cpu_model, git_rev, parse_cli,
+                       quartiles)
 
 CALLS = 15
 CROSSVAL_LAMBDAS = [k / 4.0 for k in range(4, 49)]
@@ -91,21 +91,7 @@ def sample(checkout: Path, row: str) -> tuple:
 
 
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--runs", type=int, default=21,
-                   help="processes per row and checkout (default 21)")
-    p.add_argument("--out", metavar="FILE.json",
-                   help="also write the report here as JSON")
-    p.add_argument("checkouts", nargs="*", metavar="LABEL=CHECKOUT")
-    args = p.parse_args(argv)
-    if args.runs < 4:
-        p.error("--runs must be at least 4 for quartiles")
-    checkouts = {}
-    for spec in args.checkouts or [f"this={Path(__file__).resolve().parents[1]}"]:
-        label, sep, path = spec.partition("=")
-        if not sep or not (Path(path) / "src" / "altseries").is_dir():
-            p.error(f"{spec!r} is not LABEL=CHECKOUT with a src/altseries")
-        checkouts[label] = Path(path).resolve()
+    args, checkouts = parse_cli(__doc__, 21, "row", argv)
 
     labels = list(checkouts)
     ms = {(r, c): [] for r in ROWS for c in labels}
