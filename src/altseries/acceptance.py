@@ -22,10 +22,10 @@ import numpy as np
 
 from . import harness
 from .asymptotic import SQRT_HALF_PI, asym_s_star
-from .bessel import bessel_j0
+from .bessel import bessel_j0, j0_zeros
 from .core import DomainError, WorkLimitError, lambda_of_t
-from .fourier2d import _cos_edges
-from .hankel import _j0_zero_edges, panel_quadrature
+from .fourier2d import _cos_zeros
+from .hankel import oscillatory_edges, panel_quadrature
 from .harness import VerifyCheck, VerifyReport, evaluate
 from .residue import _decay, _scaled_saddle
 
@@ -235,7 +235,7 @@ def _gaussian_term_complex(m: int, lam: float) -> complex:
     """Quadrature value of the double integral e^(i lam x - m(x^2+y^2))."""
     width = 6.0 / math.sqrt(m)
     step = 0.75 / math.sqrt(m)
-    pos = _cos_edges(lam, width, step)
+    pos = oscillatory_edges(_cos_zeros, lam, width, step)
     x_edges = [-e for e in reversed(pos)] + pos[1:]
 
     def fx(x):
@@ -276,7 +276,7 @@ def _radial_transform(f, rho: float) -> float:
             break
     tail = abs(float(f(upper))) * (upper + 1.0) ** 2
 
-    edges = _j0_zero_edges("rho", rho, upper, base_step=0.75)
+    edges = oscillatory_edges(j0_zeros, rho, upper, 0.75, name="rho")
 
     def g(r):
         return bessel_j0(rho * r) * np.asarray(f(r), dtype=float) * r

@@ -2,8 +2,8 @@
 
 S*(lambda) = -(1/pi) * double integral of e^(i lambda x) / (1 + e^(x^2+y^2)).
 
-The x-integral is a cosine transform T(y, lambda) handled with the same
-zero-partition panels as the Hankel route; the outer y-integral sees a
+The x-integral is a cosine transform T(y, lambda) on panels laid out
+by the Hankel route's ``oscillatory_edges``; the outer y-integral sees a
 smooth e^(-y^2)-type profile.  T depends on y only through y^2, so it is
 even in y and the outer rule runs on the half-line 0 <= y <= Y alone, in
 12 panels, and doubles the result.  The integrand's Fermi factor
@@ -26,10 +26,9 @@ import numpy as np
 # not called here; the name stays bound because perfbench/tracer.py
 # wraps fourier2d.j0_zeros
 from .bessel import j0_zeros  # noqa: F401
-from .core import (LAMBDA_WALL, DomainError, EvalOutcome, RangeError,
-                   WorkLimitError)
-from .hankel import (MAX_PANELS, _panel_grid, _reduce_panels,
-                     oscillatory_edges, panel_quadrature)
+from .core import LAMBDA_WALL, DomainError, EvalOutcome, RangeError
+from .hankel import (_panel_grid, _reduce_panels, oscillatory_edges,
+                     panel_quadrature)
 
 __all__ = [
     "LAMBDA_WALL",
@@ -43,32 +42,18 @@ _X_TRUNCATION = 6.0
 _Y_TRUNCATION = 6.0
 
 
-def _cos_edges(lam: float, upper: float, base_step: float = 0.75):
-    if lam <= 0:
-        return oscillatory_edges([], upper, base_step)
-    # ceil of this counts the zeros (k + 1/2) pi / lam below upper
-    zeros_past = lam * upper / math.pi - 0.5
-    if not zeros_past <= MAX_PANELS:
-        raise WorkLimitError(
-            f"lambda = {lam} puts {zeros_past:.3g} cosine zeros below "
-            f"{upper:g}; max_panels = {MAX_PANELS}")
-    zeros = []
-    k = 0
-    while True:
-        xk = (k + 0.5) * math.pi / lam
-        if xk >= upper:
-            break
-        zeros.append(xk)
-        k += 1
-    return oscillatory_edges(zeros, upper, base_step)
+def _cos_zeros(n: int) -> list[float]:
+    """The first n positive zeros (k + 1/2) pi of cos."""
+    return [(k + 0.5) * math.pi for k in range(n)]
 
 
 def _x_table(lam: float):
-    """(e^(-x^2), cos(lam x), hw) on the nodes of every x panel of
-    ``_cos_edges(|lam|, _X_TRUNCATION)``, each node array shaped
+    """(e^(-x^2), cos(lam x), hw) on the nodes of every x panel between
+    the zeros of cos(|lam| x) below _X_TRUNCATION, each node array shaped
     (panels, 37): what every inner transform at this lambda shares."""
-    edges = np.asarray(_cos_edges(abs(lam), _X_TRUNCATION))
-    grid, hw = _panel_grid(edges, 24)
+    edges = oscillatory_edges(_cos_zeros, abs(lam), _X_TRUNCATION,
+                              base_step=0.75)
+    grid, hw = _panel_grid(np.asarray(edges), 24)
     return np.exp(-grid * grid), np.cos(lam * grid), hw
 
 

@@ -7,6 +7,10 @@ background grid, run a fixed-order Gauss-Legendre rule on every panel, and
 sum panel contributions in ascending order.  A half-order re-evaluation of
 each panel supplies the refinement part of the error estimate.
 
+``oscillatory_edges`` lays out the panels of every J0 or cosine kernel in
+the package and holds each layout to MAX_PANELS panels before it forms a
+zero, so this route refuses from lambda ~ 235.
+
 The error estimate is err = truncation + refinement + floor, where the floor
 (J0 model error + roundoff) * integral|weight| is what makes the lambda ~ 27
 precision wall visible: S*(lambda) sinks below ~1.3e-15 there and this route
@@ -20,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import bessel
 from .bessel import bessel_j0
 from .core import DomainError, EvalOutcome, WorkLimitError
 
@@ -132,10 +137,29 @@ def _reduce_panels(fx: np.ndarray, hw: np.ndarray, order: int):
     return np.array(value), refine, abs_int, sums, work
 
 
-def oscillatory_edges(zeros, upper: float, base_step: float = 0.9):
-    """Panel edges on [0, upper]: the given interior zeros, with any gap
-    wider than base_step subdivided evenly."""
-    pts = [0.0] + [z for z in zeros if 0.0 < z < upper] + [upper]
+def oscillatory_edges(zeros, scale: float, upper: float,
+                      base_step: float = 0.9, name: str = "lambda"):
+    """Panel edges on [0, upper] between the zeros of a kernel k(scale x),
+    with any gap wider than base_step split evenly.
+
+    ``zeros(n)`` gives k's first n positive zeros: ``bessel.j0_zeros`` for
+    J0, (k + 1/2) pi for cos.  The k-th is at least (k - 1/2) pi, so fewer
+    than count + 1/2 fall below upper, count = scale upper / pi.  Holding
+    count to MAX_PANELS - 1, before any zero is formed, keeps the zeros to
+    MAX_PANELS panels.  A NaN or negative scale raises DomainError, a
+    larger count (inf included) WorkLimitError, each naming scale as
+    ``name``.
+    """
+    if not scale >= 0.0:
+        raise DomainError(f"need {name} >= 0, got {scale}")
+    # inf, not an exception, where scale * upper overflows
+    count = scale * upper / math.pi
+    if not count <= MAX_PANELS - 1:
+        raise WorkLimitError(
+            f"{name} = {scale:g} puts about {count:.3g} kernel zeros below "
+            f"{upper:g}; max_panels = {MAX_PANELS}")
+    scaled = [z / scale for z in zeros(math.ceil(count) + 2)] if scale else []
+    pts = [0.0] + [x for x in scaled if 0.0 < x < upper] + [upper]
     edges = [0.0]
     for right in pts[1:]:
         left = edges[-1]
@@ -153,7 +177,7 @@ def _accelerated_tail(panel_sums: np.ndarray, depth: int) -> float:
     """Iterated averaging of the trailing partial sums (alternating panels);
     needs more than ``depth`` panels."""
     partials = np.cumsum(panel_sums.real)
-    tail = partials[-min(8, len(partials)):]
+    tail = partials[-8:]
     for _ in range(depth):
         tail = 0.5 * (tail[1:] + tail[:-1])
     return float(tail[-1])
@@ -164,31 +188,10 @@ def _s_star_weight(x: np.ndarray) -> np.ndarray:
     return 2.0 * x * e / (1.0 + e)
 
 
-def _j0_zero_edges(name: str, scale: float, upper: float,
-                   base_step: float = 0.9):
-    """``oscillatory_edges`` on [0, upper] through the zeros of
-    J0(scale x), scale >= 0; ``name`` names scale in the refusal of more
-    zeros than ``j0_zeros`` serves."""
-    from .bessel import MAX_ZEROS, j0_zeros
-
-    zeros = []
-    if scale > 0:
-        # inf, not an exception, where scale * upper overflows
-        zeros_past = scale * upper / math.pi
-        if not zeros_past <= MAX_ZEROS - 2:
-            raise WorkLimitError(
-                f"{name} = {scale:g} needs about {zeros_past:.3g} Bessel "
-                f"zeros, over the {MAX_ZEROS} j0_zeros serves")
-        zeros = [z / scale for z in j0_zeros(int(math.ceil(zeros_past)) + 2)]
-    return oscillatory_edges(zeros, upper, base_step)
-
-
 def _s_star_panels(lam: float):
     """Edges and panel sums of the S* integrand; shared by tests."""
-    edges = _j0_zero_edges("lambda", lam, TRUNCATION_X)
-    if len(edges) - 1 > MAX_PANELS:
-        raise WorkLimitError(
-            f"{len(edges) - 1} panels exceed max_panels = {MAX_PANELS}")
+    # j0_zeros is looked up in bessel per call, so a rebinding is seen
+    edges = oscillatory_edges(bessel.j0_zeros, lam, TRUNCATION_X)
 
     def f(x):
         return -bessel_j0(lam * x) * _s_star_weight(x)

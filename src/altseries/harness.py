@@ -134,13 +134,8 @@ ROUTES = {
 }
 # cross_validate compares hankel on a narrower window, which stops where it
 # is too noisy to judge the others by
-_COMPARE_WINDOWS = {
-    "series": ROUTES["series"][1],
-    "hankel": (0.0, HANKEL_COMPARE_WALL),
-    "fourier2d": ROUTES["fourier2d"][1],
-    "residue": ROUTES["residue"][1],
-    "asymptotic": ROUTES["asymptotic"][1],
-}
+_COMPARE_WINDOWS = {name: window for name, (_, window) in ROUTES.items()}
+_COMPARE_WINDOWS["hankel"] = (0.0, HANKEL_COMPARE_WALL)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altseries.bessel import bessel_j0
+from altseries import bessel
+from altseries.bessel import bessel_j0, j0_zeros
 from altseries.core import DomainError, ToleranceSpec, WorkLimitError
+from altseries.fourier2d import _x_table
 from altseries.hankel import (
     ACCELERATION_DEPTH,
+    MAX_PANELS,
     TRUNCATION_X,
     hankel_s_star,
     oscillatory_edges,
@@ -191,22 +194,84 @@ def test_one_integrand_call_per_panel(order):
 
 class TestOscillatoryEdges:
     def test_contains_zeros_and_bounds(self):
-        zeros = [0.7, 1.9, 3.3]
-        edges = oscillatory_edges(zeros, 4.0)
+        edges = oscillatory_edges(j0_zeros, 2.0, 4.0)
         assert edges[0] == 0.0 and edges[-1] == 4.0
-        for z in zeros:
+        below = [z / 2.0 for z in j0_zeros(3) if z / 2.0 < 4.0]
+        assert len(below) == 2
+        for z in below:
             assert z in edges
         assert all(b > a for a, b in zip(edges, edges[1:]))
 
     def test_gap_subdivision(self):
-        edges = oscillatory_edges([], 5.0, base_step=0.9)
+        # scale 0: no zeros are asked for, only the base grid is laid
+        edges = oscillatory_edges(None, 0.0, 5.0, base_step=0.9)
         gaps = np.diff(edges)
         assert np.max(gaps) <= 0.9 + 1e-12
 
     def test_zeros_beyond_upper_ignored(self):
-        edges = oscillatory_edges([0.5, 6.0], 1.0)
+        edges = oscillatory_edges(lambda n: [0.5 + 5.5 * k for k in range(n)],
+                                  1.0, 1.0)
         assert edges[-1] == 1.0
+        assert 0.5 in edges
         assert all(e <= 1.0 for e in edges)
+
+    @pytest.mark.parametrize("scale", [-1.0, -math.inf, math.nan])
+    def test_rejects_negative_or_nan_scale(self, scale):
+        with pytest.raises(DomainError):
+            oscillatory_edges(j0_zeros, scale, 1.0)
+
+
+def _largest_accepted(layout, lo, hi):
+    """The largest double in [lo, hi) whose ``layout`` is accepted, by
+    bisection over the doubles, given that lo is accepted and hi refused."""
+    while math.nextafter(lo, hi) < hi:
+        mid = max(0.5 * (lo + hi), math.nextafter(lo, hi))
+        try:
+            layout(mid)
+        except WorkLimitError:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+@pytest.mark.parametrize("kernel", ["j0", "cos"])
+def test_largest_accepted_scale_spends_max_panels_exactly(kernel):
+    # the J0 layout of the hankel route and the cosine layout of fourier2d's
+    # x table: the last accepted scale uses the whole budget, and the next
+    # double up is refused
+    if kernel == "j0":
+        def layout(lam):
+            return len(_s_star_panels(lam)[0]) - 1
+    else:
+        def layout(lam):
+            return _x_table(lam)[2].size
+    lam = _largest_accepted(layout, 200.0, 400.0)
+    assert layout(lam) == MAX_PANELS
+    with pytest.raises(WorkLimitError):
+        layout(math.nextafter(lam, math.inf))
+
+
+def test_refusal_forms_no_bessel_zero(monkeypatch):
+    # lambda = 3000 needs about 7,640 zeros: refused before one is filled
+    monkeypatch.setattr(bessel, "_zero_cache", [])
+    with pytest.raises(WorkLimitError):
+        hankel_s_star(3000.0)
+    assert bessel._zero_cache == []
+
+
+def test_route_looks_j0_zeros_up_in_bessel(monkeypatch):
+    # a tracer wraps bessel.j0_zeros; the route must call that binding
+    calls = []
+    original = bessel.j0_zeros
+
+    def spy(k_max):
+        calls.append(k_max)
+        return original(k_max)
+
+    monkeypatch.setattr(bessel, "j0_zeros", spy)
+    hankel_s_star(10.0)
+    assert len(calls) == 1
 
 
 def test_s_star_at_zero_is_minus_ln2():
@@ -293,10 +358,10 @@ def test_s_star_domain_and_budget():
         hankel_s_star(-1.0)
     with pytest.raises(DomainError):
         hankel_s_star(math.nan)
-    with pytest.raises(WorkLimitError,
-                       match="765 panels exceed max_panels = 600"):
+    with pytest.raises(WorkLimitError, match="lambda = 300 puts about "
+                       "764 kernel zeros below 8; max_panels = 600"):
         hankel_s_star(300.0)
-    with pytest.raises(WorkLimitError, match="Bessel zeros"):
+    with pytest.raises(WorkLimitError, match="1.27e\\+04 kernel zeros"):
         hankel_s_star(5000.0)
 
 
@@ -306,6 +371,7 @@ def test_s_star_refuses_huge_lambda(lam):
     # math.ceil, and written in three digits
     with pytest.raises(WorkLimitError) as info:
         hankel_s_star(lam)
-    assert "Bessel zeros, over the 10000 j0_zeros serves" in str(info.value)
+    assert "kernel zeros below 8; max_panels = 600" in str(info.value)
+    assert str(info.value).startswith("lambda = ")
     assert len(str(info.value)) < 100
 
