@@ -2,7 +2,7 @@
 
     S(t) = sum_{n>=1} (-1)^n e^(-t/n) / n.
 
-Five independent evaluation routes (direct summation, Hankel-transform
+Five independent evaluation routes (accelerated summation, Hankel-transform
 quadrature, a 2D Fourier representation, a residue/saddle integral, and
 closed-form asymptotics) cross-validate each other; every route reports an
 honest error estimate and refuses ranges where it cannot deliver one.

@@ -42,13 +42,11 @@ _J0_MODEL_ERR = 1e-15
 
 
 # The quadrature of S*: the integral stops at x = TRUNCATION_X, past which
-# the weight integrates to e^(-TRUNCATION_X^2); every panel takes a
-# PANEL_RULE_ORDER-point Gauss-Legendre rule; and ACCELERATION_DEPTH rounds
-# of averaging the trailing partial sums check the panel tail.
+# the weight integrates to e^(-TRUNCATION_X^2), and every panel takes a
+# PANEL_RULE_ORDER-point Gauss-Legendre rule.
 TRUNCATION_X = 8.0
 PANEL_RULE_ORDER = 24
 MAX_PANELS = 600
-ACCELERATION_DEPTH = 2
 
 
 def _gl_rule(order: int):
@@ -173,16 +171,6 @@ def oscillatory_edges(zeros, scale: float, upper: float,
     return edges
 
 
-def _accelerated_tail(panel_sums: np.ndarray, depth: int) -> float:
-    """Iterated averaging of the trailing partial sums (alternating panels);
-    needs more than ``depth`` panels."""
-    partials = np.cumsum(panel_sums.real)
-    tail = partials[-8:]
-    for _ in range(depth):
-        tail = 0.5 * (tail[1:] + tail[:-1])
-    return float(tail[-1])
-
-
 def _s_star_weight(x: np.ndarray) -> np.ndarray:
     e = np.exp(-x * x)
     return 2.0 * x * e / (1.0 + e)
@@ -210,11 +198,9 @@ def hankel_s_star(lam: float) -> EvalOutcome:
     """
     if not 0.0 <= lam < math.inf:
         raise DomainError(f"need finite lambda >= 0, got {lam}")
-    _, (value, refine, _, panel_sums, work) = _s_star_panels(lam)
+    _, (value, refine, _, _, work) = _s_star_panels(lam)
     trunc = math.exp(-TRUNCATION_X ** 2)
     floor = (_J0_MODEL_ERR + 4.0 * _EPS) * _LN2
-    # the base step of 0.9 cuts [0, TRUNCATION_X] into 9 panels at least
-    accel = _accelerated_tail(panel_sums, ACCELERATION_DEPTH)
-    err = trunc + refine + floor + abs(accel - float(value))
+    err = trunc + refine + floor
     return EvalOutcome(float(value), err, work, "hankel")
 

@@ -13,14 +13,13 @@ from altseries.bessel import bessel_j0, j0_zeros
 from altseries.core import DomainError, ToleranceSpec, WorkLimitError
 from altseries.fourier2d import _x_table
 from altseries.hankel import (
-    ACCELERATION_DEPTH,
     MAX_PANELS,
     TRUNCATION_X,
     hankel_s_star,
     oscillatory_edges,
     panel_quadrature,
 )
-from altseries.hankel import _accelerated_tail, _s_star_panels, _s_star_weight
+from altseries.hankel import _s_star_panels, _s_star_weight
 from altseries.harness import evaluate
 
 import oracle_values as ov
@@ -318,14 +317,6 @@ def test_panel_sums_alternate_in_sign():
     live = sums[np.abs(sums) > 1e-20]
     signs = np.sign(live)
     assert np.all(signs[1:] * signs[:-1] == -1.0)
-
-
-def test_acceleration_agrees_within_estimate():
-    for lam in (6.0, 12.0):
-        out = hankel_s_star(lam)
-        _, (_, _, _, sums, _) = _s_star_panels(lam)
-        accel = _accelerated_tail(sums, ACCELERATION_DEPTH)
-        assert abs(accel - out.value) <= out.error_estimate
 
 
 @pytest.mark.parametrize("lam", [1.0, 5.0, 10.0, 20.0])

@@ -2,11 +2,11 @@
 
 import cmath
 import math
-import tracemalloc
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from altseries.core import (DomainError, ToleranceSpec, WorkLimitError,
@@ -40,19 +40,18 @@ def test_alternating_s_frozen_values(t, expected):
     assert abs(out.value - expected) <= out.error_estimate
 
 
-# (value, error_estimate, work, cancellation), frozen from the summation
-# code as it stood when it still handled general z on the closed disk; the
-# entries at t = 150 and 2500 re-frozen when the terms moved from numpy's
-# exp to math.exp, each within the old entry's error_estimate of its value
+# (value, error_estimate, work, cancellation), frozen from the 22-term
+# Chebyshev acceleration; each value is within 2e-16 of the 40-digit
+# oracle where ``oracle_values.S_T`` holds t
 S_T_OUTCOMES = {
-    0.0: (-0.6931471805599453, 5.472896243237346e-15, 74,
-          6.855170891927952),
-    36.0: (-3.058843266404848e-07, 3.767373656268445e-15, 77,
-           1746563.5523953168),
-    150.0: (3.343484343554248e-14, 1.4722853717206983e-15, 189,
-            8966329050229.436),
-    2500.0: (4.2012834183813297e-19, 2.1264451624409874e-16, 2537,
-             5.337411967835388e+17),
+    0.0: (-0.6931471805599453, 2.6200604623196523e-15, 22,
+          4.82680481270786),
+    36.0: (-3.0588432660900685e-07, 5.985727416712166e-17, 22,
+           118070.49676337185),
+    150.0: (3.3438283104079866e-14, 1.9965756319850833e-17, 22,
+            424456875.5909995),
+    2500.0: (4.835332696801898e-55, 1.9940006789122866e-17, 22,
+             1.1188685335791242),
 }
 
 
@@ -65,11 +64,64 @@ def test_alternating_s_frozen_outcomes(t):
 
 
 def test_cancellation_diagnostic_grows():
+    # sum|w_k a_(k+1)| / |S(t)| grows as S(t) decays, until the terms
+    # themselves underflow
     small = sum_alternating_s(1.0).cancellation
     large = sum_alternating_s(150.0).cancellation
     assert small < 1e3
-    assert large > 1e12
+    assert large > 1e8
+    assert sum_alternating_s(1e8).cancellation == math.inf
     assert isinstance(sum_alternating_s(0.0), AlternatingOutcome)
+
+
+@pytest.mark.parametrize("t", [0.0, 5e-324, 1.0, 144.0, 1e4, 1e8, 1e300,
+                               sys.float_info.max])
+def test_every_t_takes_the_same_terms(t):
+    out = sum_alternating_s(t)
+    assert out.work == series._N == 22
+    assert out.error_estimate >= series._TRUNCATION
+
+
+@pytest.mark.parametrize("t", [1e8, 1e300])
+def test_huge_t_answers_at_the_truncation_bound(t):
+    # every term underflows: S(t) is 0 to within ln 2 / T_22(3)
+    out = sum_alternating_s(t)
+    assert out.value == 0.0
+    assert out.error_estimate == series._TRUNCATION
+    assert 1.99e-17 < out.error_estimate < 2.0e-17
+
+
+def test_a_tight_tolerance_is_met():
+    # at t = 25 the estimate is 1.2e-16: a tolerance of 1e-15 is met,
+    # not refused with WorkLimitError
+    out = evaluate("series", 10.0, ToleranceSpec(1e-15, 0.0))
+    assert out.error_estimate <= 1e-15
+    assert abs(out.value - ov.S_T[25.0]) <= out.error_estimate
+
+
+def _oracle_s(t: float, mpmath):
+    """S(t) at 40 digits: the terms n <= t + 1 summed directly, the
+    monotone alternating tail past them by mpmath.nsum."""
+    t = mpmath.mpf(t)
+    head = int(t) + 1
+    return (mpmath.fsum((-1) ** n * mpmath.exp(-t / n) / n
+                        for n in range(1, head + 1))
+            + mpmath.nsum(lambda n: (-1) ** n * mpmath.exp(-t / n) / n,
+                          [head + 1, mpmath.inf]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.floats(min_value=math.log(1e-8), max_value=math.log(2000.0))
+       .map(math.exp))
+@example(0.0)
+@example(1e-300)
+@example(5e-324)
+def test_estimate_bounds_the_error_against_mpmath(t):
+    mpmath = pytest.importorskip("mpmath")
+    out = sum_alternating_s(t)
+    with mpmath.workdps(40):
+        error = abs(mpmath.mpf(out.value) - _oracle_s(t, mpmath))
+        assert error <= out.error_estimate
 
 
 @pytest.mark.parametrize("t", [math.inf, -math.inf])
@@ -250,8 +302,8 @@ def test_interior_budget_exhaustion(monkeypatch):
 def test_boundary_budget_exhaustion():
     # the series route sums whatever the budget; evaluate refuses the work
     # spent, with the whole outcome as partial
-    tol = ToleranceSpec(max_work=64)
-    with pytest.raises(WorkLimitError, match="exceeds max_work 64") as exc:
+    tol = ToleranceSpec(max_work=21)
+    with pytest.raises(WorkLimitError, match="exceeds max_work 21") as exc:
         evaluate("series", lambda_of_t(50.0), tol, t=50.0)
     assert exc.value.partial == sum_alternating_s(50.0)
 
@@ -269,29 +321,6 @@ def test_boundary_budget_counts_the_terms_spent():
                        match=f"work {out.work} exceeds max_work") as exc:
         evaluate("series", 10.0, tight)
     assert exc.value.partial == out
-
-
-def test_unconverged_euler_tail_is_refused(monkeypatch):
-    # three columns are too few for the transform at t = 25: the sum is
-    # refused, not retried with a larger bulk
-    monkeypatch.setattr(series, "_EULER_COLUMNS", 3)
-    with pytest.raises(WorkLimitError,
-                       match="Euler tail failed to converge") as exc:
-        sum_alternating_s(25.0)
-    assert exc.value.partial is None
-
-
-def test_bulk_holds_one_block_of_terms_at_a_time():
-    # 100,032 bulk terms: a list or array of all of them takes 0.8 MB of
-    # pointers or doubles alone (numpy's temporaries peaked at 3.3 MB)
-    tracemalloc.start()
-    try:
-        out = sum_alternating_s(1e5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.work > 100_000
-    assert peak < 500_000
 
 
 def test_work_is_reported():

@@ -40,8 +40,8 @@ from pathlib import Path
 ROUTES = ("series", "hankel", "fourier2d", "residue", "asym")
 BARE = "python -c pass"
 # each row's eval arguments.  lambda = 10 lies inside all five routes'
-# windows: residue and asym refuse below 8, and past about 24 the series
-# and hankel values sink below their own error estimates.  The last row
+# windows: residue and asym refuse below 8, and past about 24 the hankel
+# value sinks below its own error estimate.  The last row
 # is the default call past auto's switch to residue.
 EVALS = {**{route: ["--lambda", "10.0", "--method", route]
             for route in ROUTES},

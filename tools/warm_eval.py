@@ -1,4 +1,4 @@
-"""Time warm route calls at fixed lambda in one or more checkouts.
+"""Time warm route calls at a fixed lambda or t in one or more checkouts.
 
 Each sample is one fresh process for one row, started in the benchmark's
 environment (``PYTHONDONTWRITEBYTECODE=1`` and one BLAS/OpenMP thread, as
@@ -15,7 +15,9 @@ The rows:
 * one ``cross_validate`` pass over the crossval benchmark's lattice,
   t = lambda^2/4 at lambda = k/4, k = 4..48 (45 points, one call each);
 * ``hankel_s_star`` at lambda in {5, 24} and ``s_star_via_residue`` at
-  lambda in {30, 169.42}.
+  lambda in {30, 169.42};
+* ``sum_alternating_s`` at t in {0, 25, 144, 1e4} (its argument is t,
+  not lambda).
 
 For each row and checkout it reports the quartiles of the per-process
 medians and, for a route, the value and error estimate it returned; for
@@ -47,7 +49,8 @@ CROSSVAL_LAMBDAS = [k / 4.0 for k in range(4, 49)]
 ROWS = (*(f"fourier2d_s_star@{lam:g}" for lam in (1.0, 4.0, 8.0, 12.0)),
         "cross_validate@crossval",
         *(f"hankel_s_star@{lam:g}" for lam in (5.0, 24.0)),
-        *(f"s_star_via_residue@{lam:g}" for lam in (30.0, 169.42)))
+        *(f"s_star_via_residue@{lam:g}" for lam in (30.0, 169.42)),
+        *(f"sum_alternating_s@{t:g}" for t in (0.0, 25.0, 144.0, 1e4)))
 
 # one sample: argv is (calls, row, crossval lambdas as JSON); prints
 # [ms, result]
@@ -65,9 +68,9 @@ if name == "cross_validate":
         return {"checks": len(checks),
                 "failed": sum(not c.passed for c in checks)}
 else:
-    route, lam = getattr(altseries, name), float(arg)
+    route, x = getattr(altseries, name), float(arg)
     def run():
-        r = route(lam)
+        r = route(x)
         return {"value": r.value, "error_estimate": r.error_estimate}
 result = run()
 times = []
@@ -107,7 +110,7 @@ def main(argv=None) -> int:
                                        f"then {first}")
 
     report = {
-        "what": "warm route calls at fixed lambda: the median of `calls` "
+        "what": "warm route calls at a fixed lambda or t: the median of `calls` "
                 "timed calls after one untimed call, in one fresh process "
                 "per row and sample, interleaved across checkouts",
         "env": BENCH_ENV,
