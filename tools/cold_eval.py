@@ -84,8 +84,10 @@ def timed(cmd: list, env: dict) -> tuple:
 
 
 def quartiles(xs: list) -> dict:
+    """Quartiles to 4 significant digits, so a 10 us call keeps its own."""
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return {"q1": round(q1, 2), "median": round(q2, 2), "q3": round(q3, 2)}
+    return {"q1": float(f"{q1:.4g}"), "median": float(f"{q2:.4g}"),
+            "q3": float(f"{q3:.4g}")}
 
 
 def git_rev(checkout: Path):

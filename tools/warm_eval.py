@@ -131,7 +131,7 @@ def main(argv=None) -> int:
                                               for label in labels))
     for row in ROWS:
         print(f"{row:<{width}}" + "".join(
-            f"{report['rows'][row][label]['ms']['median']:>12.2f}"
+            f"{report['rows'][row][label]['ms']['median']:>12.4g}"
             for label in labels))
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
