@@ -1,4 +1,4 @@
-"""Direct evaluation of S(t) = sum_n (-1)^n n^-1 exp(-t/n).
+"""Accelerated summation of S(t) = sum_n (-1)^n n^-1 exp(-t/n).
 
 ``sum_alternating_s`` applies the acceleration of Cohen, Rodriguez
 Villegas & Zagier ("Convergence acceleration of alternating series",
@@ -16,8 +16,9 @@ integral_0^inf e^(-su) J0(2 sqrt(tu)) du = e^(-t/s)/s, with x = e^(-u),
 gives a_(k+1) = integral_0^1 x^k J0(2 sqrt(t ln(1/x))) dx: the terms are
 the moments of a signed measure whose density is bounded by |J0| <= 1.
 For such a measure the paper's error is
-(1/d) integral_0^1 T_N(1-2x)/(1+x) dmu(x), at most ln 2 / T_N(3) =
-1.9940006789122863e-17 (``_TRUNCATION``, that quotient rounded up).
+(1/d) integral_0^1 T_N(1-2x)/(1+x) dmu(x), at most
+ln 2 / T_N(3) = 1.99400067891228630e-17; ``_TRUNCATION`` is that
+quotient rounded up to a double.
 
 The roundoff floor.  With u = eps/2, each product w_k a_m (m = k + 1)
 is formed with relative error at most (5 + t/m) u to first order: u for

@@ -234,7 +234,8 @@ def main() -> int:
             jobs.append((" ".join(args), args, None))
     for args in (["eval", "--t", "2", "--method", "series"],
                  ["eval", "--t", "2.5"],
-                 ["eval", "--lambda", "600", "--method", "asym"]):
+                 ["eval", "--lambda", "600", "--method", "asym"],
+                 ["eval", "--t", "1e300", "--method", "series"]):
         jobs.append((" ".join(args), args, None))
     refusals = [["eval", "--lambda", "nan", "--method", method]
                 for method in EVAL_METHODS]
@@ -242,7 +243,6 @@ def main() -> int:
                  ["eval", "--t", "-1"],
                  ["eval", "--lambda", "1e308", "--method", "hankel"],
                  ["eval", "--lambda", "-1", "--method", "series"],
-                 ["eval", "--t", "1e300", "--method", "series"],
                  ["poles", "--y", "1e200"],
                  ["poles", "--y", "1e154"]]
     refusals += [["eval", "--lambda", "10", "--method", method, "--abs-tol",
