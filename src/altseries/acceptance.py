@@ -235,18 +235,22 @@ def _gaussian_term_complex(m: int, lam: float) -> complex:
     """Quadrature value of the double integral e^(i lam x - m(x^2+y^2))."""
     width = 6.0 / math.sqrt(m)
     step = 0.75 / math.sqrt(m)
-    pos = oscillatory_edges(_cos_zeros, lam, width, step)
-    x_edges = [-e for e in reversed(pos)] + pos[1:]
+
+    def edges(scale):
+        pos = oscillatory_edges(_cos_zeros, scale, width, step)
+        return [-e for e in reversed(pos)] + pos[1:]
 
     def fx(x):
         return np.exp(1j * lam * x - m * x * x)
 
-    ix, _, _, _, _ = panel_quadrature(fx, x_edges, 24)
+    ix, _, _, _, _ = panel_quadrature(fx, edges(lam), 24)
 
     def fy(y):
         return np.exp(-m * y * y)
 
-    iy, _, _, _, _ = panel_quadrature(fy, x_edges, 24)
+    # e^(-m y^2) does not oscillate, so the lambda = 0 layout serves it at
+    # every lambda
+    iy, _, _, _, _ = panel_quadrature(fy, edges(0.0), 24)
     return complex(ix) * float(np.real(iy))
 
 

@@ -20,7 +20,6 @@ must say so rather than pretend convergence.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -49,22 +48,68 @@ PANEL_RULE_ORDER = 24
 MAX_PANELS = 600
 
 
-def _gl_rule(order: int):
-    return np.polynomial.legendre.leggauss(order)
+# The Gauss-Legendre rules the routes use, as numpy's leggauss gives them
+# (Golub-Welsch), written out so that no process loads numpy.polynomial or
+# runs an eigensolve.  Each is exactly symmetric, so only its nodes x >= 0
+# and their weights are written, ascending; an odd rule's middle node 0.0
+# is written once.
+_GL_HALVES = {
+    24: ((0.06405689286260563, 0.1911188674736163, 0.3150426796961634,
+          0.4337935076260451, 0.5454214713888396, 0.6480936519369755,
+          0.7401241915785544, 0.820001985973903, 0.8864155270044011,
+          0.9382745520027328, 0.9747285559713095, 0.9951872199970213),
+         (0.12793819534675202, 0.12583745634682825, 0.1216704729278033,
+          0.11550566805372552, 0.10744427011596556, 0.09761865210411393,
+          0.0861901615319532, 0.07334648141108016, 0.05929858491543636,
+          0.04427743881741941, 0.02853138862893356, 0.01234122979998869)),
+    13: ((0.0, 0.2304583159551348, 0.44849275103644687,
+          0.6423493394403402, 0.8015780907333099, 0.9175983992229779,
+          0.9841830547185881),
+         (0.23255155323087393, 0.22628318026289737, 0.2078160475368885,
+          0.17814598076194552, 0.13887351021978733, 0.0921214998377288,
+          0.04048400476531557)),
+    16: ((0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+          0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+          0.9445750230732326, 0.9894009349916499),
+         (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+          0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+          0.062253523938647456, 0.027152459411754176)),
+    9: ((0.0, 0.3242534234038089, 0.6133714327005904,
+         0.8360311073266358, 0.9681602395076261),
+        (0.33023935500125984, 0.3123470770400029, 0.2606106964029356,
+         0.18064816069485737, 0.08127438836157416)),
+}
 
 
-@lru_cache(maxsize=32)
+def _mirrored(order: int, half_nodes, half_weights):
+    """(nodes, weights) of the ``order``-point rule on [-1, 1], ascending,
+    from its tabulated half."""
+    x, w = np.array(half_nodes), np.array(half_weights)
+    odd = order % 2
+    return (np.concatenate([-x[odd:][::-1], x]),
+            np.concatenate([w[odd:][::-1], w]))
+
+
+_GL_RULES = {order: _mirrored(order, *half)
+             for order, half in _GL_HALVES.items()}
+
+
 def _gl_pair(order: int):
     """Nodes of the ``order`` rule followed by those of the half-order rule
     on [-1, 1], with the weights of each rule."""
-    xs, ws = _gl_rule(order)
-    xh, wh = _gl_rule(order // 2 + 1)
+    (xs, ws), (xh, wh) = _GL_RULES[order], _GL_RULES[order // 2 + 1]
     return np.concatenate([xs, xh]), ws, wh
+
+
+# panel_quadrature's orders: 24 for hankel and fourier2d's inner
+# transform, 16 for fourier2d's outer integral and residue
+_GL_PAIRS = {order: _gl_pair(order) for order in (PANEL_RULE_ORDER, 16)}
 
 
 def panel_quadrature(f, edges, order: int):
     """Composite Gauss-Legendre over fixed panels.
 
+    ``order`` is 24 or 16, the two orders tabulated in ``_GL_PAIRS``.
     Every panel is integrated at ``order`` and at roughly half order; the
     summed |difference| is the refinement error estimate (pessimistic, since
     the full-order rule is far more accurate than the half-order one).
@@ -99,7 +144,7 @@ def _panel_grid(edges: np.ndarray, order: int):
     """(grid, hw): the nodes of every panel of ``edges`` (two or more) as
     one (panels, order + order // 2 + 1) array, full-order nodes first,
     and each panel's half-width."""
-    nodes = _gl_pair(order)[0]
+    nodes = _GL_PAIRS[order][0]
     mid = 0.5 * (edges[:-1] + edges[1:])
     hw = 0.5 * (edges[1:] - edges[:-1])
     return mid[:, None] + hw[:, None] * nodes, hw
@@ -113,7 +158,7 @@ def _reduce_panels(fx: np.ndarray, hw: np.ndarray, order: int):
     are one ``np.sum`` along the panel axis, not exactly rounded, since
     only the 4 eps int|f| roundoff floors read them.
     """
-    _, ws, wh = _gl_pair(order)
+    _, ws, wh = _GL_PAIRS[order]
     n = len(ws)
     # each panel is a C-ordered row, so np.sum runs its pairwise sum per row
     # exactly as it would on that panel alone

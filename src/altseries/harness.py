@@ -113,6 +113,18 @@ def _asymptotic(lam: float) -> EvalOutcome:
                        "asymptotic")
 
 
+def _series(lam: float, t) -> EvalOutcome:
+    """The series route at t, or at t = lambda^2/4 when the caller gave
+    lambda alone.  A finite lambda whose t overflows (past about 2.7e154)
+    is refused by name, not as the infinite t it would pass on."""
+    if t is None:
+        t = t_of_lambda(lam)
+        if t == math.inf and lam < math.inf:
+            raise RangeError(f"lambda = {lam:g} is too large for the series: "
+                             f"lambda^2/4 overflows a double")
+    return _bound("sum_alternating_s")(t)
+
+
 # route -> (evaluation(lam, t), closed lambda window a sweep tabulates it
 # on).  Only series reads t, the S(t) argument lam was formed from when
 # the caller has it: (lam/2)^2 need not round back to t.  No route reads a
@@ -120,9 +132,7 @@ def _asymptotic(lam: float) -> EvalOutcome:
 # route function up in this module when it runs, so rebinding e.g.
 # harness.hankel_s_star is seen.
 ROUTES = {
-    "series": (lambda lam, t: _bound("sum_alternating_s")(
-                   t_of_lambda(lam) if t is None else t),
-               (0.0, math.inf)),
+    "series": (_series, (0.0, math.inf)),
     "hankel": (lambda lam, t: _bound("hankel_s_star")(lam),
                (0.0, HANKEL_SWEEP_WALL)),
     "fourier2d": (lambda lam, t: _bound("fourier2d_s_star")(lam),

@@ -78,9 +78,10 @@ _TRUNCATION = 1.9940006789122866e-17
 class AlternatingOutcome(EvalOutcome):
     """EvalOutcome plus the cancellation diagnostic of the alternating sum.
 
-    ``cancellation`` is sum |w_k a_(k+1)| / |value|, inf where the value is
-    0; eps times this ratio is the relative accuracy floor reachable in
-    doubles.
+    ``cancellation`` is (sum |w_k a_(k+1)| + ``_TRUNCATION``/eps) / |value|,
+    inf where the value is 0; eps times this ratio is the relative accuracy
+    floor that roundoff and the truncation bound leave, so it keeps growing
+    once |S(t)| sinks below that bound.
     """
 
     cancellation: float = 0.0
@@ -101,6 +102,6 @@ def sum_alternating_s(t: float) -> AlternatingOutcome:
     mass = math.fsum(map(abs, terms))
     floor = _EPS * math.fsum(abs(p) * (3.5 + 0.5 * t / m)
                              for m, p in enumerate(terms, 1))
-    cancel = mass / abs(value) if value else math.inf
+    cancel = (mass + _TRUNCATION / _EPS) / abs(value) if value else math.inf
     return AlternatingOutcome(value=value, error_estimate=_TRUNCATION + floor,
                               work=_N, method="series", cancellation=cancel)

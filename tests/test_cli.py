@@ -204,6 +204,14 @@ class TestEval:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err) < 200
 
+    def test_series_names_lambda_when_its_t_overflows(self, capsys):
+        # (1e200)^2/4 overflows, though --t 1e300 (lambda = 2e150) answers
+        code, out, err = run(capsys, "eval", "--lambda", "1e200",
+                             "--method", "series")
+        assert code == 2 and out == ""
+        assert err == ("error: lambda = 1e+200 is too large for the series: "
+                       "lambda^2/4 overflows a double\n")
+
     @pytest.mark.parametrize("t", ["1e20", "1e300",
                                    repr(sys.float_info.max)])
     def test_series_answers_every_finite_t(self, capsys, t):

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from altseries import acceptance
 from altseries.acceptance import _gaussian_term_identity, _radial_transform
 from altseries.core import DomainError, RangeError, ToleranceSpec, WorkLimitError
 from altseries.fourier2d import fourier2d_s_star
 from altseries.fourier2d import _EPS, _cos_zeros, _inner_t_impl, _x_table
 from altseries import fourier2d
 from altseries.harness import cross_validate, evaluate
-from altseries.hankel import (_gl_rule, _panel_grid, hankel_s_star,
+from altseries.hankel import (_GL_RULES, _panel_grid, hankel_s_star,
                               oscillatory_edges, panel_quadrature)
 
 import oracle_values as ov
@@ -338,7 +339,7 @@ def test_gauss_legendre_nodes_exactly_antisymmetric(order):
     # with the symmetric weights, this makes each full-order panel sum of
     # the half line the bits of its mirror panel, so twice the half line
     # is the full line's value exactly
-    xs, ws = _gl_rule(order)
+    xs, ws = _GL_RULES[order]
     assert np.array_equal(xs, -xs[::-1])
     assert np.array_equal(ws, ws[::-1])
 
@@ -428,6 +429,21 @@ def test_gaussian_term_identity(m, lam):
     numeric, closed = _gaussian_term_identity(m, lam)
     assert closed == pytest.approx(ov.gaussian_closed(m, lam), rel=1e-15)
     assert abs(numeric - closed) <= 1e-9
+
+
+def test_gaussian_term_lays_y_out_free_of_lambda(monkeypatch):
+    # the x factor's panels follow cos(lambda x); the plain Gaussian in y
+    # keeps the 16 panels of the lambda = 0 layout
+    panels = []
+
+    def counting(f, edges, order):
+        panels.append(len(edges) - 1)
+        return panel_quadrature(f, edges, order)
+
+    monkeypatch.setattr(acceptance, "panel_quadrature", counting)
+    for lam in (0.0, 3.0, 10.0):
+        acceptance._gaussian_term_complex(1, lam)
+    assert panels == [16, 16, 24, 16, 40, 16]
 
 
 @pytest.mark.parametrize("lam,error", [(math.inf, WorkLimitError),

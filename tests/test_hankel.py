@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altseries import bessel
+from altseries import bessel, hankel
 from altseries.bessel import bessel_j0, j0_zeros
 from altseries.core import DomainError, ToleranceSpec, WorkLimitError
 from altseries.fourier2d import _x_table
@@ -27,6 +27,40 @@ import oracle_values as ov
 LN2 = math.log(2.0)
 
 
+def _leggauss_pair(order):
+    """(nodes, ws, wh) of ``hankel._GL_PAIRS`` built from numpy's rules."""
+    xs, ws = np.polynomial.legendre.leggauss(order)
+    xh, wh = np.polynomial.legendre.leggauss(order // 2 + 1)
+    return np.concatenate([xs, xh]), ws, wh
+
+
+class _AnyOrderPairs(dict):
+    def __missing__(self, order):
+        return _leggauss_pair(order)
+
+
+@pytest.fixture
+def any_order(monkeypatch):
+    """panel_quadrature tabulates only orders 24 and 16; tests of its
+    arithmetic at other orders run on numpy's rules for those."""
+    monkeypatch.setattr(hankel, "_GL_PAIRS", _AnyOrderPairs(hankel._GL_PAIRS))
+
+
+@pytest.mark.parametrize("order", [9, 13, 16, 24])
+def test_tabulated_rules_are_numpys_bit_for_bit(order):
+    for got, ref in zip(hankel._GL_RULES[order],
+                        np.polynomial.legendre.leggauss(order)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("order", [16, 24])
+def test_tabulated_pairs_are_numpys_bit_for_bit(order):
+    for got, ref in zip(hankel._GL_PAIRS[order], _leggauss_pair(order)):
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.usefixtures("any_order")
 class TestPanelQuadrature:
     def test_polynomial_exact(self):
         value, refine, absint, sums, work = panel_quadrature(
@@ -115,6 +149,7 @@ _FUSED_CASES = {
 }
 
 
+@pytest.mark.usefixtures("any_order")
 @pytest.mark.parametrize("order", [8, 12, 16, 24])
 @pytest.mark.parametrize("case", sorted(_FUSED_CASES))
 def test_single_call_matches_two_call_reference_bit_for_bit(case, order):
@@ -137,6 +172,7 @@ _PROPERTY_INTEGRANDS = {
 }
 
 
+@pytest.mark.usefixtures("any_order")
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(start=st.floats(-6.0, 6.0),
        widths=st.lists(st.floats(1e-3, 3.0), max_size=12),
@@ -168,6 +204,7 @@ def test_zero_panels_return_zeros_without_calling_f(kind):
     assert calls == []
 
 
+@pytest.mark.usefixtures("any_order")
 @pytest.mark.parametrize("order", [8, 9, 16, 24, 31])
 @pytest.mark.parametrize("kind", sorted(_PROPERTY_INTEGRANDS))
 def test_one_panel_matches_two_call_reference(kind, order):
@@ -177,6 +214,7 @@ def test_one_panel_matches_two_call_reference(kind, order):
                             _two_call_reference(f, edges, order))
 
 
+@pytest.mark.usefixtures("any_order")
 @pytest.mark.parametrize("order", [8, 13, 16, 24])
 def test_one_integrand_call_per_panel(order):
     seen = []
@@ -319,6 +357,7 @@ def test_panel_sums_alternate_in_sign():
     assert np.all(signs[1:] * signs[:-1] == -1.0)
 
 
+@pytest.mark.usefixtures("any_order")
 @pytest.mark.parametrize("lam", [1.0, 5.0, 10.0, 20.0])
 def test_order_doubling_within_estimate(lam):
     base = hankel_s_star(lam)

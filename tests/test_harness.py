@@ -9,6 +9,7 @@ import pytest
 from altseries.asymptotic import SQRT_HALF_PI, asym_s_star
 from altseries import acceptance, harness
 from altseries.core import DomainError, RangeError, ToleranceSpec, WorkLimitError
+from altseries.series import sum_alternating_s
 from altseries.harness import (
     CANCELLATION_FLAG,
     FOURIER_WALL,
@@ -95,14 +96,30 @@ class TestCrossValidate:
         assert len(report.checks) == 3
 
     def test_large_t_flags(self):
-        # at t = 150 the series keeps its cancellation (4.2e8) below the
-        # flag, while hankel is past its comparison wall
+        # at t = 150 the truncation bound alone is 6e-4 of |S(t)| (ratio
+        # 2.7e12), and hankel is past its comparison wall
         report = cross_validate([150.0])
         assert report.all_passed
         names = [c.name for c in report.checks]
-        assert not any("series-precision-limited" in n for n in names)
+        assert "t=150:series-precision-limited" in names
         assert any("hankel-out-of-range" in n for n in names)
         assert any("residue-vs-asym-scaled" in n for n in names)
+
+    def test_series_below_its_truncation_bound_is_flagged(self):
+        # S(1e4) = 3.5e-110, while the series returns 4.5e-203 +- 2e-17:
+        # no digit is left, and the roundoff ratio alone reads about 1
+        report = cross_validate([1e4])
+        flag = next(c for c in report.checks
+                    if c.name == "t=10000:series-precision-limited")
+        assert flag.measured > 1e200
+        assert flag.threshold == CANCELLATION_FLAG
+
+    def test_crossval_lattice_is_not_flagged(self):
+        # the benchmark's crossval lambdas k/4, 1 <= lambda <= 12, stay far
+        # below the flag (peak ratio 3.4e6)
+        peak = max(sum_alternating_s((k / 8.0) ** 2).cancellation
+                   for k in range(4, 49))
+        assert 1e6 < peak < 1e7
 
     def test_flag_thresholds_recorded(self, monkeypatch):
         # a series outcome whose cancellation reaches the flag, as near a

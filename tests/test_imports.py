@@ -62,6 +62,17 @@ def test_series_eval_loads_no_other_route():
     assert loaded & ROUTE_MODULES == {"altseries.series"}
 
 
+@pytest.mark.parametrize("method", ["hankel", "fourier2d", "residue"])
+def test_quadrature_eval_loads_no_numpy_polynomial(method):
+    # hankel's Gauss-Legendre rules are literal tables, not leggauss calls
+    loaded = _loaded_after(
+        "from altseries.cli import main\n"
+        f"assert main(['eval', '--lambda', '10', '--method', '{method}', "
+        "'--json']) == 0")
+    assert "numpy" in loaded
+    assert "numpy.polynomial" not in loaded
+
+
 @pytest.mark.parametrize("method", ["series", "hankel", "fourier2d",
                                     "residue", "asym", "auto"])
 def test_eval_leaves_the_acceptance_checklist_unloaded(method):

@@ -45,13 +45,13 @@ def test_alternating_s_frozen_values(t, expected):
 # oracle where ``oracle_values.S_T`` holds t
 S_T_OUTCOMES = {
     0.0: (-0.6931471805599453, 2.6200604623196523e-15, 22,
-          4.82680481270786),
+          4.956361434539192),
     36.0: (-3.0588432660900685e-07, 5.985727416712166e-17, 22,
-           118070.49676337185),
+           411651.43352070707),
     150.0: (3.3438283104079866e-14, 1.9965756319850833e-17, 22,
-            424456875.5909995),
+            2686023082431.28),
     2500.0: (4.835332696801898e-55, 1.9940006789122866e-17, 22,
-             1.1188685335791242),
+             1.8572001716583857e+53),
 }
 
 
@@ -64,8 +64,8 @@ def test_alternating_s_frozen_outcomes(t):
 
 
 def test_cancellation_diagnostic_grows():
-    # sum|w_k a_(k+1)| / |S(t)| grows as S(t) decays, until the terms
-    # themselves underflow
+    # (sum|w_k a_(k+1)| + truncation/eps) / |S(t)| grows as S(t) decays,
+    # also once the terms themselves underflow, until S(t) does
     small = sum_alternating_s(1.0).cancellation
     large = sum_alternating_s(150.0).cancellation
     assert small < 1e3

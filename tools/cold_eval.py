@@ -12,11 +12,12 @@ alternates between rounds, so a drift in the machine's speed falls on all
 of them alike.  A bare ``python -c pass`` row gives the interpreter's own
 start-up.
 
-For each route and checkout it reports the median wall time and its
-quartiles, the median CPU time of the child (user + system, from
-``os.wait4``), the value and error estimate printed, and the modules the
-process loaded (those of altseries and whether numpy was among them, from
-one more process that lists ``sys.modules`` after the same call).
+For each route and checkout it reports the quartiles of the wall time,
+of the child's CPU time (user + system) and of its peak RSS in MB
+(``ru_maxrss``, as the benchmark reads it), both from ``os.wait4``, the
+value and error estimate printed, and the modules the process loaded
+(those of altseries and whether numpy was among them, from one more
+process that lists ``sys.modules`` after the same call).
 
 Usage, from any directory:
 
@@ -69,7 +70,8 @@ def eval_argv(row: str) -> list:
 
 
 def timed(cmd: list, env: dict) -> tuple:
-    """(wall s, child CPU s, output) of one process, which must exit 0."""
+    """(wall s, child CPU s, child peak RSS MB, output) of one process,
+    which must exit 0."""
     start = time.perf_counter()
     proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.STDOUT)
@@ -80,7 +82,8 @@ def timed(cmd: list, env: dict) -> tuple:
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} failed:\n{out.decode()}")
-    return wall, usage.ru_utime + usage.ru_stime, out.decode()
+    return (wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0,
+            out.decode())
 
 
 def quartiles(xs: list) -> dict:
@@ -141,6 +144,7 @@ def main(argv=None) -> int:
     rows = (BARE, *EVALS)
     walls = {(r, c): [] for r in rows for c in checkouts}
     cpus = {(r, c): [] for r in rows for c in checkouts}
+    rss = {(r, c): [] for r in rows for c in checkouts}
     printed = {}
     labels = list(checkouts)
     for i in range(args.runs):
@@ -150,9 +154,10 @@ def main(argv=None) -> int:
                 cmd = ([sys.executable, "-c", "pass"] if row == BARE else
                        [sys.executable, "-m", "altseries.cli",
                         *eval_argv(row)])
-                wall, cpu, out = timed(cmd, env)
+                wall, cpu, peak, out = timed(cmd, env)
                 walls[row, label].append(1e3 * wall)
                 cpus[row, label].append(1e3 * cpu)
+                rss[row, label].append(peak)
                 if row != BARE:
                     printed.setdefault((row, label), json.loads(out))
 
@@ -171,7 +176,8 @@ def main(argv=None) -> int:
         report["rows"][row] = {}
         for label, path in checkouts.items():
             entry = {"wall_ms": quartiles(walls[row, label]),
-                     "cpu_ms": quartiles(cpus[row, label])}
+                     "cpu_ms": quartiles(cpus[row, label]),
+                     "peak_rss_mb": quartiles(rss[row, label])}
             if row != BARE:
                 result, = printed[row, label]["methods"].values()
                 entry["value"] = result["value"]
@@ -184,13 +190,15 @@ def main(argv=None) -> int:
             report["rows"][row][label] = entry
 
     width = max(map(len, rows))
-    print(f"{'median ms':<{width}}" + "".join(
-        f"{label + ' wall / cpu':>26}" for label in labels))
+    print(f"{'median':<{width}}" + "".join(
+        f"{label + ' wall ms / cpu ms / rss MB':>38}" for label in labels))
     for row in rows:
         entries = report["rows"][row]
         print(f"{row:<{width}}" + "".join(
-            f"{entries[label]['wall_ms']['median']:>17.1f} / "
-            f"{entries[label]['cpu_ms']['median']:>6.1f}" for label in labels))
+            f"{entries[label]['wall_ms']['median']:>20.1f} / "
+            f"{entries[label]['cpu_ms']['median']:>6.1f} / "
+            f"{entries[label]['peak_rss_mb']['median']:>6.2f}"
+            for label in labels))
         for label in labels:
             if "modules" in entries[label]:
                 print(f"    {label} loads: " + " ".join(

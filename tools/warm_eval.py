@@ -2,8 +2,8 @@
 
 Each sample is one fresh process for one row, started in the benchmark's
 environment (``PYTHONDONTWRITEBYTECODE=1`` and one BLAS/OpenMP thread, as
-in ``cold_eval.py``).  It makes one untimed call, so imports, the J0 zero
-table and numpy's rule caches are filled, then CALLS = 15 timed calls,
+in ``cold_eval.py``).  It makes one untimed call, so imports and the J0
+zero table are filled, then CALLS = 15 timed calls,
 and reports their median in milliseconds.  The processes are interleaved:
 every round runs each row once in each checkout, back to back, and the
 checkout that goes first alternates between rounds, so a drift in the
