@@ -2,7 +2,7 @@
 
 Tabulates e^(lambda sqrt(pi/2)) S*(lambda) on lambda in [5, 25] two ways:
 from the numeric routes (hankel quadrature, switching to the residue sum
-past lambda = 25) and from the closed-form asymptotic term.  The two
+past ``core.AUTO_SWITCH``) and from the closed-form asymptotic term.  The two
 oscillating curves land on top of each other, which is the whole point:
 the asymptotic law captures both the envelope and the phase.
 

@@ -17,13 +17,14 @@ Run:  python3 demos/precision_wall.py
 
 import math
 
-from altseries.core import RangeError
+from altseries.core import WINDOWS, RangeError
 from altseries.hankel import hankel_s_star
-from altseries.residue import RESIDUE_MIN_LAMBDA, s_star_via_residue
+from altseries.residue import s_star_via_residue
 from altseries.series import sum_alternating_s
 
 
 def main():
+    residue_lo = WINDOWS["residue"].lo
     print(f"{'t':>6} {'lambda':>7}  {'series est/val':>14}  "
           f"{'hankel est/val':>14}  {'residue scaled':>15}")
     for t in (1.0, 9.0, 25.0, 56.25, 100.0, 225.0):
@@ -37,10 +38,10 @@ def main():
         except RangeError:
             h_cell = f"{'out of range':>14}"
 
-        if lam >= RESIDUE_MIN_LAMBDA:
+        if lam >= residue_lo:
             r_cell = f"{s_star_via_residue(lam).scaled_value:15.8f}"
         else:
-            r_cell = f"{f'(needs lam>={RESIDUE_MIN_LAMBDA:g})':>15}"
+            r_cell = f"{f'(needs lam>={residue_lo:g})':>15}"
 
         print(f"{t:6.1f} {lam:7.2f}  {s_ratio:14.2e}  {h_cell}  {r_cell}")
 

@@ -11,6 +11,7 @@ fields of ``ToleranceSpec`` as ``--abs-tol``, ``--rel-tol`` and
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import harness
@@ -82,7 +83,8 @@ def _cmd_eval(args) -> int:
     else:
         t = t_of_lambda(lam) if args.t is None else args.t
         print(f"lambda          {row.lam!r}")
-        print(f"t               {t!r}")
+        if math.isfinite(t):  # lambda^2/4 overflows past lambda ~ 2.7e154
+            print(f"t               {t!r}")
         print(f"method          {out.method}")
         print(f"value           {out.value!r}")
         print(f"error_estimate  {out.error_estimate!r}")

@@ -1,12 +1,14 @@
-"""Shared value types, error hierarchy, and the t <-> lambda change of variables.
+"""Shared value types, error hierarchy, route windows and the t <-> lambda map.
 
 Every evaluation route in this package returns an :class:`EvalOutcome` so that
-callers can compare values *and* error estimates across methods uniformly.
+callers can compare values *and* error estimates across methods uniformly, and
+refuses lambda outside its row of ``WINDOWS`` through ``check_window``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 __all__ = [
@@ -15,9 +17,11 @@ __all__ = [
     "WorkLimitError",
     "ToleranceSpec",
     "EvalOutcome",
+    "Window",
+    "WINDOWS",
+    "AUTO_SWITCH",
     "METHOD_NAMES",
-    "RESIDUE_MIN_LAMBDA",
-    "LAMBDA_WALL",
+    "check_window",
     "lambda_of_t",
     "t_of_lambda",
 ]
@@ -43,15 +47,39 @@ class WorkLimitError(RuntimeError):
         self.partial = partial
 
 
-METHOD_NAMES = ("series", "hankel", "fourier2d", "residue", "asymptotic")
+# The one table of route windows.  A row holds a route's closed lambda
+# windows, all from lo: the route answers up to hi and refuses the rest
+# (check_window), sweep_data tabulates it up to sweep_hi and cross_validate
+# compares it up to compare_hi.  Below 8 the residue route's neglected-term
+# bound, and the asymptotic route's error envelope, no longer cover the
+# error; above 12 fourier2d's nested quadrature no longer resolves S*.
+# Hankel's floor ~1.3e-15 crosses |S*| ~ e^(-1.2533 lambda) near lambda = 27:
+# sweeps show its estimate swallow the value by 28, and past 24 it is too
+# noisy to judge the others by.  Residue is compared up to 2.5e5, the edge
+# of its audits, short of its saddle panel budget (WorkLimitError).
+Window = namedtuple("Window", "lo hi sweep_hi compare_hi")
+WINDOWS = {
+    "series": Window(0.0, math.inf, math.inf, math.inf),
+    "hankel": Window(0.0, math.inf, 28.0, 24.0),
+    "fourier2d": Window(0.0, 12.0, 12.0, 12.0),
+    "residue": Window(8.0, math.inf, math.inf, 2.5e5),
+    "asymptotic": Window(8.0, math.inf, math.inf, math.inf),
+}
+# 'auto' runs hankel up to here and residue beyond, short of that crossing
+AUTO_SWITCH = 25.0
+METHOD_NAMES = tuple(WINDOWS)
 
-# The route windows, kept here so that the harness can choose a route
-# without importing it.  Below RESIDUE_MIN_LAMBDA the residue route's
-# neglected-term bound, and the asymptotic route's error envelope, no
-# longer cover the error; above LAMBDA_WALL the nested quadrature of the
-# fourier2d route no longer resolves S*.
-RESIDUE_MIN_LAMBDA = 8.0
-LAMBDA_WALL = 12.0
+
+def check_window(route: str, lam: float) -> None:
+    """Refuse a lambda outside the route's window with RangeError; lambda
+    <= 0 and NaN pass, for the route's own DomainError."""
+    lo, hi = WINDOWS[route].lo, WINDOWS[route].hi
+    if 0.0 < lam < lo:
+        raise RangeError(f"lambda = {lam} is below the {route} route's "
+                         f"window lambda >= {lo:g}")
+    if lam > hi:
+        raise RangeError(f"lambda = {lam} is above the {route} route's "
+                         f"window lambda <= {hi:g}")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ outer rule asks for T at the 25 y nodes of one panel; those transforms run
 as one (rows, panels, 37) array expression that takes one exp per y row,
 none per node, and are reduced by the panel kernel ``panel_quadrature``
 uses.  Two nested quadratures stack their error floors, so this route is a
-cross-check for lambda <= 12, not a production path.
+cross-check in its window of ``core.WINDOWS``, not a production path.
 """
 
 from __future__ import annotations
@@ -26,14 +26,11 @@ import numpy as np
 # not called here; the name stays bound because perfbench/tracer.py
 # wraps fourier2d.j0_zeros
 from .bessel import j0_zeros  # noqa: F401
-from .core import LAMBDA_WALL, DomainError, EvalOutcome, RangeError
+from .core import DomainError, EvalOutcome, check_window
 from .hankel import (_panel_grid, _reduce_panels, oscillatory_edges,
                      panel_quadrature)
 
-__all__ = [
-    "LAMBDA_WALL",
-    "fourier2d_s_star",
-]
+__all__ = ["fourier2d_s_star"]
 
 _EPS = float(np.finfo(float).eps)
 # half-widths of the x and y integration boxes; the integrand is below
@@ -82,17 +79,14 @@ def _inner_t_impl(y2: np.ndarray, table):
 
 
 def fourier2d_s_star(lam: float) -> EvalOutcome:
-    """S*(lambda) through the 2D Fourier representation, 0 <= lambda <= 12.
+    """S*(lambda) through the 2D Fourier representation, in its window.
 
-    Above 12 the stacked quadrature floors (~1e-13 absolute each) drown the
+    Above it the stacked quadrature floors (~1e-13 absolute each) drown the
     signal, so the route refuses rather than returning noise.
     """
     if not lam >= 0 or math.isnan(lam):
         raise DomainError(f"need lambda >= 0, got {lam}")
-    if lam > LAMBDA_WALL:
-        raise RangeError(
-            f"the nested 2D route resolves S* only for lambda <= "
-            f"{LAMBDA_WALL:g}; use hankel or residue beyond that")
+    check_window("fourier2d", lam)
 
     y_up = _Y_TRUNCATION
     table = _x_table(lam)

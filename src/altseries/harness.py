@@ -1,9 +1,10 @@
 """Cross-validation, figure reproduction, sweeps, and serialization.
 
 This module owns the policy layer: which route counts as numeric truth at a
-given lambda (hankel up to 25, residue beyond), how method pairs are judged
-against each other's error estimates, and the result types the acceptance
-checklist (``acceptance``, imported only by ``verify``) reports in.
+given lambda (hankel up to ``core.AUTO_SWITCH``, residue beyond), how method
+pairs are judged against each other's error estimates, and the result types
+the acceptance checklist (``acceptance``, imported only by ``verify``)
+reports in.
 
 All file output is deterministic: floats are rendered with repr() (shortest
 string that round-trips, never more than 17 significant digits), rows are
@@ -20,13 +21,14 @@ from dataclasses import dataclass
 
 from .asymptotic import SQRT_HALF_PI, asym_s_star, error_envelope
 from .core import (
-    LAMBDA_WALL,
-    RESIDUE_MIN_LAMBDA,
+    AUTO_SWITCH,
+    WINDOWS,
     DomainError,
     EvalOutcome,
     RangeError,
     ToleranceSpec,
     WorkLimitError,
+    check_window,
     lambda_of_t,
     t_of_lambda,
 )
@@ -78,17 +80,9 @@ __all__ = [
     "write_svg",
 ]
 
-# hankel's absolute floor ~1.3e-15 crosses |S*| ~ e^(-1.2533 lambda) near
-# lambda = 27; the switch happens a bit earlier where both routes are still
-# comfortable.
-HANKEL_RESIDUE_SWITCH = 25.0
-# beyond this lambda the hankel value is mostly floor noise in relative
-# terms, so cross-validation refuses to treat it as a comparison partner
-HANKEL_COMPARE_WALL = 24.0
-# sweeps tabulate hankel a little past that wall, where its error estimate
-# is seen to swallow the value
-HANKEL_SWEEP_WALL = 28.0
-FOURIER_WALL = LAMBDA_WALL
+# two edges of core.WINDOWS under the names perfbench/worker.py reads
+HANKEL_COMPARE_WALL = WINDOWS["hankel"].compare_hi
+FOURIER_WALL = WINDOWS["fourier2d"].hi
 CANCELLATION_FLAG = 1e12
 # two routes agree when they differ by at most their summed error estimates,
 # or by this much, whichever is larger
@@ -99,15 +93,12 @@ MAX_GRID_POINTS = 10_000
 
 
 def _asymptotic(lam: float) -> EvalOutcome:
-    """The closed-form law as a route.  Below RESIDUE_MIN_LAMBDA its error
-    envelope no longer bounds the error (|error|/estimate peaks at 1.64
-    near lambda = 0.8), so it is refused there like the residue route;
-    lambda <= 0 and NaN go on to asym_s_star's DomainError.  The estimate
-    is floored at the smallest subnormal, where the envelope underflows."""
-    if 0.0 < lam < RESIDUE_MIN_LAMBDA:
-        raise RangeError(
-            f"lambda = {lam} is below the asymptotic route's window "
-            f"lambda >= {RESIDUE_MIN_LAMBDA:g}")
+    """The closed-form law as a route.  Below its window the error envelope
+    no longer bounds the error (|error|/estimate peaks at 1.64 near lambda
+    = 0.8), so it is refused there; lambda <= 0 and NaN go on to
+    asym_s_star's DomainError.  The estimate is floored at the smallest
+    subnormal, where the envelope underflows."""
+    check_window("asymptotic", lam)
     return EvalOutcome(asym_s_star(lam).value,
                        max(error_envelope(lam), math.ulp(0.0)), 1,
                        "asymptotic")
@@ -125,27 +116,19 @@ def _series(lam: float, t) -> EvalOutcome:
     return _bound("sum_alternating_s")(t)
 
 
-# route -> (evaluation(lam, t), closed lambda window a sweep tabulates it
-# on).  Only series reads t, the S(t) argument lam was formed from when
-# the caller has it: (lam/2)^2 need not round back to t.  No route reads a
+# route -> evaluation(lam, t); core.WINDOWS says where each one runs.
+# Only series reads t, the S(t) argument lam was formed from when the
+# caller has it: (lam/2)^2 need not round back to t.  No route reads a
 # tolerance; evaluate judges every outcome.  Each evaluation looks its
 # route function up in this module when it runs, so rebinding e.g.
 # harness.hankel_s_star is seen.
 ROUTES = {
-    "series": (_series, (0.0, math.inf)),
-    "hankel": (lambda lam, t: _bound("hankel_s_star")(lam),
-               (0.0, HANKEL_SWEEP_WALL)),
-    "fourier2d": (lambda lam, t: _bound("fourier2d_s_star")(lam),
-                  (0.0, FOURIER_WALL)),
-    "residue": (lambda lam, t: _bound("s_star_via_residue")(lam),
-                (RESIDUE_MIN_LAMBDA, math.inf)),
-    "asymptotic": (lambda lam, t: _asymptotic(lam),
-                   (RESIDUE_MIN_LAMBDA, math.inf)),
+    "series": _series,
+    "hankel": lambda lam, t: _bound("hankel_s_star")(lam),
+    "fourier2d": lambda lam, t: _bound("fourier2d_s_star")(lam),
+    "residue": lambda lam, t: _bound("s_star_via_residue")(lam),
+    "asymptotic": lambda lam, t: _asymptotic(lam),
 }
-# cross_validate compares hankel on a narrower window, which stops where it
-# is too noisy to judge the others by
-_COMPARE_WINDOWS = {name: window for name, (_, window) in ROUTES.items()}
-_COMPARE_WINDOWS["hankel"] = (0.0, HANKEL_COMPARE_WALL)
 
 
 @dataclass(frozen=True)
@@ -188,16 +171,12 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
-def _auto_route(lam: float) -> str:
-    return "hankel" if lam <= HANKEL_RESIDUE_SWITCH else "residue"
-
-
 def resolve_route(method: str, lam: float) -> str:
     """The ``ROUTES`` key that ``evaluate(method, lam)`` runs: 'auto' picks
-    the figure convention (hankel up to lambda = 25, residue beyond) and
-    'asym' is the asymptotic route."""
+    the figure convention (hankel up to ``core.AUTO_SWITCH``, residue
+    beyond) and 'asym' is the asymptotic route."""
     if method == "auto":
-        return _auto_route(lam)
+        return "hankel" if lam <= AUTO_SWITCH else "residue"
     if method == "asym":
         return "asymptotic"
     if method not in ROUTES:
@@ -214,7 +193,7 @@ def evaluate(method: str, lam: float, tol: ToleranceSpec | None = None,
     one place a ``ToleranceSpec`` is read; no route function sees it.
     A ``t`` with lam = lambda_of_t(t) is the point S(t) the series route
     sums at; the other routes take lam."""
-    out = ROUTES[resolve_route(method, lam)][0](lam, t)
+    out = ROUTES[resolve_route(method, lam)](lam, t)
     if tol is None:
         return out
     if not tol.met_by(out.error_estimate, out.value):
@@ -265,11 +244,11 @@ def _pair_check(t: float, name_a: str, out_a: EvalOutcome,
 
 
 def cross_validate(points) -> VerifyReport:
-    """Pairwise agreement of every method that admits each t.
+    """Pairwise agreement of every method whose compare window in
+    ``core.WINDOWS`` holds each t's lambda; hankel past its own is marked.
 
-    Out-of-range methods are skipped with a marker entry instead of being
-    forced; a cancellation-dominated series result is compared like any
-    other (its inflated error estimate is the point), but flagged.
+    A cancellation-dominated series result is compared like any other (its
+    inflated error estimate is the point), but flagged.
     """
     points = list(points)
     # the whole input is checked before any point runs
@@ -282,7 +261,7 @@ def cross_validate(points) -> VerifyReport:
         # the series sums at t itself: lambda^2/4 does not always give t back
         outs: dict[str, EvalOutcome] = {
             name: evaluate(name, lam, t=t)
-            for name, (lo, hi) in _COMPARE_WINDOWS.items() if lo <= lam <= hi}
+            for name, w in WINDOWS.items() if w.lo <= lam <= w.compare_hi}
         series_out = outs["series"]
         if series_out.cancellation >= CANCELLATION_FLAG:
             checks.append(VerifyCheck(
@@ -291,12 +270,12 @@ def cross_validate(points) -> VerifyReport:
                 measured=series_out.cancellation,
                 threshold=CANCELLATION_FLAG,
                 note="series runs but its cancellation diagnostic dominates"))
-        if lam > HANKEL_COMPARE_WALL:
+        if "hankel" not in outs:
             checks.append(VerifyCheck(
                 name=f"t={t:g}:hankel-out-of-range",
                 passed=True,
                 measured=lam,
-                threshold=HANKEL_COMPARE_WALL,
+                threshold=WINDOWS["hankel"].compare_hi,
                 note="hankel floor exceeds |S*| here; method skipped"))
 
         names = sorted(outs)
@@ -359,8 +338,8 @@ def sweep_data(lambda_min: float, lambda_max: float, n: int) -> SweepTable:
     rows = []
     for lam in _lambda_grid(lambda_min, lambda_max, n):
         outs = {name: evaluate(name, lam)
-                for name, (_, (lo, hi)) in ROUTES.items() if lo <= lam <= hi}
-        rows.append(sweep_row(lam, outs, outs[_auto_route(lam)]))
+                for name, w in WINDOWS.items() if w.lo <= lam <= w.sweep_hi}
+        rows.append(sweep_row(lam, outs, outs[resolve_route("auto", lam)]))
     return SweepTable(rows=rows)
 
 

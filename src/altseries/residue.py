@@ -28,13 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotic import SQRT_HALF_PI
-from .core import (RESIDUE_MIN_LAMBDA, DomainError, EvalOutcome, RangeError,
-                   WorkLimitError)
+from .core import DomainError, EvalOutcome, WorkLimitError, check_window
 from .poles import STRIP_A1, STRIP_A2, STRIP_B
 
 __all__ = [
     "KAPPA",
-    "RESIDUE_MIN_LAMBDA",
     "ResidueResult",
     "s_star_via_residue",
     "calibrated_kappa",
@@ -184,18 +182,15 @@ def calibrated_kappa() -> float:
 def s_star_via_residue(lam: float) -> ResidueResult:
     """S*(lambda) ~ -(1/pi) I2, with the neglected terms bounded not summed.
 
-    Serves RESIDUE_MIN_LAMBDA = 8 <= lambda <= ~2.5e5.  Below 8 the
+    Serves its window in ``core.WINDOWS`` up to ~2.56e5.  Below it the
     neglected terms outgrow their fitted bound (at lambda = 0.5 the value
     is off by 1.3 against an estimate of 0.045), so RangeError refuses
-    them; above ~2.5e5 the saddle panels exceed their budget
+    them; above ~2.56e5 the saddle panels exceed their budget
     (WorkLimitError).
     """
     if not 0.0 < lam < math.inf:
         raise DomainError(f"need finite lambda > 0, got {lam}")
-    if lam < RESIDUE_MIN_LAMBDA:
-        raise RangeError(
-            f"lambda = {lam} is below the residue route's window "
-            f"lambda >= {RESIDUE_MIN_LAMBDA:g}")
+    check_window("residue", lam)
     a_plus, a_minus, refine, work = _scaled_saddle(lam)
     scaled = (a_plus + a_minus).real
     kappa = calibrated_kappa()

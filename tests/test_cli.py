@@ -212,6 +212,17 @@ class TestEval:
         assert err == ("error: lambda = 1e+200 is too large for the series: "
                        "lambda^2/4 overflows a double\n")
 
+    def test_no_t_line_where_lambda_squared_overflows(self, capsys):
+        # asym answers at lambda = 1e200, whose t = lambda^2/4 overflows:
+        # the plain output prints no t line rather than "t inf"
+        code, out, err = run(capsys, "eval", "--lambda", "1e200",
+                             "--method", "asym")
+        assert code == 0 and err == ""
+        lines = dict(ln.split(None, 1) for ln in out.strip().split("\n"))
+        assert lines["lambda"] == "1e+200"
+        assert lines["method"] == "asymptotic"
+        assert "t" not in lines
+
     @pytest.mark.parametrize("t", ["1e20", "1e300",
                                    repr(sys.float_info.max)])
     def test_series_answers_every_finite_t(self, capsys, t):

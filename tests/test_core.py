@@ -1,20 +1,75 @@
-"""Tests for the shared value types and the t <-> lambda maps."""
+"""Tests for the shared value types, the route windows and the t <-> lambda
+maps."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from altseries.core import (
+    AUTO_SWITCH,
     METHOD_NAMES,
+    WINDOWS,
     DomainError,
     EvalOutcome,
+    RangeError,
     ToleranceSpec,
     WorkLimitError,
+    check_window,
     lambda_of_t,
     t_of_lambda,
 )
 
 EPS = 2.0 ** -52
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.mark.parametrize("route,lam,side,edge", [
+    ("residue", 7.99, "below", f">= {WINDOWS['residue'].lo:g}"),
+    ("asymptotic", 7.99, "below", f">= {WINDOWS['asymptotic'].lo:g}"),
+    ("fourier2d", 30.0, "above", f"<= {WINDOWS['fourier2d'].hi:g}"),
+])
+def test_check_window_names_the_route_and_its_edge(route, lam, side, edge):
+    with pytest.raises(RangeError) as ei:
+        check_window(route, lam)
+    assert str(ei.value) == (f"lambda = {lam} is {side} the {route} route's "
+                             f"window lambda {edge}")
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+def test_check_window_leaves_the_domain_to_the_route(lam):
+    for route in WINDOWS:
+        check_window(route, lam)
+
+
+def _readme_route_table():
+    """route -> its row's cells in README's "One table of routes"."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### One table of routes", 1)[1].split("\n#", 1)[0]
+    rows = [[c.strip() for c in line.split("|")[1:-1]]
+            for line in section.splitlines() if line.startswith("| `")]
+    return {cells[0].strip("`"): cells[1:] for cells in rows}
+
+
+def _interval(cell):
+    lo, hi = re.fullmatch(r"\[(\S+), (\S+)\]", cell).groups()
+    return float(lo), float(hi)
+
+
+def test_readme_route_table_matches_the_windows():
+    rows = _readme_route_table()
+    assert list(rows) == list(WINDOWS)
+    autos = {}
+    for route, (answers, sweep, compare, auto) in rows.items():
+        w = WINDOWS[route]
+        assert _interval(answers) == (w.lo, w.hi), route
+        assert _interval(sweep) == (w.lo, w.sweep_hi), route
+        assert _interval(compare) == (w.lo, w.compare_hi), route
+        if auto:
+            autos[route] = auto
+    assert autos == {"hankel": f"lambda ≤ {AUTO_SWITCH:g}",
+                     "residue": f"lambda > {AUTO_SWITCH:g}"}
 
 
 def test_lambda_of_t_basics():

@@ -8,15 +8,11 @@ import pytest
 
 from altseries.asymptotic import SQRT_HALF_PI, asym_s_star
 from altseries import acceptance, harness
-from altseries.core import DomainError, RangeError, ToleranceSpec, WorkLimitError
+from altseries.core import (AUTO_SWITCH, WINDOWS, DomainError, RangeError,
+                            ToleranceSpec, WorkLimitError, lambda_of_t)
 from altseries.series import sum_alternating_s
 from altseries.harness import (
     CANCELLATION_FLAG,
-    FOURIER_WALL,
-    HANKEL_COMPARE_WALL,
-    HANKEL_RESIDUE_SWITCH,
-    HANKEL_SWEEP_WALL,
-    RESIDUE_MIN_LAMBDA,
     SweepRow,
     SweepTable,
     VerifyCheck,
@@ -30,9 +26,12 @@ from altseries.harness import (
     write_csv,
     write_svg,
 )
-from altseries.hankel import hankel_s_star
 
 import oracle_values as ov
+
+HANKEL = WINDOWS["hankel"]
+FOURIER_HI = WINDOWS["fourier2d"].hi
+RESIDUE_LO = WINDOWS["residue"].lo
 
 
 def parse_csv(text: str) -> list:
@@ -67,8 +66,8 @@ class TestEvaluate:
         assert abs(out.value - ov.S_STAR[12.0]) <= out.error_estimate
 
     def test_auto_switches_at_the_wall(self):
-        below = evaluate("auto", HANKEL_RESIDUE_SWITCH)
-        above = evaluate("auto", HANKEL_RESIDUE_SWITCH + 0.5)
+        below = evaluate("auto", AUTO_SWITCH)
+        above = evaluate("auto", AUTO_SWITCH + 0.5)
         assert below.method == "hankel"
         assert above.method == "residue"
 
@@ -78,7 +77,7 @@ class TestEvaluate:
 
     def test_fourier_past_wall_raises(self):
         with pytest.raises(RangeError):
-            evaluate("fourier2d", FOURIER_WALL + 1.0)
+            evaluate("fourier2d", FOURIER_HI + 1.0)
 
 
 class TestCrossValidate:
@@ -340,12 +339,26 @@ class TestSvg:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_walls_are_consistent_with_module_behavior():
-    # the harness constants must mirror what the routes actually accept
-    assert HANKEL_COMPARE_WALL < HANKEL_RESIDUE_SWITCH
-    hankel_s_star(HANKEL_COMPARE_WALL)  # inside the window: must not raise
-    with pytest.raises(RangeError):
-        evaluate("fourier2d", FOURIER_WALL + 0.01)
+@pytest.mark.parametrize("route", list(WINDOWS))
+def test_walls_are_consistent_with_module_behavior(route):
+    # the table must mirror what the routes actually accept: every finite
+    # edge above 0 answers, and the next double outside the window where
+    # the route answers is refused
+    w = WINDOWS[route]
+    assert w.lo <= w.compare_hi <= w.sweep_hi <= w.hi
+    for edge in sorted(set(w)):
+        if 0.0 < edge < math.inf:
+            evaluate(route, edge)
+    for edge, outward in ((w.lo, -math.inf), (w.hi, math.inf)):
+        if 0.0 < edge < math.inf:
+            with pytest.raises(RangeError):
+                evaluate(route, math.nextafter(edge, outward))
+
+
+def test_auto_switches_where_both_routes_run():
+    # hankel is no longer compared there, but is still tabulated
+    assert HANKEL.compare_hi < AUTO_SWITCH <= HANKEL.sweep_hi
+    assert RESIDUE_LO < AUTO_SWITCH
 
 
 def _compared_routes(report):
@@ -359,21 +372,32 @@ def _compared_routes(report):
 
 
 @pytest.mark.parametrize("lam,expected", [
-    (HANKEL_COMPARE_WALL, {"series", "hankel", "residue", "asymptotic"}),
-    (HANKEL_COMPARE_WALL + 0.01, {"series", "residue", "asymptotic"}),
-    (FOURIER_WALL, {"series", "hankel", "fourier2d", "residue", "asymptotic"}),
-    (FOURIER_WALL + 0.01, {"series", "hankel", "residue", "asymptotic"}),
-    (RESIDUE_MIN_LAMBDA - 0.01, {"series", "hankel", "fourier2d"}),
-    (RESIDUE_MIN_LAMBDA, {"series", "hankel", "fourier2d", "residue",
-                          "asymptotic"}),
+    (HANKEL.compare_hi, {"series", "hankel", "residue", "asymptotic"}),
+    (HANKEL.compare_hi + 0.01, {"series", "residue", "asymptotic"}),
+    (FOURIER_HI, {"series", "hankel", "fourier2d", "residue", "asymptotic"}),
+    (FOURIER_HI + 0.01, {"series", "hankel", "residue", "asymptotic"}),
+    (RESIDUE_LO - 0.01, {"series", "hankel", "fourier2d"}),
+    (RESIDUE_LO, {"series", "hankel", "fourier2d", "residue",
+                  "asymptotic"}),
 ])
 def test_cross_validate_window_edges(lam, expected):
     assert _compared_routes(cross_validate([lam * lam / 4.0])) == expected
 
 
+def test_cross_validate_skips_residue_past_its_compare_window():
+    # lambda = 2.83e5 lies past residue's saddle panel budget, which its
+    # compare window stops short of: the route refuses, the report goes on
+    with pytest.raises(WorkLimitError):
+        evaluate("residue", lambda_of_t(2e10))
+    report = cross_validate([2e10])
+    assert not any("residue" in c.name for c in report.checks)
+    pairs = {c.name: c.passed for c in report.checks if "-vs-" in c.name}
+    assert pairs == {"t=2e+10:asymptotic-vs-series": True}
+
+
 @pytest.mark.parametrize("lam,route", [
-    (HANKEL_RESIDUE_SWITCH, "hankel"),
-    (HANKEL_RESIDUE_SWITCH + 0.01, "residue"),
+    (AUTO_SWITCH, "hankel"),
+    (AUTO_SWITCH + 0.01, "residue"),
 ])
 def test_auto_and_figure_window_edges(lam, route):
     assert evaluate("auto", lam).method == route
@@ -381,7 +405,7 @@ def test_auto_and_figure_window_edges(lam, route):
 
 
 def test_sweep_window_edges():
-    below, above = sweep_data(HANKEL_SWEEP_WALL, HANKEL_SWEEP_WALL + 0.01,
+    below, above = sweep_data(HANKEL.sweep_hi, HANKEL.sweep_hi + 0.01,
                               2).rows
     assert set(below.methods) == {"series", "hankel", "residue", "asymptotic"}
     assert set(above.methods) == {"series", "residue", "asymptotic"}

@@ -18,10 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altseries.fourier2d import LAMBDA_WALL, fourier2d_s_star
+from altseries.core import WINDOWS
+from altseries.fourier2d import fourier2d_s_star
 from altseries.hankel import hankel_s_star
-from altseries.harness import HANKEL_COMPARE_WALL, evaluate
-from altseries.residue import RESIDUE_MIN_LAMBDA
+from altseries.harness import evaluate
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -101,12 +101,14 @@ def _audit(route, hi, record_property, lo=0.0):
 
 
 def test_fourier2d_estimate_bounds_the_oracle_error(record_property):
-    ratios = _audit(fourier2d_s_star, LAMBDA_WALL, record_property)
+    ratios = _audit(fourier2d_s_star, WINDOWS["fourier2d"].hi,
+                    record_property)
     assert len(ratios) >= 25
 
 
 def test_hankel_estimate_bounds_the_oracle_error(record_property):
-    ratios = _audit(hankel_s_star, HANKEL_COMPARE_WALL, record_property)
+    ratios = _audit(hankel_s_star, WINDOWS["hankel"].compare_hi,
+                    record_property)
     assert len(ratios) >= 25
 
 
@@ -115,7 +117,7 @@ def test_series_estimate_bounds_the_oracle_error(record_property):
         return evaluate("series", lam)
 
     # hankel's comparison window, inside what the oracle resolves
-    ratios = _audit(series, HANKEL_COMPARE_WALL, record_property)
+    ratios = _audit(series, WINDOWS["hankel"].compare_hi, record_property)
     assert len(ratios) >= 25
 
 
@@ -124,7 +126,8 @@ def test_asym_estimate_bounds_the_oracle_error(record_property):
         return evaluate("asym", lam)
 
     # 40 is as far as the 40-digit oracle resolves S* ~ e^(-1.25 lambda)
-    ratios = _audit(asym, 40.0, record_property, lo=RESIDUE_MIN_LAMBDA)
+    ratios = _audit(asym, 40.0, record_property,
+                    lo=WINDOWS["asymptotic"].lo)
     assert len(ratios) >= 25
 
 
@@ -153,7 +156,7 @@ def test_estimate_bounds_the_error_past_underflow(method, lam):
     assert err <= out.error_estimate
 
 
-# A known miss, pinned: just above RESIDUE_MIN_LAMBDA, residue's estimate
+# A known miss, pinned: just above its window's edge, residue's estimate
 # rests on kappa, fitted against hankel at lambda in {10, 12, 14, 16} and
 # extrapolated below it, and the true error exceeds it by 2.40x, 2.80x and
 # 1.53x at lambda = 8, 8.5 and 9.  Strict, so the run fails as soon as the

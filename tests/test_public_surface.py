@@ -15,6 +15,7 @@ import pytest
 
 import altseries
 from altseries import bessel, harness
+from altseries.core import WINDOWS
 from altseries.residue import ResidueResult
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -56,6 +57,14 @@ def test_worker_reaches_only_existing_names(monkeypatch):
     assert set(worker.route_windows(harness)) >= {"series", "hankel",
                                                   "fourier2d"}
     assert {"unscaled_value", "neglected_bound"} <= set(dir(ResidueResult))
+
+
+def test_worker_window_edges_match_the_table():
+    # perfbench's worker writes the residue and asym lower edges as a
+    # literal 8.0, and reads two more edges under harness's names
+    assert WINDOWS["residue"].lo == WINDOWS["asymptotic"].lo == 8.0
+    assert harness.HANKEL_COMPARE_WALL == WINDOWS["hankel"].compare_hi
+    assert harness.FOURIER_WALL == WINDOWS["fourier2d"].hi
 
 
 def test_tracer_reads_the_j0_cutoff():

@@ -11,13 +11,12 @@ import pytest
 from altseries.acceptance import _saddle_lhs_numeric, _saddle_rhs_closed
 from altseries.asymptotic import FRONT_CONSTANT, SQRT_HALF_PI
 from altseries import bessel, hankel, harness, residue
-from altseries.core import (DomainError, EvalOutcome, RangeError, ToleranceSpec,
-                            WorkLimitError)
+from altseries.core import (WINDOWS, DomainError, EvalOutcome, RangeError,
+                            ToleranceSpec, WorkLimitError)
 from altseries.hankel import hankel_s_star, panel_quadrature
 from altseries.poles import STRIP_A1, STRIP_B, strip_width_b, u_star, x_star
 from altseries.residue import (
     KAPPA,
-    RESIDUE_MIN_LAMBDA,
     ResidueResult,
     calibrated_kappa,
     s_star_via_residue,
@@ -200,10 +199,9 @@ class TestScaledEvaluation:
             s_star_via_residue(lam)
 
     def test_window_starts_at_its_minimum(self):
-        # perfbench's worker writes this window's edge as a literal 8.0
-        assert RESIDUE_MIN_LAMBDA == 8.0
-        r = s_star_via_residue(RESIDUE_MIN_LAMBDA)
-        assert abs(r.value - ov.S_STAR[8.0]) <= 1e-7
+        lo = WINDOWS["residue"].lo
+        r = s_star_via_residue(lo)
+        assert abs(r.value - ov.S_STAR[lo]) <= 1e-7
 
     def test_alternate_strip_agrees(self, monkeypatch):
         # the saddle integral over the narrower strip of height a = 1.97
@@ -254,7 +252,9 @@ class TestResidueResult:
             fn(lam)
 
     def test_largest_admitted_lambda(self):
-        r = s_star_via_residue(2.5e5)
+        # the edge of cross_validate's window, which must stay inside the
+        # saddle panel budget
+        r = s_star_via_residue(WINDOWS["residue"].compare_hi)
         assert math.isfinite(r.scaled_value)
 
 

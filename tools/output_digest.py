@@ -11,8 +11,9 @@ output:
 * ``eval --json`` for every method at lambda in {0.5, 3, 10, 12, 30, 100};
 * ``eval --t 2 --method series`` and ``eval --t 2.5``, whose plain output
   shows the t they ran at, ``eval --lambda 600 --method asym``, whose
-  scaled numeric value is the law's past the overflow of its factor, and
-  ``eval --t 1e300 --method series``, where every term underflows;
+  scaled numeric value is the law's past the overflow of its factor,
+  ``eval --lambda 1e200 --method asym``, whose t = lambda^2/4 overflows,
+  and ``eval --t 1e300 --method series``, where every term underflows;
 * the refusals ``eval --lambda nan`` for every method,
   ``eval --lambda 3 --method residue``, ``eval --t -1``,
   ``eval --lambda 1e308 --method hankel``, ``eval --lambda -1`` on the
@@ -37,6 +38,8 @@ output:
 * on the crossval benchmark's lattice lambda = k/4, k = 4..48: value,
   error_estimate and work of ``fourier2d_s_star``, and every check of
   ``cross_validate`` at t = lambda^2/4;
+* every check of ``cross_validate`` at t = 2e10 (lambda ~ 2.83e5), past
+  the residue route's compare window and its saddle panel budget;
 * ``bessel_j0`` on 200,001 points over [0, 250] plus u = 16 (where the
   Hankel expansion first reaches the rounding level) and u = 30 (the
   regime switch), the two neighbouring doubles of each, 17 and 31,
@@ -174,6 +177,16 @@ for k in range(4, 49):
         print(" ", c.name, c.passed, repr(c.measured), repr(c.threshold))
 """
 
+# cross_validate where the residue route itself refuses, or its refusal
+CROSSVAL_FAR = """
+from altseries.harness import cross_validate
+try:
+    for c in cross_validate([2e10]).checks:
+        print(c.name, c.passed, repr(c.measured), repr(c.threshold))
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+
 # bessel_j0 directly: a point's value may not depend on the rest of its
 # call, so the same points are hashed whole, chunked and one at a time
 J0 = """
@@ -235,6 +248,7 @@ def main() -> int:
     for args in (["eval", "--t", "2", "--method", "series"],
                  ["eval", "--t", "2.5"],
                  ["eval", "--lambda", "600", "--method", "asym"],
+                 ["eval", "--lambda", "1e200", "--method", "asym"],
                  ["eval", "--t", "1e300", "--method", "series"]):
         jobs.append((" ".join(args), args, None))
     refusals = [["eval", "--lambda", "nan", "--method", method]
@@ -269,6 +283,8 @@ def main() -> int:
         digest, _ = _run(["-c", CROSSVAL], tmp)
         print(f"{digest}  crossval lattice: fourier2d and cross_validate",
               flush=True)
+        digest, _ = _run(["-c", CROSSVAL_FAR], tmp)
+        print(f"{digest}  cross_validate at t = 2e10", flush=True)
         digest, out = _run(["-c", J0], tmp)
         print(f"{digest}  bessel_j0 whole, chunked and scalar", flush=True)
         hashes = {line.split()[-1] for line in out.decode().splitlines()}
