@@ -55,7 +55,7 @@ def main():
     r = s_star_via_residue(2.0 * math.sqrt(150.0))
     print(f"the residue route still resolves the scaled value "
           f"-e^(lambda sqrt(pi/2)) S* = {r.scaled_value:.10f}")
-    print(f"  with neglected-terms bound {r.neglected_bound:.1e}")
+    print(f"  with error bound {r.scaled_error:.1e} at that scale")
 
 
 if __name__ == "__main__":

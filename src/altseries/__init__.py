@@ -26,7 +26,6 @@ _EXPORTS = {
     "sum_alternating_s": "series",
     "hankel_s_star": "hankel",
     "fourier2d_s_star": "fourier2d",
-    "ResidueResult": "residue",
     "s_star_via_residue": "residue",
     "asym_s_star": "asymptotic",
     "asym_s_t": "asymptotic",

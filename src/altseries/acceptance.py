@@ -23,11 +23,11 @@ import numpy as np
 from . import harness
 from .asymptotic import SQRT_HALF_PI, asym_s_star
 from .bessel import bessel_j0, j0_zeros
-from .core import DomainError, WorkLimitError, lambda_of_t
+from .core import DomainError, WorkLimitError, _decay, lambda_of_t
 from .fourier2d import _cos_zeros
 from .hankel import oscillatory_edges, panel_quadrature
 from .harness import VerifyCheck, VerifyReport, evaluate
-from .residue import _decay, _scaled_saddle
+from .residue import _scaled_saddle
 
 __all__ = [
     "SeriesParams",
@@ -216,19 +216,12 @@ def _rough_bound_trace(a: float, lambda_grid) -> list[float]:
     Since |S*| decays like e^(-lambda sqrt(pi/2)) (times algebraic factors),
     any a below sqrt(pi/2) must send the trace to zero; check 7 asserts the
     downward trend.  a = 0 degenerates to |S*| itself.  The numeric value
-    comes from ``evaluate('auto')``: the Hankel route up to its switch and
-    the residue route beyond, read at the scale where plain doubles would
-    otherwise underflow.
+    comes from ``evaluate('auto')`` (the Hankel route up to its switch and
+    the residue route beyond), read at the figure's scale, where plain
+    doubles do not underflow.
     """
-    out = []
-    for lam in lambda_grid:
-        res = evaluate("auto", lam)
-        if res.method == "residue":
-            val = abs(res.scaled_value) * math.exp((a - SQRT_HALF_PI) * lam)
-        else:
-            val = abs(res.value) * math.exp(a * lam)
-        out.append(float(val))
-    return out
+    return [abs(evaluate("auto", lam).scaled_value)
+            * math.exp((a - SQRT_HALF_PI) * lam) for lam in lambda_grid]
 
 
 def _gaussian_term_complex(m: int, lam: float) -> complex:
@@ -359,9 +352,9 @@ def check_pole_geometry() -> VerifyCheck:
 def check_residue_convergence() -> VerifyCheck:
     diffs = []
     for lam in (10.0, 12.0, 14.0, 16.0):
-        h = evaluate("hankel", lam).value
+        h = evaluate("hankel", lam)
         r = evaluate("residue", lam)
-        diffs.append(abs(math.exp(lam * SQRT_HALF_PI) * h + r.scaled_value))
+        diffs.append(abs(r.scaled_value - h.scaled_value))
     decreasing = all(a > b for a, b in zip(diffs, diffs[1:]))
     passed = decreasing and diffs[2] <= 0.02
     return _check("4-residue-convergence", diffs[2], 0.02, passed=passed,

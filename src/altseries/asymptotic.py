@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DomainError, RangeError
+from .core import SQRT_HALF_PI, DomainError, RangeError
 
 __all__ = [
     "AsymptoticTerm",
@@ -28,7 +28,6 @@ __all__ = [
     "error_envelope",
 ]
 
-SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 # 2^(3/2) * pi^(1/4), correctly rounded.
 FRONT_CONSTANT = 3.7655850551068593
 

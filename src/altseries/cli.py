@@ -90,6 +90,7 @@ def _cmd_eval(args) -> int:
         print(f"error_estimate  {out.error_estimate!r}")
         print(f"work            {out.work}")
         print(f"scaled_numeric  {row.scaled_numeric!r}")
+        print(f"scaled_error    {row.scaled_error!r}")
         print(f"scaled_asym     {row.scaled_asym!r}")
     return 0
 

@@ -1,8 +1,9 @@
 """Shared value types, error hierarchy, route windows and the t <-> lambda map.
 
 Every evaluation route in this package returns an :class:`EvalOutcome` so that
-callers can compare values *and* error estimates across methods uniformly, and
-refuses lambda outside its row of ``WINDOWS`` through ``check_window``.
+callers can compare values *and* error estimates across methods uniformly, at
+true size and at the figure's scale alike, and refuses lambda outside its row
+of ``WINDOWS`` through ``check_window``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ __all__ = [
     "WorkLimitError",
     "ToleranceSpec",
     "EvalOutcome",
+    "SQRT_HALF_PI",
     "Window",
     "WINDOWS",
     "AUTO_SWITCH",
@@ -25,6 +27,9 @@ __all__ = [
     "lambda_of_t",
     "t_of_lambda",
 ]
+
+
+SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
 
 class DomainError(ValueError):
@@ -55,14 +60,14 @@ class WorkLimitError(RuntimeError):
 # error; above 12 fourier2d's nested quadrature no longer resolves S*.
 # Hankel's floor ~1.3e-15 crosses |S*| ~ e^(-1.2533 lambda) near lambda = 27:
 # sweeps show its estimate swallow the value by 28, and past 24 it is too
-# noisy to judge the others by.  Residue is compared up to 2.5e5, the edge
-# of its audits, short of its saddle panel budget (WorkLimitError).
+# noisy to judge the others by.  Residue is swept and compared up to 2.5e5,
+# the edge of its audits, short of its saddle panel budget (WorkLimitError).
 Window = namedtuple("Window", "lo hi sweep_hi compare_hi")
 WINDOWS = {
     "series": Window(0.0, math.inf, math.inf, math.inf),
     "hankel": Window(0.0, math.inf, 28.0, 24.0),
     "fourier2d": Window(0.0, 12.0, 12.0, 12.0),
-    "residue": Window(8.0, math.inf, math.inf, 2.5e5),
+    "residue": Window(8.0, math.inf, 2.5e5, 2.5e5),
     "asymptotic": Window(8.0, math.inf, math.inf, math.inf),
 }
 # 'auto' runs hankel up to here and residue beyond, short of that crossing
@@ -115,25 +120,96 @@ class ToleranceSpec:
         return err <= self.abs_tol or err <= self.rel_tol * abs(scale)
 
 
+# sqrt(pi/2) as an unevaluated double-double sum hi + lo, for _decay.  The
+# routes keep SQRT_HALF_PI, one ulp below hi, so their bits do not move.
+_SQRT_HALF_PI_HI = 1.253314137315500343e+00
+_SQRT_HALF_PI_LO = -9.164289990229583387e-17
+
+
+def _veltkamp(a: float):
+    """a = hi + lo exactly, each half with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# the halves of _SQRT_HALF_PI_HI for Dekker's two-product
+_SQRT_HALF_PI_HH, _SQRT_HALF_PI_HL = _veltkamp(_SQRT_HALF_PI_HI)
+
+
+def _decay(lam: float) -> float:
+    """e^(-lambda sqrt(pi/2)), to a few ulp where it is normal.
+
+    math.exp(-lam * SQRT_HALF_PI) takes an argument rounded twice, in the
+    constant and in the product, so it is good only to about
+    lambda sqrt(pi/2) eps relative (1e-14 at lambda = 100).  Here
+    lam * hi = p + e exactly (Dekker's two-product), and the remainder
+    r = e + lam * lo, below one ulp of p, enters to first order.
+    """
+    p = lam * _SQRT_HALF_PI_HI
+    lh, ll = _veltkamp(lam)
+    e = (((lh * _SQRT_HALF_PI_HH - p) + lh * _SQRT_HALF_PI_HL
+          + ll * _SQRT_HALF_PI_HH) + ll * _SQRT_HALF_PI_HL)
+    r = e + lam * _SQRT_HALF_PI_LO
+    scale = math.exp(-p)
+    return scale - scale * r
+
+
 @dataclass(frozen=True)
 class EvalOutcome:
     """Value of one evaluation together with its accounting.
 
     ``error_estimate`` is an estimated *bound* on the absolute error, never
     negative.  ``work`` counts elementary operations actually spent.
-    ``method`` names the route that produced the value.
+    ``method`` names the route that produced the value.  ``scaled_value``
+    and ``scaled_error`` are the same pair at the figure's scale,
+    -e^(lambda sqrt(pi/2)) * (value, error_estimate), which the routes
+    fill through ``from_value`` or ``from_scaled``; given the true-size
+    pair alone they default to NaN and an unbounded error.
     """
 
     value: complex | float
     error_estimate: float
     work: int
     method: str
+    scaled_value: float = math.nan
+    scaled_error: float = math.inf
 
     def __post_init__(self):
-        if self.error_estimate < 0:
-            raise DomainError("error_estimate must be non-negative")
+        # written so that NaN fails it
+        if not (self.error_estimate >= 0 and self.scaled_error >= 0):
+            raise DomainError("error estimates must be non-negative numbers")
         if self.method not in METHOD_NAMES:
             raise DomainError(f"unknown method name {self.method!r}")
+
+    @classmethod
+    def from_value(cls, lam: float, value, error_estimate: float, work: int,
+                   method: str, **extra):
+        """From the true-size pair at lambda; the scaled pair is inf once
+        e^(lambda sqrt(pi/2)) overflows a double."""
+        if lam * SQRT_HALF_PI < 709.0:
+            grow = math.exp(lam * SQRT_HALF_PI)
+            scaled, scaled_error = -grow * value, grow * error_estimate
+        else:
+            scaled = scaled_error = math.inf
+        return cls(value, error_estimate, work, method, scaled, scaled_error,
+                   **extra)
+
+    @classmethod
+    def from_scaled(cls, lam: float, scaled_value: float, scaled_error: float,
+                    work: int, method: str):
+        """From the scaled pair at lambda.  From lambda ~ 566 the true-size
+        error underflows to 0.0 while the value is still a nonzero
+        subnormal, so it is floored at the smallest one."""
+        decay = _decay(lam)
+        return cls(-scaled_value * decay,
+                   max(scaled_error * decay, math.ulp(0.0)), work, method,
+                   scaled_value, scaled_error)
+
+    # read-only aliases of value and scaled_error, which perfbench/worker.py
+    # reads; they go with its rewrite (ROADMAP item 1)
+    unscaled_value = property(lambda self: self.value)
+    neglected_bound = property(lambda self: self.scaled_error)
 
 
 def lambda_of_t(t: float) -> float:

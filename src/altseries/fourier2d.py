@@ -110,4 +110,4 @@ def fourier2d_s_star(lam: float) -> EvalOutcome:
     trunc = math.exp(-y_up * y_up)  # T(y) <= sqrt(pi) e^(-y^2)
     err = (refine + inner_err * 2.0 * y_up
            + 4.0 * _EPS * abs_int + trunc) / math.pi
-    return EvalOutcome(s_val, err, work, "fourier2d")
+    return EvalOutcome.from_value(lam, s_val, err, work, "fourier2d")

@@ -247,5 +247,5 @@ def hankel_s_star(lam: float) -> EvalOutcome:
     trunc = math.exp(-TRUNCATION_X ** 2)
     floor = (_J0_MODEL_ERR + 4.0 * _EPS) * _LN2
     err = trunc + refine + floor
-    return EvalOutcome(float(value), err, work, "hankel")
+    return EvalOutcome.from_value(lam, float(value), err, work, "hankel")
 

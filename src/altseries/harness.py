@@ -19,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .asymptotic import SQRT_HALF_PI, asym_s_star, error_envelope
+from .asymptotic import asym_s_star, error_envelope
 from .core import (
     AUTO_SWITCH,
     WINDOWS,
@@ -97,11 +97,13 @@ def _asymptotic(lam: float) -> EvalOutcome:
     no longer bounds the error (|error|/estimate peaks at 1.64 near lambda
     = 0.8), so it is refused there; lambda <= 0 and NaN go on to
     asym_s_star's DomainError.  The estimate is floored at the smallest
-    subnormal, where the envelope underflows."""
+    subnormal, where the envelope underflows; at the figure's scale the
+    envelope is lambda^(-3/2).  asym_s_star and error_envelope are called
+    through this module's bindings, which perfbench's worker rebinds."""
     check_window("asymptotic", lam)
-    return EvalOutcome(asym_s_star(lam).value,
-                       max(error_envelope(lam), math.ulp(0.0)), 1,
-                       "asymptotic")
+    term = asym_s_star(lam)
+    return EvalOutcome(term.value, max(error_envelope(lam), math.ulp(0.0)),
+                       1, "asymptotic", term.scaled_value, lam ** -1.5)
 
 
 def _series(lam: float, t) -> EvalOutcome:
@@ -135,7 +137,10 @@ ROUTES = {
 class SweepRow:
     lam: float
     methods: dict  # name -> (value, error_estimate)
-    scaled_numeric: float
+    # the numeric route's scaled pair, None where none answered; eval shows
+    # scaled_error, the CSV has no column for it
+    scaled_numeric: float | None
+    scaled_error: float | None
     scaled_asym: float
 
 
@@ -206,29 +211,20 @@ def evaluate(method: str, lam: float, tol: ToleranceSpec | None = None,
     return out
 
 
-def sweep_row(lam: float, outs: dict, numeric: EvalOutcome) -> SweepRow:
-    """A table row: every outcome in ``outs`` plus the scaled pair.
+def _scaled_law(lam: float) -> float:
+    """The law's scaled value, the figure's second curve; 0.0 at lambda =
+    0 (``eval --t 0``), where the law has none."""
+    return asym_s_star(lam).scaled_value if lam > 0 else 0.0
 
-    The numeric curve is the figure's -e^(lambda sqrt(pi/2)) * value of
-    ``numeric``, read off its ``scaled_value`` when it carries one (a
-    ``ResidueResult``), equal to the scaled law when ``numeric`` is the
-    asymptotic route, and inf where the factor overflows a double.
-    """
-    scaled_asym = asym_s_star(lam).scaled_value if lam > 0 else 0.0
-    if hasattr(numeric, "scaled_value"):
-        scaled = numeric.scaled_value
-    elif numeric.method == "asymptotic":
-        scaled = scaled_asym
-    elif lam * SQRT_HALF_PI < 709.0:
-        scaled = -math.exp(lam * SQRT_HALF_PI) * numeric.value
-    else:
-        scaled = math.inf
-    return SweepRow(
-        lam=lam,
-        methods={k: (v.value, v.error_estimate) for k, v in outs.items()},
-        scaled_numeric=scaled,
-        scaled_asym=scaled_asym,
-    )
+
+def sweep_row(lam: float, outs: dict, numeric: EvalOutcome | None) -> SweepRow:
+    """A table row: every outcome in ``outs``, the scaled pair of
+    ``numeric`` (None where no numeric route answered) and the law's."""
+    scaled = (None, None) if numeric is None else (numeric.scaled_value,
+                                                   numeric.scaled_error)
+    return SweepRow(lam, {k: (v.value, v.error_estimate)
+                          for k, v in outs.items()},
+                    *scaled, _scaled_law(lam))
 
 
 def _pair_check(t: float, name_a: str, out_a: EvalOutcome,
@@ -285,9 +281,9 @@ def cross_validate(points) -> VerifyReport:
                     continue  # compared in scaled mode below
                 checks.append(_pair_check(t, na, outs[na], nb, outs[nb]))
         if "residue" in outs and "asymptotic" in outs:
-            r = outs["residue"]
-            diff = abs(r.scaled_value - asym_s_star(lam).scaled_value)
-            threshold = 10.0 * lam ** -1.5 + r.neglected_bound
+            r, a = outs["residue"], outs["asymptotic"]
+            diff = abs(r.scaled_value - a.scaled_value)
+            threshold = 10.0 * a.scaled_error + r.scaled_error
             checks.append(VerifyCheck(
                 name=f"t={t:g}:residue-vs-asym-scaled",
                 passed=diff <= threshold,
@@ -333,13 +329,14 @@ def figure_data(lambda_min: float, lambda_max: float, n: int) -> SweepTable:
 
 
 def sweep_data(lambda_min: float, lambda_max: float, n: int) -> SweepTable:
-    """Every route at every grid point inside its window, plus the scaled
-    pair."""
+    """Every route at every grid point inside its sweep window, plus the
+    scaled pair.  Past the residue route's sweep edge no numeric route
+    answers, so those rows leave the numeric curve empty."""
     rows = []
     for lam in _lambda_grid(lambda_min, lambda_max, n):
         outs = {name: evaluate(name, lam)
                 for name, w in WINDOWS.items() if w.lo <= lam <= w.sweep_hi}
-        rows.append(sweep_row(lam, outs, outs[resolve_route("auto", lam)]))
+        rows.append(sweep_row(lam, outs, outs.get(resolve_route("auto", lam))))
     return SweepTable(rows=rows)
 
 
@@ -369,7 +366,8 @@ def render_csv(table: SweepTable) -> str:
                 cells += [_fmt(v), _fmt(e)]
             else:
                 cells += ["", ""]
-        cells += [_fmt(r.scaled_numeric), _fmt(r.scaled_asym)]
+        cells += ["" if r.scaled_numeric is None else _fmt(r.scaled_numeric),
+                  _fmt(r.scaled_asym)]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -390,6 +388,7 @@ def sweep_row_json(row: SweepRow) -> str:
         },
         "scaled": {
             "numeric": _fmt(row.scaled_numeric),
+            "error": _fmt(row.scaled_error),
             "asym": _fmt(row.scaled_asym),
         },
     }

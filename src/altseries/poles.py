@@ -17,8 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .asymptotic import SQRT_HALF_PI
-from .core import DomainError, RangeError
+from .core import SQRT_HALF_PI, DomainError, RangeError
 
 __all__ = [
     "STRIP_A1",

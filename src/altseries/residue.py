@@ -23,27 +23,20 @@ bound shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotic import SQRT_HALF_PI
-from .core import DomainError, EvalOutcome, WorkLimitError, check_window
+from .core import (SQRT_HALF_PI, DomainError, EvalOutcome, WorkLimitError,
+                   check_window)
 from .poles import STRIP_A1, STRIP_A2, STRIP_B
 
 __all__ = [
     "KAPPA",
-    "ResidueResult",
     "s_star_via_residue",
     "calibrated_kappa",
 ]
 
 _EPS = float(np.finfo(float).eps)
-# sqrt(pi/2) as an unevaluated double-double sum hi + lo, for _decay.  The
-# scaled integrand and the kappa fit keep SQRT_HALF_PI, one ulp below hi, so
-# their bits do not move.
-_SQRT_HALF_PI_HI = 1.253314137315500343e+00
-_SQRT_HALF_PI_LO = -9.164289990229583387e-17
 
 # The constant of the neglected-term model.  The shifted contour and second
 # pole pair contribute O(e^(-lambda a1)) and O(e^(-lambda a2)); the order is
@@ -52,57 +45,6 @@ _SQRT_HALF_PI_LO = -9.164289990229583387e-17
 # lambda in {10, 12, 14, 16}.  tests/test_residue.py re-runs that fit and
 # requires this exact float, so a change that moves it re-derives it there.
 KAPPA = 0.06126676755228544
-
-
-@dataclass(frozen=True)
-class ResidueResult(EvalOutcome):
-    """Residue-route estimate of S*.  ``scaled_value`` is the figure's
-    -e^(lambda sqrt(pi/2)) * ``value``, as in ``AsymptoticTerm``, and
-    ``neglected_bound`` is ``error_estimate`` at the same scale; both stay
-    representable at any lambda."""
-
-    method: str = "residue"
-    scaled_value: float = math.nan
-    neglected_bound: float = 0.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.neglected_bound >= 0.0:
-            raise DomainError("neglected_bound must be >= 0")
-
-    @property
-    def unscaled_value(self) -> float:
-        """Alias of ``value``."""
-        return self.value
-
-
-def _veltkamp(a: float):
-    """a = hi + lo exactly, each half with at most 26 significant bits."""
-    c = 134217729.0 * a  # 2^27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-# the halves of _SQRT_HALF_PI_HI for Dekker's two-product
-_SQRT_HALF_PI_HH, _SQRT_HALF_PI_HL = _veltkamp(_SQRT_HALF_PI_HI)
-
-
-def _decay(lam: float) -> float:
-    """e^(-lambda sqrt(pi/2)), to a few ulp where it is normal.
-
-    math.exp(-lam * SQRT_HALF_PI) takes an argument rounded twice, in the
-    constant and in the product, so it is good only to about
-    lambda sqrt(pi/2) eps relative (1e-14 at lambda = 100).  Here
-    lam * hi = p + e exactly (Dekker's two-product), and the remainder
-    r = e + lam * lo, below one ulp of p, enters to first order.
-    """
-    p = lam * _SQRT_HALF_PI_HI
-    lh, ll = _veltkamp(lam)
-    e = (((lh * _SQRT_HALF_PI_HH - p) + lh * _SQRT_HALF_PI_HL
-          + ll * _SQRT_HALF_PI_HH) + ll * _SQRT_HALF_PI_HL)
-    r = e + lam * _SQRT_HALF_PI_LO
-    scale = math.exp(-p)
-    return scale - scale * r
 
 
 def _pole_line_arrays(y: np.ndarray):
@@ -179,7 +121,7 @@ def calibrated_kappa() -> float:
     return KAPPA
 
 
-def s_star_via_residue(lam: float) -> ResidueResult:
+def s_star_via_residue(lam: float) -> EvalOutcome:
     """S*(lambda) ~ -(1/pi) I2, with the neglected terms bounded not summed.
 
     Serves its window in ``core.WINDOWS`` up to ~2.56e5.  Below it the
@@ -196,9 +138,5 @@ def s_star_via_residue(lam: float) -> ResidueResult:
     kappa = calibrated_kappa()
     shape = (math.exp(-lam * (STRIP_A1 - SQRT_HALF_PI))
              + math.exp(-lam * (STRIP_A2 - SQRT_HALF_PI)))
-    bound = kappa * shape + refine
-    scale = _decay(lam)
-    # from lambda ~ 566 bound * scale underflows to 0.0 while the value is
-    # still a nonzero subnormal: floor the estimate at the smallest one
-    return ResidueResult(-scaled * scale, max(bound * scale, math.ulp(0.0)),
-                         work, scaled_value=scaled, neglected_bound=bound)
+    return EvalOutcome.from_scaled(lam, scaled, kappa * shape + refine,
+                                   work, "residue")

@@ -43,7 +43,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .core import DomainError, EvalOutcome
+from .core import DomainError, EvalOutcome, lambda_of_t
 
 __all__ = [
     "AlternatingOutcome",
@@ -93,7 +93,8 @@ def sum_alternating_s(t: float) -> AlternatingOutcome:
 
     The error estimate is ``_TRUNCATION`` plus the roundoff floor
     eps sum |w_k a_m| (3.5 + t/(2m)), m = k + 1, both derived in the
-    module docstring.  Work is _N at every t.
+    module docstring.  Work is _N at every t.  The scaled pair is formed
+    at lambda = 2 sqrt(t).
     """
     if not 0.0 <= t < math.inf:
         raise DomainError(f"need finite t >= 0, got {t}")
@@ -103,5 +104,6 @@ def sum_alternating_s(t: float) -> AlternatingOutcome:
     floor = _EPS * math.fsum(abs(p) * (3.5 + 0.5 * t / m)
                              for m, p in enumerate(terms, 1))
     cancel = (mass + _TRUNCATION / _EPS) / abs(value) if value else math.inf
-    return AlternatingOutcome(value=value, error_estimate=_TRUNCATION + floor,
-                              work=_N, method="series", cancellation=cancel)
+    return AlternatingOutcome.from_value(lambda_of_t(t), value,
+                                         _TRUNCATION + floor, _N, "series",
+                                         cancellation=cancel)

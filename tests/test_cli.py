@@ -34,7 +34,7 @@ class TestEval:
         lines = dict(ln.split(None, 1) for ln in out.strip().split("\n"))
         assert set(lines) == {"lambda", "t", "method", "value",
                               "error_estimate", "work", "scaled_numeric",
-                              "scaled_asym"}
+                              "scaled_error", "scaled_asym"}
         assert float(lines["value"]) == pytest.approx(ov.S_STAR[4.0],
                                                       abs=1e-12)
         assert lines["method"] == "hankel"
@@ -105,6 +105,29 @@ class TestEval:
                            "--method", "series")
         assert code == 0
         assert "scaled_numeric  inf" in out
+
+    def test_scaled_error_shown_past_the_double_wall(self, capsys):
+        # at t = 1e9 the true-size estimate is the smallest subnormal; the
+        # residue bound at the figure's scale is ~3.9e-14 on ~0.0023
+        from altseries.core import lambda_of_t
+        from altseries.residue import s_star_via_residue
+
+        r = s_star_via_residue(lambda_of_t(1e9))
+        code, out, err = run(capsys, "eval", "--t", "1e9")
+        assert code == 0 and err == ""
+        names = [line.split(None, 1)[0] for line in out.splitlines()]
+        assert names.index("scaled_error") == names.index("scaled_numeric") + 1
+        lines = dict(line.split(None, 1) for line in out.splitlines())
+        assert lines["error_estimate"] == "5e-324"
+        assert float(lines["scaled_error"]) == r.scaled_error
+        assert 1e-14 < r.scaled_error < 1e-13
+        code, out, _ = run(capsys, "eval", "--t", "1e9", "--json")
+        obj = json.loads(out)
+        assert code == 0
+        assert list(obj["scaled"]) == ["numeric", "error", "asym"]
+        assert float(obj["scaled"]["error"]) == r.scaled_error
+        assert float(obj["scaled"]["numeric"]) == r.scaled_value
+        assert obj["methods"]["residue"]["error_estimate"] == "5e-324"
 
     def test_asym_scaled_numeric_is_the_law_past_overflow(self, capsys):
         # the asymptotic route is the law, so its scaled value is the
@@ -260,6 +283,26 @@ class TestSweepAndFigure:
         recs = list(csv.DictReader(io.StringIO(out_path.read_text())))
         assert len(recs) == 5
         assert recs[0]["lambda"] == repr(1.0)
+
+    def test_sweep_past_the_residue_sweep_edge(self, capsys, tmp_path):
+        # 3e5 is past residue's sweep edge (2.5e5) and its panel budget: the
+        # row keeps series and asymptotic, and no numeric curve
+        out_path = tmp_path / "far.csv"
+        code, out, err = run(capsys, "sweep", "--lambda-min", "2e5",
+                             "--lambda-max", "3e5", "--points", "3",
+                             "--out", str(out_path))
+        assert code == 0 and err == ""
+        assert out == f"wrote 3 rows to {out_path}\n"
+        recs = list(csv.DictReader(io.StringIO(out_path.read_text())))
+        assert [r["lambda"] for r in recs] == ["200000.0", "250000.0",
+                                               "300000.0"]
+        for rec in recs[:2]:
+            assert rec["residue_value"] and rec["scaled_numeric"]
+        far = recs[2]
+        assert far["residue_value"] == far["residue_error"] == ""
+        assert far["scaled_numeric"] == ""
+        assert far["asymptotic_error"] and far["series_value"]
+        assert float(far["scaled_asym"]) == asym_s_star(3e5).scaled_value
 
     def test_figure_csv_and_svg_are_reproducible(self, capsys, tmp_path):
         paths = []

@@ -10,12 +10,14 @@ import pytest
 from altseries.core import (
     AUTO_SWITCH,
     METHOD_NAMES,
+    SQRT_HALF_PI,
     WINDOWS,
     DomainError,
     EvalOutcome,
     RangeError,
     ToleranceSpec,
     WorkLimitError,
+    _decay,
     check_window,
     lambda_of_t,
     t_of_lambda,
@@ -152,6 +154,32 @@ class TestEvalOutcome:
     def test_rejects_negative_error(self):
         with pytest.raises(DomainError):
             EvalOutcome(0.0, -1e-16, 0, "series")
+
+    @pytest.mark.parametrize("errors", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_rejects_nan_errors(self, errors):
+        with pytest.raises(DomainError):
+            EvalOutcome(0.0, errors[0], 1, "hankel", 0.0, errors[1])
+
+    def test_from_value_forms_the_scaled_pair(self):
+        lam = 10.0
+        out = EvalOutcome.from_value(lam, 2e-6, 1e-15, 3, "hankel")
+        grow = math.exp(lam * SQRT_HALF_PI)
+        assert (out.value, out.error_estimate) == (2e-6, 1e-15)
+        assert out.scaled_value == -grow * 2e-6
+        assert out.scaled_error == grow * 1e-15
+        # the factor overflows a double from lambda sqrt(pi/2) = 709 on
+        far = EvalOutcome.from_value(709.0 / SQRT_HALF_PI, -0.0, 1e-17, 22,
+                                     "series")
+        assert far.scaled_value == far.scaled_error == math.inf
+
+    def test_from_scaled_forms_the_true_size(self):
+        out = EvalOutcome.from_scaled(30.0, 0.25, 1e-3, 5, "residue")
+        assert (out.scaled_value, out.scaled_error) == (0.25, 1e-3)
+        assert out.value == -0.25 * _decay(30.0)
+        assert out.error_estimate == 1e-3 * _decay(30.0)
+        # the true-size estimate underflows; it is floored at 5e-324
+        far = EvalOutcome.from_scaled(1e4, 0.01, 1e-14, 5, "residue")
+        assert far.error_estimate == math.ulp(0.0)
 
     def test_frozen(self):
         out = EvalOutcome(1.0, 0.0, 1, "hankel")

@@ -22,6 +22,7 @@ from altseries.harness import (
     figure_data,
     render_csv,
     sweep_data,
+    sweep_row,
     sweep_row_json,
     write_csv,
     write_svg,
@@ -59,6 +60,19 @@ class TestEvaluate:
         # estimate peaks at 1.64 near lambda = 0.8
         with pytest.raises(RangeError):
             evaluate("asym", lam)
+
+    @pytest.mark.parametrize("method", ["series", "hankel", "fourier2d",
+                                        "residue", "asym"])
+    def test_every_outcome_carries_its_scaled_pair(self, method):
+        lam = 10.0
+        out = evaluate(method, lam)
+        grow = math.exp(lam * SQRT_HALF_PI)
+        assert out.scaled_value == pytest.approx(-grow * out.value, rel=1e-12)
+        assert out.scaled_error == pytest.approx(grow * out.error_estimate,
+                                                 rel=1e-12)
+        row = sweep_row(lam, {out.method: out}, out)
+        assert (row.scaled_numeric, row.scaled_error) == (
+            out.scaled_value, out.scaled_error)
 
     def test_residue_dispatch(self):
         out = evaluate("residue", 12.0)
@@ -240,8 +254,8 @@ class TestErrorScalingStudy:
 
 class TestTableTypes:
     def test_rows_must_ascend(self):
-        r1 = SweepRow(1.0, {}, 0.0, 0.0)
-        r2 = SweepRow(2.0, {}, 0.0, 0.0)
+        r1 = SweepRow(1.0, {}, 0.0, 0.0, 0.0)
+        r2 = SweepRow(2.0, {}, 0.0, 0.0, 0.0)
         SweepTable([r1, r2])
         with pytest.raises(DomainError):
             SweepTable([r2, r1])

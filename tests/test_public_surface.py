@@ -15,8 +15,7 @@ import pytest
 
 import altseries
 from altseries import bessel, harness
-from altseries.core import WINDOWS
-from altseries.residue import ResidueResult
+from altseries.core import WINDOWS, EvalOutcome
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(altseries.__path__))
@@ -56,7 +55,8 @@ def test_worker_reaches_only_existing_names(monkeypatch):
     # reads harness.HANKEL_COMPARE_WALL and harness.FOURIER_WALL
     assert set(worker.route_windows(harness)) >= {"series", "hankel",
                                                   "fourier2d"}
-    assert {"unscaled_value", "neglected_bound"} <= set(dir(ResidueResult))
+    # and the two aliases of a residue outcome's pairs
+    assert {"unscaled_value", "neglected_bound"} <= set(dir(EvalOutcome))
 
 
 def test_worker_window_edges_match_the_table():

@@ -6,14 +6,18 @@ output:
 
 * ``verify`` and ``verify --quick``;
 * the ``figure`` CSV at lambda in [5, 25], 200 points;
-* the ``sweep`` CSV at lambda in [1, 30], 59 points;
+* the ``sweep`` CSV at lambda in [1, 30], 59 points, and at lambda in
+  [2e5, 3e5], 3 points, whose last row lies past the residue route's
+  sweep edge;
 * ``poles --y 1.0`` and ``poles --grid 50``;
 * ``eval --json`` for every method at lambda in {0.5, 3, 10, 12, 30, 100};
 * ``eval --t 2 --method series`` and ``eval --t 2.5``, whose plain output
   shows the t they ran at, ``eval --lambda 600 --method asym``, whose
   scaled numeric value is the law's past the overflow of its factor,
   ``eval --lambda 1e200 --method asym``, whose t = lambda^2/4 overflows,
-  and ``eval --t 1e300 --method series``, where every term underflows;
+  ``eval --t 1e300 --method series``, where every term underflows, and
+  ``eval --t 1e9``, plain and ``--json``, whose true-size error estimate
+  underflows while the scaled one does not;
 * the refusals ``eval --lambda nan`` for every method,
   ``eval --lambda 3 --method residue``, ``eval --t -1``,
   ``eval --lambda 1e308 --method hankel``, ``eval --lambda -1`` on the
@@ -238,6 +242,9 @@ def main() -> int:
         ("sweep 1..30 x59", ["sweep", "--lambda-min", "1", "--lambda-max",
                              "30", "--points", "59", "--out", "sweep.csv"],
          "sweep.csv"),
+        ("sweep 2e5..3e5 x3", ["sweep", "--lambda-min", "2e5", "--lambda-max",
+                               "3e5", "--points", "3", "--out", "far.csv"],
+         "far.csv"),
         ("poles --y 1.0", ["poles", "--y", "1.0"], None),
         ("poles --grid 50", ["poles", "--grid", "50"], None),
     ]
@@ -249,7 +256,9 @@ def main() -> int:
                  ["eval", "--t", "2.5"],
                  ["eval", "--lambda", "600", "--method", "asym"],
                  ["eval", "--lambda", "1e200", "--method", "asym"],
-                 ["eval", "--t", "1e300", "--method", "series"]):
+                 ["eval", "--t", "1e300", "--method", "series"],
+                 ["eval", "--t", "1e9"],
+                 ["eval", "--t", "1e9", "--json"]):
         jobs.append((" ".join(args), args, None))
     refusals = [["eval", "--lambda", "nan", "--method", method]
                 for method in EVAL_METHODS]
