@@ -91,7 +91,8 @@ def _cmd_eval(args) -> int:
         print(f"work            {out.work}")
         print(f"scaled_numeric  {row.scaled_numeric!r}")
         print(f"scaled_error    {row.scaled_error!r}")
-        print(f"scaled_asym     {row.scaled_asym!r}")
+        asym = "" if row.scaled_asym is None else repr(row.scaled_asym)
+        print(f"scaled_asym     {asym}")
     return 0
 
 

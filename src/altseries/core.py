@@ -53,21 +53,21 @@ class WorkLimitError(RuntimeError):
 
 
 # The one table of route windows.  A row holds a route's closed lambda
-# windows, all from lo: the route answers up to hi and refuses the rest
-# (check_window), sweep_data tabulates it up to sweep_hi and cross_validate
-# compares it up to compare_hi.  Below 8 the residue route's neglected-term
-# bound, and the asymptotic route's error envelope, no longer cover the
-# error; above 12 fourier2d's nested quadrature no longer resolves S*.
-# Hankel's floor ~1.3e-15 crosses |S*| ~ e^(-1.2533 lambda) near lambda = 27:
-# sweeps show its estimate swallow the value by 28, and past 24 it is too
-# noisy to judge the others by.  Residue is swept and compared up to 2.5e5,
-# the edge of its audits, short of its saddle panel budget (WorkLimitError).
+# windows, all from lo: the route answers up to hi, where it stops
+# answering, and check_window refuses the rest; sweep_data tabulates it up
+# to sweep_hi and cross_validate compares it up to compare_hi.  Below 8 the
+# residue and asymptotic routes' bounds no longer cover the error; above 12
+# fourier2d no longer resolves S*.  Hankel's floor ~1.3e-15 crosses |S*|
+# near lambda = 27, so it is swept to 28 and compared to 24.  The series
+# stops where lambda^2/4 overflows, hankel and residue (at the edge of its
+# audits) short of their panel budgets, 599 pi/8 = 235.22 and ~2.56e5.
 Window = namedtuple("Window", "lo hi sweep_hi compare_hi")
+_SERIES_HI = 2.681561585988519e154
 WINDOWS = {
-    "series": Window(0.0, math.inf, math.inf, math.inf),
-    "hankel": Window(0.0, math.inf, 28.0, 24.0),
+    "series": Window(0.0, _SERIES_HI, _SERIES_HI, _SERIES_HI),
+    "hankel": Window(0.0, 235.0, 28.0, 24.0),
     "fourier2d": Window(0.0, 12.0, 12.0, 12.0),
-    "residue": Window(8.0, math.inf, 2.5e5, 2.5e5),
+    "residue": Window(8.0, 2.5e5, 2.5e5, 2.5e5),
     "asymptotic": Window(8.0, math.inf, math.inf, math.inf),
 }
 # 'auto' runs hankel up to here and residue beyond, short of that crossing
@@ -76,10 +76,12 @@ METHOD_NAMES = tuple(WINDOWS)
 
 
 def check_window(route: str, lam: float) -> None:
-    """Refuse a lambda outside the route's window with RangeError; lambda
-    <= 0 and NaN pass, for the route's own DomainError."""
+    """The one gate for lambda: NaN, a negative lambda and +-inf raise
+    DomainError, a lambda outside the route's row of WINDOWS RangeError."""
+    if not 0.0 <= lam < math.inf:
+        raise DomainError(f"need finite lambda >= 0, got {lam}")
     lo, hi = WINDOWS[route].lo, WINDOWS[route].hi
-    if 0.0 < lam < lo:
+    if lam < lo:
         raise RangeError(f"lambda = {lam} is below the {route} route's "
                          f"window lambda >= {lo:g}")
     if lam > hi:
@@ -213,9 +215,9 @@ class EvalOutcome:
 
 
 def lambda_of_t(t: float) -> float:
-    """Map t >= 0 to the oscillation parameter lambda = 2*sqrt(t)."""
-    if t < 0 or math.isnan(t):
-        raise DomainError(f"t must be >= 0, got {t}")
+    """Map finite t >= 0 to the oscillation parameter lambda = 2*sqrt(t)."""
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"need finite t >= 0, got {t}")
     return 2.0 * math.sqrt(t)
 
 

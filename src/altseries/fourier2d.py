@@ -26,7 +26,7 @@ import numpy as np
 # not called here; the name stays bound because perfbench/tracer.py
 # wraps fourier2d.j0_zeros
 from .bessel import j0_zeros  # noqa: F401
-from .core import DomainError, EvalOutcome, check_window
+from .core import EvalOutcome, check_window
 from .hankel import (_panel_grid, _reduce_panels, oscillatory_edges,
                      panel_quadrature)
 
@@ -84,8 +84,6 @@ def fourier2d_s_star(lam: float) -> EvalOutcome:
     Above it the stacked quadrature floors (~1e-13 absolute each) drown the
     signal, so the route refuses rather than returning noise.
     """
-    if not lam >= 0 or math.isnan(lam):
-        raise DomainError(f"need lambda >= 0, got {lam}")
     check_window("fourier2d", lam)
 
     y_up = _Y_TRUNCATION

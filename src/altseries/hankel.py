@@ -9,7 +9,7 @@ each panel supplies the refinement part of the error estimate.
 
 ``oscillatory_edges`` lays out the panels of every J0 or cosine kernel in
 the package and holds each layout to MAX_PANELS panels before it forms a
-zero, so this route refuses from lambda ~ 235.
+zero; this route's window in ``core.WINDOWS`` stops short of that budget.
 
 The error estimate is err = truncation + refinement + floor, where the floor
 (J0 model error + roundoff) * integral|weight| is what makes the lambda ~ 27
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bessel
 from .bessel import bessel_j0
-from .core import DomainError, EvalOutcome, WorkLimitError
+from .core import DomainError, EvalOutcome, WorkLimitError, check_window
 
 __all__ = [
     "panel_quadrature",
@@ -233,7 +233,7 @@ def _s_star_panels(lam: float):
 
 
 def hankel_s_star(lam: float) -> EvalOutcome:
-    """S*(lambda) by Bessel-zero panel quadrature, lambda >= 0.
+    """S*(lambda) by Bessel-zero panel quadrature, in its window.
 
     The reported error_estimate never drops below
     (J0 model error + roundoff) * ln 2 ~ 1.3e-15: integral_0^inf of the
@@ -241,8 +241,7 @@ def hankel_s_star(lam: float) -> EvalOutcome:
     wrong by the model amount.  Near lambda ~ 27 that floor crosses the
     amplitude of S* itself, which is this route's precision wall.
     """
-    if not 0.0 <= lam < math.inf:
-        raise DomainError(f"need finite lambda >= 0, got {lam}")
+    check_window("hankel", lam)
     _, (value, refine, _, _, work) = _s_star_panels(lam)
     trunc = math.exp(-TRUNCATION_X ** 2)
     floor = (_J0_MODEL_ERR + 4.0 * _EPS) * _LN2

@@ -25,7 +25,6 @@ from .core import (
     WINDOWS,
     DomainError,
     EvalOutcome,
-    RangeError,
     ToleranceSpec,
     WorkLimitError,
     check_window,
@@ -95,27 +94,32 @@ MAX_GRID_POINTS = 10_000
 def _asymptotic(lam: float) -> EvalOutcome:
     """The closed-form law as a route.  Below its window the error envelope
     no longer bounds the error (|error|/estimate peaks at 1.64 near lambda
-    = 0.8), so it is refused there; lambda <= 0 and NaN go on to
-    asym_s_star's DomainError.  The estimate is floored at the smallest
-    subnormal, where the envelope underflows; at the figure's scale the
-    envelope is lambda^(-3/2).  asym_s_star and error_envelope are called
-    through this module's bindings, which perfbench's worker rebinds."""
+    = 0.8), so it is refused there.  The estimate is floored at the
+    smallest subnormal, where the envelope underflows.  asym_s_star and
+    error_envelope are called through this module's bindings, which
+    perfbench's worker rebinds.
+
+    At the figure's scale the estimate adds to the envelope lambda^(-3/2)
+    the rounding of phase = lambda sqrt(pi/2) + pi/8: its two constants,
+    product and sum are each off by eps/2 relative at most, so A cos(phase),
+    A = 2^(3/2) pi^(1/4) lambda^(-1/2), is off by 1.5 eps phase A, plus eps
+    A for the product; 2 eps phase A covers both, as phase >= 10.  It stops
+    at 2 A, the range of A cos, from lambda ~ 4e15, and passes the envelope
+    near 2e7.  At true size it stays below 1e-9 of the envelope up to
+    lambda = 600, past which both underflow, so it is left out there.
+    """
     check_window("asymptotic", lam)
     term = asym_s_star(lam)
+    phase_err = min(2.0 * math.ulp(1.0) * term.phase, 2.0)
     return EvalOutcome(term.value, max(error_envelope(lam), math.ulp(0.0)),
-                       1, "asymptotic", term.scaled_value, lam ** -1.5)
+                       1, "asymptotic", term.scaled_value,
+                       lam ** -1.5 + phase_err * term.scaled_amplitude)
 
 
 def _series(lam: float, t) -> EvalOutcome:
-    """The series route at t, or at t = lambda^2/4 when the caller gave
-    lambda alone.  A finite lambda whose t overflows (past about 2.7e154)
-    is refused by name, not as the infinite t it would pass on."""
-    if t is None:
-        t = t_of_lambda(lam)
-        if t == math.inf and lam < math.inf:
-            raise RangeError(f"lambda = {lam:g} is too large for the series: "
-                             f"lambda^2/4 overflows a double")
-    return _bound("sum_alternating_s")(t)
+    """The series route at t, or at t = lambda^2/4 when not given."""
+    check_window("series", lam)
+    return _bound("sum_alternating_s")(t_of_lambda(lam) if t is None else t)
 
 
 # route -> evaluation(lam, t); core.WINDOWS says where each one runs.
@@ -141,7 +145,7 @@ class SweepRow:
     # scaled_error, the CSV has no column for it
     scaled_numeric: float | None
     scaled_error: float | None
-    scaled_asym: float
+    scaled_asym: float | None  # None at lambda = 0, where the law has none
 
 
 @dataclass(frozen=True)
@@ -211,10 +215,10 @@ def evaluate(method: str, lam: float, tol: ToleranceSpec | None = None,
     return out
 
 
-def _scaled_law(lam: float) -> float:
-    """The law's scaled value, the figure's second curve; 0.0 at lambda =
+def _scaled_law(lam: float) -> float | None:
+    """The law's scaled value, the figure's second curve; None at lambda =
     0 (``eval --t 0``), where the law has none."""
-    return asym_s_star(lam).scaled_value if lam > 0 else 0.0
+    return asym_s_star(lam).scaled_value if lam > 0 else None
 
 
 def sweep_row(lam: float, outs: dict, numeric: EvalOutcome | None) -> SweepRow:
@@ -389,7 +393,7 @@ def sweep_row_json(row: SweepRow) -> str:
         "scaled": {
             "numeric": _fmt(row.scaled_numeric),
             "error": _fmt(row.scaled_error),
-            "asym": _fmt(row.scaled_asym),
+            "asym": None if row.scaled_asym is None else _fmt(row.scaled_asym),
         },
     }
     return json.dumps(obj, indent=2)

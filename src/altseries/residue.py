@@ -26,8 +26,7 @@ import math
 
 import numpy as np
 
-from .core import (SQRT_HALF_PI, DomainError, EvalOutcome, WorkLimitError,
-                   check_window)
+from .core import SQRT_HALF_PI, EvalOutcome, WorkLimitError, check_window
 from .poles import STRIP_A1, STRIP_A2, STRIP_B
 
 __all__ = [
@@ -66,7 +65,7 @@ def _saddle_edges(lam: float):
     Full-rule nodes come to 16 per panel, so the total is >= 8*16 = 128
     for small lambda and grows like 16 sqrt(lambda) once 2 sigma steps
     dominate, matching the intended node budget max(64, 16 sqrt(lambda)).
-    A panel count past ``hankel.MAX_PANELS`` (600, near lambda = 2.5e5)
+    A panel count past ``hankel.MAX_PANELS`` (600, near lambda = 2.56e5)
     is refused before any edge is placed; beyond lambda ~ 1e33 the steps
     would fall below half an ulp of b and never arrive.
     """
@@ -124,14 +123,10 @@ def calibrated_kappa() -> float:
 def s_star_via_residue(lam: float) -> EvalOutcome:
     """S*(lambda) ~ -(1/pi) I2, with the neglected terms bounded not summed.
 
-    Serves its window in ``core.WINDOWS`` up to ~2.56e5.  Below it the
+    Answers on its row of ``core.WINDOWS``, [8, 2.5e5].  Below 8 the
     neglected terms outgrow their fitted bound (at lambda = 0.5 the value
-    is off by 1.3 against an estimate of 0.045), so RangeError refuses
-    them; above ~2.56e5 the saddle panels exceed their budget
-    (WorkLimitError).
+    is off by 1.3 against an estimate of 0.045).
     """
-    if not 0.0 < lam < math.inf:
-        raise DomainError(f"need finite lambda > 0, got {lam}")
     check_window("residue", lam)
     a_plus, a_minus, refine, work = _scaled_saddle(lam)
     scaled = (a_plus + a_minus).real

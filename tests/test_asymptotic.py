@@ -14,6 +14,7 @@ from altseries.asymptotic import (
     error_envelope,
 )
 from altseries.core import DomainError, RangeError
+from altseries.harness import evaluate
 
 import oracle_values as ov
 
@@ -77,6 +78,30 @@ def test_scaled_value_exact_at_tiny_lambda(lam):
     if lam == 1e-20:
         closed = FRONT_CONSTANT / math.sqrt(lam) * math.cos(math.pi / 8.0)
         assert abs(-term.scaled_value - closed) <= 1e-15 * closed
+
+
+@pytest.mark.parametrize("lam", [8.0, 1e5, 1e8, 1e10, 1e12, 1e15])
+def test_route_scaled_error_covers_the_phase_rounding(lam):
+    # the route's scaled value against the law at 60 digits: the phase
+    # lambda sqrt(pi/2) + pi/8, formed in doubles, is off by ~eps phase
+    # rad, which passes the envelope lambda^(-3/2) near lambda = 2e7
+    mp = pytest.importorskip("mpmath")
+    out = evaluate("asym", lam)
+    with mp.workdps(60):
+        law = -(mp.mpf(FRONT_CONSTANT) / mp.sqrt(lam)
+                * mp.cos(lam * mp.sqrt(mp.pi / 2) + mp.pi / 8))
+        assert abs(out.scaled_value - law) <= out.scaled_error
+    # the true-size estimate is the envelope alone
+    assert out.error_estimate == max(error_envelope(lam), math.ulp(0.0))
+
+
+@pytest.mark.parametrize("lam", [1e16, 1e200])
+def test_route_scaled_error_stops_at_the_cosine_range(lam):
+    # once eps phase passes 1 the phase is unknown, and no two values of
+    # A cos differ by more than 2 A
+    out = evaluate("asym", lam)
+    assert out.scaled_error == (lam ** -1.5
+                                + 2.0 * asym_s_star(lam).scaled_amplitude)
 
 
 @pytest.mark.parametrize("lam", [1e-300, 5e-324])

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -232,8 +233,24 @@ class TestEval:
         code, out, err = run(capsys, "eval", "--lambda", "1e200",
                              "--method", "series")
         assert code == 2 and out == ""
-        assert err == ("error: lambda = 1e+200 is too large for the series: "
-                       "lambda^2/4 overflows a double\n")
+        assert err == ("error: lambda = 1e+200 is above the series route's "
+                       "window lambda <= 2.68156e+154\n")
+
+    def test_infinite_t_is_named_as_t(self, capsys):
+        code, out, err = run(capsys, "eval", "--t", "inf")
+        assert code == 2 and out == ""
+        assert err == "error: need finite t >= 0, got inf\n"
+
+    def test_law_left_empty_at_zero(self, capsys):
+        # the law's scaled value diverges as lambda -> 0: no number there
+        code, out, err = run(capsys, "eval", "--t", "0")
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == "scaled_asym     "
+        code, out, err = run(capsys, "eval", "--t", "0", "--json")
+        assert code == 0 and err == ""
+        scaled = json.loads(out)["scaled"]
+        assert scaled["asym"] is None
+        assert float(scaled["numeric"]) == pytest.approx(math.log(2.0))
 
     def test_no_t_line_where_lambda_squared_overflows(self, capsys):
         # asym answers at lambda = 1e200, whose t = lambda^2/4 overflows:
@@ -303,6 +320,23 @@ class TestSweepAndFigure:
         assert far["scaled_numeric"] == ""
         assert far["asymptotic_error"] and far["series_value"]
         assert float(far["scaled_asym"]) == asym_s_star(3e5).scaled_value
+
+    def test_sweep_past_the_series_edge(self, capsys, tmp_path):
+        # 5e199 and 1e200 lie past the series' edge, where lambda^2/4
+        # overflows, and past every numeric route: only the law answers
+        out_path = tmp_path / "huge.csv"
+        code, out, err = run(capsys, "sweep", "--lambda-min", "1",
+                             "--lambda-max", "1e200", "--points", "3",
+                             "--out", str(out_path))
+        assert code == 0 and err == ""
+        assert out == f"wrote 3 rows to {out_path}\n"
+        recs = list(csv.DictReader(io.StringIO(out_path.read_text())))
+        assert [r["lambda"] for r in recs] == ["1.0", "5e+199", "1e+200"]
+        assert recs[0]["series_value"] and recs[0]["hankel_value"]
+        for rec in recs[1:]:
+            assert rec["series_value"] == rec["series_error"] == ""
+            assert rec["scaled_numeric"] == ""
+            assert rec["asymptotic_value"] and rec["scaled_asym"]
 
     def test_figure_csv_and_svg_are_reproducible(self, capsys, tmp_path):
         paths = []

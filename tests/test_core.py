@@ -3,6 +3,7 @@ maps."""
 
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,10 +40,30 @@ def test_check_window_names_the_route_and_its_edge(route, lam, side, edge):
                              f"window lambda {edge}")
 
 
-@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
-def test_check_window_leaves_the_domain_to_the_route(lam):
+@pytest.mark.parametrize("lam", [-1.0, math.nan, -math.inf, math.inf])
+def test_check_window_refuses_lambda_outside_the_domain(lam):
     for route in WINDOWS:
-        check_window(route, lam)
+        with pytest.raises(DomainError) as ei:
+            check_window(route, lam)
+        assert str(ei.value) == f"need finite lambda >= 0, got {lam}"
+
+
+def test_check_window_at_zero_lambda():
+    # zero is in the domain: routes whose window starts there take it,
+    # the others refuse it as below their window
+    for route, w in WINDOWS.items():
+        if w.lo == 0.0:
+            check_window(route, 0.0)
+        else:
+            with pytest.raises(RangeError, match="below"):
+                check_window(route, 0.0)
+
+
+def test_series_window_ends_where_t_overflows():
+    hi = WINDOWS["series"].hi
+    assert hi == lambda_of_t(sys.float_info.max)
+    assert math.isfinite(t_of_lambda(hi))
+    assert t_of_lambda(math.nextafter(hi, math.inf)) == math.inf
 
 
 def _readme_route_table():
@@ -93,6 +114,13 @@ def test_roundtrip_dense_grid():
         t = 0.1 * k
         back = t_of_lambda(lambda_of_t(t))
         assert abs(back - t) <= 4.0 * EPS * t, t
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf])
+def test_lambda_of_t_names_a_non_finite_t(t):
+    with pytest.raises(DomainError) as ei:
+        lambda_of_t(t)
+    assert str(ei.value) == f"need finite t >= 0, got {t}"
 
 
 @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan])

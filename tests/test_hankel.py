@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from altseries import bessel, hankel
 from altseries.bessel import bessel_j0, j0_zeros
-from altseries.core import DomainError, ToleranceSpec, WorkLimitError
+from altseries.core import (WINDOWS, DomainError, RangeError, ToleranceSpec,
+                            WorkLimitError)
 from altseries.fourier2d import _x_table
 from altseries.hankel import (
     MAX_PANELS,
@@ -290,11 +291,22 @@ def test_largest_accepted_scale_spends_max_panels_exactly(kernel):
 
 
 def test_refusal_forms_no_bessel_zero(monkeypatch):
-    # lambda = 3000 needs about 7,640 zeros: refused before one is filled
+    # lambda = 3000 would need about 7,640 zeros: refused by the route's
+    # window and, called directly, by the layout, before one is filled
     monkeypatch.setattr(bessel, "_zero_cache", [])
-    with pytest.raises(WorkLimitError):
+    with pytest.raises(RangeError):
         hankel_s_star(3000.0)
+    with pytest.raises(WorkLimitError):
+        oscillatory_edges(bessel.j0_zeros, 3000.0, TRUNCATION_X)
     assert bessel._zero_cache == []
+
+
+def test_window_stops_short_of_the_panel_budget():
+    # the largest scale the layout admits puts MAX_PANELS - 1 zeros below
+    # TRUNCATION_X; the route's edge answers within it
+    hi = WINDOWS["hankel"].hi
+    assert hi <= (MAX_PANELS - 1) * math.pi / TRUNCATION_X
+    assert len(_s_star_panels(hi)[0]) - 1 <= MAX_PANELS
 
 
 def test_route_looks_j0_zeros_up_in_bessel(monkeypatch):
@@ -384,23 +396,29 @@ def test_s_star_rejects_infinite_lambda(lam):
 
 
 def test_s_star_domain_and_budget():
-    with pytest.raises(DomainError):
-        hankel_s_star(-1.0)
-    with pytest.raises(DomainError):
-        hankel_s_star(math.nan)
+    for lam in (-1.0, math.nan):
+        with pytest.raises(DomainError,
+                           match=f"need finite lambda >= 0, got {lam}"):
+            hankel_s_star(lam)
+    # past the window the route refuses; the layout keeps its own budget
+    with pytest.raises(RangeError, match="above the hankel route's window"):
+        hankel_s_star(300.0)
     with pytest.raises(WorkLimitError, match="lambda = 300 puts about "
                        "764 kernel zeros below 8; max_panels = 600"):
-        hankel_s_star(300.0)
+        oscillatory_edges(j0_zeros, 300.0, TRUNCATION_X)
     with pytest.raises(WorkLimitError, match="1.27e\\+04 kernel zeros"):
-        hankel_s_star(5000.0)
+        oscillatory_edges(j0_zeros, 5000.0, TRUNCATION_X)
 
 
 @pytest.mark.parametrize("lam", [1e300, 1e308, sys.float_info.max])
 def test_s_star_refuses_huge_lambda(lam):
-    # lambda * TRUNCATION_X / pi is 2.5e300 or inf here: refused before
+    # the route refuses by its window; the layout, called directly, sees
+    # lambda * TRUNCATION_X / pi = 2.5e300 or inf: refused before
     # math.ceil, and written in three digits
-    with pytest.raises(WorkLimitError) as info:
+    with pytest.raises(RangeError):
         hankel_s_star(lam)
+    with pytest.raises(WorkLimitError) as info:
+        oscillatory_edges(j0_zeros, lam, TRUNCATION_X)
     assert "kernel zeros below 8; max_panels = 600" in str(info.value)
     assert str(info.value).startswith("lambda = ")
     assert len(str(info.value)) < 100

@@ -8,8 +8,9 @@ import pytest
 
 from altseries.asymptotic import SQRT_HALF_PI, asym_s_star
 from altseries import acceptance, harness
-from altseries.core import (AUTO_SWITCH, WINDOWS, DomainError, RangeError,
-                            ToleranceSpec, WorkLimitError, lambda_of_t)
+from altseries.core import (AUTO_SWITCH, METHOD_NAMES, WINDOWS, DomainError,
+                            RangeError, ToleranceSpec, WorkLimitError,
+                            lambda_of_t)
 from altseries.series import sum_alternating_s
 from altseries.harness import (
     CANCELLATION_FLAG,
@@ -399,14 +400,29 @@ def test_cross_validate_window_edges(lam, expected):
 
 
 def test_cross_validate_skips_residue_past_its_compare_window():
-    # lambda = 2.83e5 lies past residue's saddle panel budget, which its
-    # compare window stops short of: the route refuses, the report goes on
-    with pytest.raises(WorkLimitError):
+    # lambda = 2.83e5 lies past residue's window, which ends with its
+    # compare window: the route refuses, the report goes on
+    with pytest.raises(RangeError):
         evaluate("residue", lambda_of_t(2e10))
     report = cross_validate([2e10])
     assert not any("residue" in c.name for c in report.checks)
     pairs = {c.name: c.passed for c in report.checks if "-vs-" in c.name}
     assert pairs == {"t=2e+10:asymptotic-vs-series": True}
+
+
+@pytest.mark.parametrize("lam", [math.nan, -1.0, -math.inf, math.inf])
+@pytest.mark.parametrize("method", [*METHOD_NAMES, "auto"])
+def test_every_route_refuses_lambda_outside_the_domain(method, lam):
+    # one gate, one text, whichever route the method names
+    with pytest.raises(DomainError) as ei:
+        evaluate(method, lam)
+    assert str(ei.value) == f"need finite lambda >= 0, got {lam}"
+
+
+@pytest.mark.parametrize("method", ["residue", "asymptotic"])
+def test_zero_lambda_is_below_the_large_lambda_routes(method):
+    with pytest.raises(RangeError, match=f"below the {method} route's"):
+        evaluate(method, 0.0)
 
 
 @pytest.mark.parametrize("lam,route", [

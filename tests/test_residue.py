@@ -187,7 +187,7 @@ class TestScaledEvaluation:
     def test_result_validation(self):
         with pytest.raises(DomainError):
             EvalOutcome(1.0, 1.0, 1, "residue", 0.0, -1e-3)
-        with pytest.raises(DomainError):
+        with pytest.raises(RangeError):
             s_star_via_residue(0.0)
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0, 5.0, 6.0, 7.99])
@@ -250,14 +250,19 @@ class TestResidueResult:
     @pytest.mark.parametrize("lam", [3e5, 1e40, 2e154])
     def test_huge_lambda_refused_before_placing_panels(self, fn, lam):
         # the saddle panels narrow like lambda^(-1/2); past the panel
-        # budget the route refuses instead of stepping for ever
-        with pytest.raises(WorkLimitError):
+        # budget the helpers refuse instead of stepping for ever, and the
+        # route, whose window ends before that budget, refuses by its window
+        error = RangeError if fn is s_star_via_residue else WorkLimitError
+        with pytest.raises(error):
             fn(lam)
 
     def test_largest_admitted_lambda(self):
-        # the edge of cross_validate's window, which must stay inside the
-        # saddle panel budget
-        r = s_star_via_residue(WINDOWS["residue"].compare_hi)
+        # the edge of the route's window and of cross_validate's, which
+        # must stay inside the saddle panel budget
+        hi = WINDOWS["residue"].hi
+        assert hi == WINDOWS["residue"].compare_hi
+        assert len(residue._saddle_edges(hi)) - 1 <= hankel.MAX_PANELS
+        r = s_star_via_residue(hi)
         assert math.isfinite(r.scaled_value)
 
 

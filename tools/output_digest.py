@@ -6,9 +6,10 @@ output:
 
 * ``verify`` and ``verify --quick``;
 * the ``figure`` CSV at lambda in [5, 25], 200 points;
-* the ``sweep`` CSV at lambda in [1, 30], 59 points, and at lambda in
+* the ``sweep`` CSV at lambda in [1, 30], 59 points, at lambda in
   [2e5, 3e5], 3 points, whose last row lies past the residue route's
-  sweep edge;
+  sweep edge, and at lambda in [1, 1e200], 3 points, whose last two rows
+  lie past the series route's edge;
 * ``poles --y 1.0`` and ``poles --grid 50``;
 * ``eval --json`` for every method at lambda in {0.5, 3, 10, 12, 30, 100};
 * ``eval --t 2 --method series`` and ``eval --t 2.5``, whose plain output
@@ -17,11 +18,16 @@ output:
   ``eval --lambda 1e200 --method asym``, whose t = lambda^2/4 overflows,
   ``eval --t 1e300 --method series``, where every term underflows, and
   ``eval --t 1e9``, plain and ``--json``, whose true-size error estimate
-  underflows while the scaled one does not;
+  underflows while the scaled one does not, and ``eval --lambda 1e10
+  --method asym``, plain and ``--json``, whose scaled error is set by the
+  rounding of the law's phase;
 * the refusals ``eval --lambda nan`` for every method,
-  ``eval --lambda 3 --method residue``, ``eval --t -1``,
-  ``eval --lambda 1e308 --method hankel``, ``eval --lambda -1`` on the
-  series route, ``poles --y 1e200`` and ``poles --y 1e154``;
+  ``eval --lambda 3 --method residue``, ``eval --t -1``, ``eval --t
+  inf``, ``eval --lambda 1e308 --method hankel``, ``eval --lambda -1`` on
+  the series route, the window edges ``eval --lambda 235.1 --method
+  hankel`` and ``eval --lambda 2.52e5 --method residue``, ``eval --lambda
+  0 --method residue``, ``eval --lambda inf --method fourier2d``,
+  ``poles --y 1e200`` and ``poles --y 1e154``;
 * the tolerance refusal ``eval --lambda 10 --method M --abs-tol 1e-30
   --rel-tol 1e-30`` for every method, a ``--max-work`` that does not
   parse, a budget kept beside a met tolerance, and a grid one point past
@@ -245,6 +251,9 @@ def main() -> int:
         ("sweep 2e5..3e5 x3", ["sweep", "--lambda-min", "2e5", "--lambda-max",
                                "3e5", "--points", "3", "--out", "far.csv"],
          "far.csv"),
+        ("sweep 1..1e200 x3", ["sweep", "--lambda-min", "1", "--lambda-max",
+                               "1e200", "--points", "3", "--out",
+                               "huge.csv"], "huge.csv"),
         ("poles --y 1.0", ["poles", "--y", "1.0"], None),
         ("poles --grid 50", ["poles", "--grid", "50"], None),
     ]
@@ -258,14 +267,21 @@ def main() -> int:
                  ["eval", "--lambda", "1e200", "--method", "asym"],
                  ["eval", "--t", "1e300", "--method", "series"],
                  ["eval", "--t", "1e9"],
-                 ["eval", "--t", "1e9", "--json"]):
+                 ["eval", "--t", "1e9", "--json"],
+                 ["eval", "--lambda", "1e10", "--method", "asym"],
+                 ["eval", "--lambda", "1e10", "--method", "asym", "--json"]):
         jobs.append((" ".join(args), args, None))
     refusals = [["eval", "--lambda", "nan", "--method", method]
                 for method in EVAL_METHODS]
     refusals += [["eval", "--lambda", "3", "--method", "residue"],
                  ["eval", "--t", "-1"],
+                 ["eval", "--t", "inf"],
                  ["eval", "--lambda", "1e308", "--method", "hankel"],
                  ["eval", "--lambda", "-1", "--method", "series"],
+                 ["eval", "--lambda", "235.1", "--method", "hankel"],
+                 ["eval", "--lambda", "2.52e5", "--method", "residue"],
+                 ["eval", "--lambda", "0", "--method", "residue"],
+                 ["eval", "--lambda", "inf", "--method", "fourier2d"],
                  ["poles", "--y", "1e200"],
                  ["poles", "--y", "1e154"]]
     refusals += [["eval", "--lambda", "10", "--method", method, "--abs-tol",
